@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 namespace bandana {
@@ -14,15 +13,14 @@ ClusterRouter::ClusterRouter(StoreCluster& cluster) : cluster_(cluster) {
   // Rebalance flips re-point a range's replica but never change range
   // boundaries or counts, so the flat rotation state sized here stays
   // valid across every later placement map.
-  std::size_t total = 0;
   range_offset_.reserve(cluster_.placement().tables.size());
   for (const auto& ranges : cluster_.placement().tables) {
-    range_offset_.push_back(total);
-    total += ranges.size();
+    range_offset_.push_back(num_ranges_);
+    num_ranges_ += ranges.size();
   }
   rr_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      std::max<std::size_t>(1, total));
-  for (std::size_t i = 0; i < total; ++i) {
+      std::max<std::size_t>(1, num_ranges_));
+  for (std::size_t i = 0; i < num_ranges_; ++i) {
     rr_[i].store(0, std::memory_order_relaxed);
   }
 }
@@ -66,11 +64,11 @@ std::int32_t ClusterRouter::pick_replica(TableId t, std::size_t range_idx,
       return static_cast<std::int32_t>(n);
     }
   }
-  return -1;  // every replica down
+  return kNoReplica;
 }
 
-ClusterRouter::Scatter ClusterRouter::scatter(const PlacementMap& pm,
-                                              const MultiGetRequest& request) {
+ClusterRouter::Route ClusterRouter::route(const PlacementMap& pm,
+                                          const MultiGetRequest& request) {
   // Validate the whole request before routing mutates anything (the
   // Store::multi_get contract: throw before any part is served).
   for (const auto& get : request.gets) {
@@ -88,76 +86,116 @@ ClusterRouter::Scatter ClusterRouter::scatter(const PlacementMap& pm,
     }
   }
 
+  Route rt;
+  rt.node_of.assign(num_ranges_, kUntouched);
+  std::vector<std::uint8_t> contacted(cluster_.num_nodes(), 0);
+  for (const auto& get : request.gets) {
+    const auto& ranges = pm.tables[get.table];
+    const std::size_t base = range_offset_[get.table];
+    // Replica choice per (table, range), made once per request at the
+    // range's first touch.
+    const auto touch = [&](std::size_t ri) {
+      std::int32_t& node = rt.node_of[base + ri];
+      if (node != kUntouched) return;
+      bool failover = false;
+      node = pick_replica(get.table, ri, ranges[ri], failover);
+      if (failover) ++rt.failovers;
+      if (node == kNoReplica) {
+        ++rt.failed_sub_requests;  // counted once per range
+      } else if (!contacted[static_cast<std::size_t>(node)]) {
+        contacted[static_cast<std::size_t>(node)] = 1;
+        rt.nodes.push_back(static_cast<std::uint32_t>(node));
+      }
+    };
+    if (ranges.size() == 1) {
+      if (!get.ids.empty()) touch(0);
+      continue;
+    }
+    for (const VectorId v : get.ids) touch(pm.range_index_of(get.table, v));
+  }
+  return rt;
+}
+
+ClusterRouter::Scatter ClusterRouter::bucket(const PlacementMap& pm,
+                                             const MultiGetRequest& request,
+                                             const Route& rt) const {
   Scatter sc;
-  sc.slots.resize(request.gets.size());
-  // node -> index into sc.subs (one sub-request per contacted node: the
-  // node-local Store dedups block reads across its whole sub-request).
+  sc.failed_sub_requests = rt.failed_sub_requests;
+  sc.failovers = rt.failovers;
+  // One sub-request per contacted node: the node-local Store dedups block
+  // reads across its whole sub-request.
   std::vector<std::int32_t> node_sub(cluster_.num_nodes(), -1);
-  // Replica choice per (table, range), made once per request.
-  constexpr std::int32_t kUnrouted = -2;
-  std::vector<std::pair<std::size_t, std::int32_t>> choices;
+  sc.subs.resize(rt.nodes.size());
+  for (std::size_t s = 0; s < rt.nodes.size(); ++s) {
+    sc.subs[s].node = rt.nodes[s];
+    node_sub[rt.nodes[s]] = static_cast<std::int32_t>(s);
+  }
+  std::size_t total_ids = 0;
+  for (const auto& get : request.gets) total_ids += get.ids.size();
+  sc.slots.resize(total_ids);
+
+  // Scratch for one get: each id's range, and per range of the get's
+  // table its id count and the slot its next id lands in (sub < 0: no
+  // alive replica, the range's ids are zero-filled at merge).
+  std::vector<std::uint32_t> range_of_id;
+  std::vector<std::uint32_t> range_ids;
+  std::vector<IdSlot> range_next;
+  std::size_t k = 0;  // sc.slots index of the get's first id
   for (std::size_t g = 0; g < request.gets.size(); ++g) {
     const auto& get = request.gets[g];
-    sc.slots[g].resize(get.ids.size());
-    // (node, local table) -> entry in that node's sub-request, for THIS
-    // get: each original get maps to its own sub-request entries, so the
-    // merged result keeps the request's shape.
-    std::vector<std::tuple<std::int32_t, TableId, std::uint32_t>> entries;
-    for (std::size_t i = 0; i < get.ids.size(); ++i) {
-      const VectorId v = get.ids[i];
-      const std::size_t ri = pm.range_index_of(get.table, v);
-      const PlacementMap::Range& range = pm.tables[get.table][ri];
-      const std::size_t flat = range_offset_[get.table] + ri;
+    const auto& ranges = pm.tables[get.table];
+    const std::size_t base = range_offset_[get.table];
+    range_of_id.resize(get.ids.size());
+    range_ids.assign(ranges.size(), 0);
+    range_next.assign(ranges.size(), IdSlot{});
 
-      std::int32_t chosen = kUnrouted;
-      for (const auto& c : choices) {
-        if (c.first == flat) {
-          chosen = c.second;
-          break;
-        }
-      }
-      if (chosen == kUnrouted) {
-        bool failover = false;
-        chosen = pick_replica(get.table, ri, range, failover);
-        if (failover) ++sc.failovers;
-        if (chosen < 0) ++sc.failed_sub_requests;  // counted once per range
-        choices.emplace_back(flat, chosen);
-      }
-      if (chosen < 0) {
-        ++sc.failed_lookups;  // slot stays sub = -1: zero-filled at merge
+    // Pass 1: count ids per range, and open an entry per served range in
+    // first-touch order. Each original get maps to its own entries, so the
+    // merged result keeps the request's shape.
+    for (std::size_t i = 0; i < get.ids.size(); ++i) {
+      const std::uint32_t ri =
+          ranges.size() == 1 ? 0
+                             : static_cast<std::uint32_t>(
+                                   pm.range_index_of(get.table, get.ids[i]));
+      range_of_id[i] = ri;
+      if (range_ids[ri]++ > 0) continue;
+      const std::int32_t node = rt.node_of[base + ri];
+      if (node == kNoReplica) continue;
+      const PlacementMap::Range& range = ranges[ri];
+      const auto rep = std::find(range.nodes.begin(), range.nodes.end(),
+                                 static_cast<std::uint32_t>(node)) -
+                       range.nodes.begin();
+      const std::int32_t s = node_sub[static_cast<std::size_t>(node)];
+      SubRequest& sub = sc.subs[static_cast<std::size_t>(s)];
+      range_next[ri] = {s, static_cast<std::uint32_t>(sub.req.gets.size()), 0};
+      sub.req.gets.push_back(
+          {range.local_ids[static_cast<std::size_t>(rep)], {}});
+      sub.entry_get.push_back(g);
+    }
+    for (std::size_t ri = 0; ri < ranges.size(); ++ri) {
+      const IdSlot& next = range_next[ri];
+      if (next.sub < 0) continue;
+      sc.subs[static_cast<std::size_t>(next.sub)]
+          .req.gets[next.entry]
+          .ids.reserve(range_ids[ri]);
+    }
+
+    // Pass 2: place every id.
+    std::uint64_t lost = 0;
+    for (std::size_t i = 0; i < get.ids.size(); ++i, ++k) {
+      const std::uint32_t ri = range_of_id[i];
+      IdSlot& next = range_next[ri];
+      if (next.sub < 0) {
+        ++lost;
         continue;
       }
-
-      const auto rep =
-          std::find(range.nodes.begin(), range.nodes.end(),
-                    static_cast<std::uint32_t>(chosen)) -
-          range.nodes.begin();
-      const TableId local = range.local_ids[static_cast<std::size_t>(rep)];
-      if (node_sub[chosen] < 0) {
-        node_sub[chosen] = static_cast<std::int32_t>(sc.subs.size());
-        sc.subs.push_back({static_cast<std::uint32_t>(chosen), {}, {}});
-      }
-      SubRequest& sub = sc.subs[static_cast<std::size_t>(node_sub[chosen])];
-
-      std::int32_t entry = -1;
-      for (const auto& [en, el, ei] : entries) {
-        if (en == chosen && el == local) {
-          entry = static_cast<std::int32_t>(ei);
-          break;
-        }
-      }
-      if (entry < 0) {
-        entry = static_cast<std::int32_t>(sub.req.gets.size());
-        sub.req.gets.push_back({local, {}});
-        sub.entry_get.push_back(g);
-        entries.emplace_back(chosen, local,
-                             static_cast<std::uint32_t>(entry));
-      }
-      auto& ids = sub.req.gets[static_cast<std::size_t>(entry)].ids;
-      sc.slots[g][i] = {node_sub[chosen], static_cast<std::uint32_t>(entry),
-                        static_cast<std::uint32_t>(ids.size())};
-      ids.push_back(v - range.lo);
+      sc.slots[k] = next;
+      ++next.offset;
+      sc.subs[static_cast<std::size_t>(next.sub)]
+          .req.gets[next.entry]
+          .ids.push_back(get.ids[i] - ranges[ri].lo);
     }
+    sc.failed_lookups += lost;
   }
   return sc;
 }
@@ -175,10 +213,6 @@ ClusterMultiGetResult ClusterRouter::merge(
   MultiGetResult& res = out.result;
   res.vectors.resize(request.gets.size());
   res.per_table.resize(request.gets.size());
-  for (std::size_t g = 0; g < request.gets.size(); ++g) {
-    // Zero-filled: ids lost to a down node keep deterministic bytes.
-    res.vectors[g].assign(request.gets[g].ids.size() * vb, std::byte{0});
-  }
 
   for (std::size_t s = 0; s < sc.subs.size(); ++s) {
     const MultiGetResult& sub_res = sub_results[s];
@@ -195,19 +229,42 @@ ClusterMultiGetResult ClusterRouter::merge(
       stats.block_reads += sub_res.per_table[e].block_reads;
     }
   }
+  std::size_t k = 0;  // sc.slots index of the get's first id
   for (std::size_t g = 0; g < request.gets.size(); ++g) {
-    for (std::size_t i = 0; i < request.gets[g].ids.size(); ++i) {
-      const IdSlot& slot = sc.slots[g][i];
-      if (slot.sub < 0) continue;
-      const auto& src =
-          sub_results[static_cast<std::size_t>(slot.sub)].vectors[slot.entry];
-      std::memcpy(res.vectors[g].data() + i * vb,
-                  src.data() + std::size_t{slot.offset} * vb, vb);
+    const std::size_t n = request.gets[g].ids.size();
+    // Append runs of ids that sit back to back in one entry with one copy
+    // each (a get one entry serves whole is a single run). Only ids lost
+    // to a down node are zero-filled, so they keep deterministic bytes.
+    auto& bytes = res.vectors[g];
+    bytes.reserve(n * vb);
+    for (std::size_t i = 0; i < n;) {
+      const IdSlot& slot = sc.slots[k + i];
+      std::size_t run = 1;
+      if (slot.sub < 0) {
+        while (i + run < n && sc.slots[k + i + run].sub < 0) ++run;
+        bytes.insert(bytes.end(), run * vb, std::byte{0});
+      } else {
+        while (i + run < n) {
+          const IdSlot& next = sc.slots[k + i + run];
+          if (next.sub != slot.sub || next.entry != slot.entry ||
+              next.offset != slot.offset + run) {
+            break;
+          }
+          ++run;
+        }
+        const std::byte* src =
+            sub_results[static_cast<std::size_t>(slot.sub)]
+                .vectors[slot.entry]
+                .data() +
+            std::size_t{slot.offset} * vb;
+        bytes.insert(bytes.end(), src, src + run * vb);
+      }
+      i += run;
     }
+    k += n;
     // Lost ids count as misses: they were not served from DRAM (the
     // failed_lookups counter is the authoritative loss report).
-    res.per_table[g].misses =
-        request.gets[g].ids.size() - res.per_table[g].hits;
+    res.per_table[g].misses = n - res.per_table[g].hits;
   }
   return out;
 }
@@ -218,11 +275,21 @@ void bump(std::atomic<std::uint64_t>& c, std::uint64_t v) {
 }
 }  // namespace
 
+void ClusterRouter::settle(const ClusterMultiGetResult& out) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  bump(sub_requests_, out.sub_requests);
+  bump(failed_sub_requests_, out.failed_sub_requests);
+  bump(failed_lookups_, out.failed_lookups);
+  bump(failovers_, out.failovers);
+  std::lock_guard lock(latency_mu_);
+  request_latency_.add(out.result.service_latency_us);
+}
+
 ClusterMultiGetResult ClusterRouter::multi_get(const MultiGetRequest& request) {
   // One lease for the whole request: route and serve against the same map,
   // released only after the last sub-request finished (see router.h).
   const StoreCluster::PlacementLease lease = cluster_.placement_lease();
-  Scatter sc = scatter(lease.map(), request);
+  Scatter sc = bucket(lease.map(), request, route(lease.map(), request));
   std::vector<MultiGetResult> sub_results(sc.subs.size());
   for (std::size_t s = 0; s < sc.subs.size(); ++s) {
     auto& node = *cluster_.nodes_[sc.subs[s].node];
@@ -240,15 +307,7 @@ ClusterMultiGetResult ClusterRouter::multi_get(const MultiGetRequest& request) {
   }
   ClusterMultiGetResult out =
       merge(request, std::move(sc), std::move(sub_results));
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  bump(sub_requests_, out.sub_requests);
-  bump(failed_sub_requests_, out.failed_sub_requests);
-  bump(failed_lookups_, out.failed_lookups);
-  bump(failovers_, out.failovers);
-  {
-    std::lock_guard lock(latency_mu_);
-    request_latency_.add(out.result.service_latency_us);
-  }
+  settle(out);
   return out;
 }
 
@@ -260,6 +319,7 @@ std::future<ClusterMultiGetResult> ClusterRouter::multi_get_async(
     /// so a concurrent rebalance flip waits for this request before
     /// retiring the donor replicas it routed to.
     StoreCluster::PlacementLease lease;
+    Route rt;
     Scatter sc;
     std::vector<MultiGetResult> sub_results;
     std::vector<double> arrivals;
@@ -272,10 +332,9 @@ std::future<ClusterMultiGetResult> ClusterRouter::multi_get_async(
   state->request = std::move(request);
   state->lease = cluster_.placement_lease();
   // Bad requests throw here, inline.
-  state->sc = scatter(state->lease.map(), state->request);
+  state->rt = route(state->lease.map(), state->request);
   auto future = state->promise.get_future();
 
-  const std::size_t n_subs = state->sc.subs.size();
   const auto finish = [this, state] {
     {
       std::lock_guard lock(state->error_mu);
@@ -287,19 +346,17 @@ std::future<ClusterMultiGetResult> ClusterRouter::multi_get_async(
     ClusterMultiGetResult out =
         merge(state->request, std::move(state->sc),
               std::move(state->sub_results));
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    bump(sub_requests_, out.sub_requests);
-    bump(failed_sub_requests_, out.failed_sub_requests);
-    bump(failed_lookups_, out.failed_lookups);
-    bump(failovers_, out.failovers);
-    {
-      std::lock_guard lock(latency_mu_);
-      request_latency_.add(out.result.service_latency_us);
-    }
+    settle(out);
     state->promise.set_value(std::move(out));
   };
+  const auto fail = [state] {
+    std::lock_guard lock(state->error_mu);
+    if (!state->error) state->error = std::current_exception();
+  };
+  const std::size_t n_subs = state->rt.nodes.size();
   if (n_subs == 0) {
     // Nothing routable (empty request, or everything down): settle now.
+    state->sc = bucket(state->lease.map(), state->request, state->rt);
     finish();
     return future;
   }
@@ -308,31 +365,47 @@ std::future<ClusterMultiGetResult> ClusterRouter::multi_get_async(
   state->arrivals.resize(n_subs);
   state->remaining.store(n_subs, std::memory_order_relaxed);
   for (std::size_t s = 0; s < n_subs; ++s) {
-    auto& node = *cluster_.nodes_[state->sc.subs[s].node];
+    auto& node = *cluster_.nodes_[state->rt.nodes[s]];
     // Arrival stamped at submission (each node's own clock), and the
     // outstanding count raised before the task queues — a concurrent
     // least-outstanding pick must see queued-but-unserved work.
     state->arrivals[s] = node.store->now_us();
     node.outstanding.fetch_add(1, std::memory_order_relaxed);
   }
-  for (std::size_t s = 0; s < n_subs; ++s) {
-    // Tasks call the node store synchronously and count down; the last one
-    // merges. No task ever waits on another, so any pool size progresses.
-    pool.submit([this, state, s, finish] {
-      auto& node = *cluster_.nodes_[state->sc.subs[s].node];
-      try {
-        state->sub_results[s] =
-            node.store->multi_get(state->sc.subs[s].req, state->arrivals[s]);
-      } catch (...) {
-        std::lock_guard lock(state->error_mu);
-        if (!state->error) state->error = std::current_exception();
+  // Tasks call the node store synchronously and count down; the last one
+  // merges. No task ever waits on another, so any pool size progresses.
+  const auto serve = [this, state, finish, fail](std::size_t s) {
+    auto& node = *cluster_.nodes_[state->rt.nodes[s]];
+    try {
+      state->sub_results[s] =
+          node.store->multi_get(state->sc.subs[s].req, state->arrivals[s]);
+    } catch (...) {
+      fail();
+    }
+    node.outstanding.fetch_sub(1, std::memory_order_relaxed);
+    if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish();
+    }
+  };
+  pool.submit([this, state, serve, finish, fail, &pool] {
+    try {
+      state->sc = bucket(state->lease.map(), state->request, state->rt);
+    } catch (...) {
+      // Nothing was served: drop the outstanding counts and fail the
+      // request.
+      fail();
+      for (const std::uint32_t n : state->rt.nodes) {
+        cluster_.nodes_[n]->outstanding.fetch_sub(1,
+                                                  std::memory_order_relaxed);
       }
-      node.outstanding.fetch_sub(1, std::memory_order_relaxed);
-      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finish();
-      }
-    });
-  }
+      finish();
+      return;
+    }
+    for (std::size_t s = 1; s < state->rt.nodes.size(); ++s) {
+      pool.submit([serve, s] { serve(s); });
+    }
+    serve(0);
+  });
   return future;
 }
 

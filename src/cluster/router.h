@@ -65,12 +65,14 @@ class ClusterRouter {
   /// before any sub-request is dispatched (the Store::multi_get contract).
   ClusterMultiGetResult multi_get(const MultiGetRequest& request);
 
-  /// Asynchronous scatter-gather on `pool`: routing happens inline (so
-  /// bad requests still throw here), then each node sub-request becomes
-  /// one pool task; the last task to finish merges and fulfils the
-  /// future. Tasks never block on other tasks — a pool of any size makes
-  /// progress. The request's arrival is stamped at submission, like
-  /// Store::multi_get_async.
+  /// Asynchronous scatter-gather on `pool`. On the calling thread: take
+  /// the placement lease, validate (so bad requests still throw here),
+  /// pick each touched (table, range)'s replica, stamp each contacted
+  /// node's arrival (like Store::multi_get_async) and raise its
+  /// outstanding count. Everything else runs in the pool: the first task
+  /// builds the sub-requests, submits all but one and serves that one
+  /// itself; the last task to finish merges and fulfils the future. Tasks
+  /// never block on other tasks — a pool of any size makes progress.
   std::future<ClusterMultiGetResult> multi_get_async(MultiGetRequest request,
                                                      ThreadPool& pool);
 
@@ -98,18 +100,39 @@ class ClusterRouter {
   };
   struct Scatter {
     std::vector<SubRequest> subs;
-    std::vector<std::vector<IdSlot>> slots;  ///< per get, per id
+    /// One per id of the request, gets in order and ids in order within.
+    std::vector<IdSlot> slots;
     std::uint64_t failed_sub_requests = 0;
     std::uint64_t failed_lookups = 0;
     std::uint64_t failovers = 0;
   };
+  /// A request's replica choices: the part of routing that must happen on
+  /// the submitting thread, in submission order, so rotation tickets and
+  /// least-outstanding reads follow the order requests arrive in.
+  struct Route {
+    /// Per flat (table, range) slot, range_offset_[t] + range index: the
+    /// chosen node, kNoReplica when every replica is down, or kUntouched.
+    std::vector<std::int32_t> node_of;
+    /// Contacted nodes in first-touch order; sub-request s serves nodes[s].
+    std::vector<std::uint32_t> nodes;
+    std::uint64_t failed_sub_requests = 0;
+    std::uint64_t failovers = 0;
+  };
+  static constexpr std::int32_t kNoReplica = -1;
+  static constexpr std::int32_t kUntouched = -2;
 
-  /// Validate and route the whole request against `pm` (replica choice
-  /// cached per (table, range)); throws before any side effect on the
-  /// metrics. `pm` comes from a request-scoped placement lease the caller
-  /// holds until the request is fully served, so a concurrent rebalance
-  /// flip cannot retire donor state this request still routes to.
-  Scatter scatter(const PlacementMap& pm, const MultiGetRequest& request);
+  /// Validate the whole request and pick a replica for every (table,
+  /// range) it touches, against `pm`. Throws before any side effect on
+  /// the metrics or the rotation. `pm` comes from a request-scoped
+  /// placement lease the caller holds until the request is fully served,
+  /// so a concurrent rebalance flip cannot retire donor state this request
+  /// still routes to.
+  Route route(const PlacementMap& pm, const MultiGetRequest& request);
+  /// Build the per-node sub-requests for a routed request: per-entry id
+  /// lists sized in advance, entries and sub-requests in first-touch
+  /// order. Touches no shared state, so it can run on any thread.
+  Scatter bucket(const PlacementMap& pm, const MultiGetRequest& request,
+                 const Route& rt) const;
   /// Balance a (table, range) onto an alive replica. Returns the node, or
   /// -1 when every replica is down. `failover` reports a down node pushed
   /// the choice off the balancer's pick.
@@ -117,11 +140,14 @@ class ClusterRouter {
                             const PlacementMap::Range& range, bool& failover);
   ClusterMultiGetResult merge(const MultiGetRequest& request, Scatter&& sc,
                               std::vector<MultiGetResult>&& sub_results);
+  /// Count one merged request in the router metrics.
+  void settle(const ClusterMultiGetResult& out);
 
   StoreCluster& cluster_;
   /// Flat per-(table, range) round-robin counters; range_offset_[t] is
-  /// table t's first slot.
+  /// table t's first slot, num_ranges_ the slot count.
   std::vector<std::size_t> range_offset_;
+  std::size_t num_ranges_ = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> rr_;
 
   std::atomic<std::uint64_t> requests_{0};

@@ -239,6 +239,24 @@ struct AtomicTableMetrics {
   std::atomic<std::uint64_t> app_bytes_served{0};
   std::atomic<std::uint64_t> republish_writes{0};
 
+  /// Publish counters a caller accumulated locally: one relaxed RMW per
+  /// non-zero field, so a batch of lookups touches the shared line once
+  /// per counter rather than once per lookup.
+  void add(const TableMetrics& d) {
+    const auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t v) {
+      if (v) c.fetch_add(v, std::memory_order_relaxed);
+    };
+    bump(lookups, d.lookups);
+    bump(hits, d.hits);
+    bump(nvm_block_reads, d.nvm_block_reads);
+    bump(prefetch_inserted, d.prefetch_inserted);
+    bump(prefetch_hits, d.prefetch_hits);
+    bump(nvm_bytes_read, d.nvm_bytes_read);
+    bump(miss_bytes, d.miss_bytes);
+    bump(app_bytes_served, d.app_bytes_served);
+    bump(republish_writes, d.republish_writes);
+  }
+
   /// Each counter is individually consistent; the set is as consistent as
   /// any point-in-time poll of a live system can be.
   TableMetrics snapshot() const {

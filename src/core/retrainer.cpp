@@ -10,6 +10,18 @@
 
 namespace bandana {
 
+double trickle_push_budget_us(std::span<const std::uint64_t> session_blocks,
+                              const RepublishConfig& cfg) {
+  if (cfg.blocks_per_interval == 0) return 0.0;
+  std::uint64_t intervals = 0;
+  for (const std::uint64_t blocks : session_blocks) {
+    intervals = std::max<std::uint64_t>(
+        intervals,
+        (blocks + cfg.blocks_per_interval - 1) / cfg.blocks_per_interval);
+  }
+  return static_cast<double>(intervals) * cfg.interval_us;
+}
+
 TrafficSampler::TrafficSampler(std::size_t num_tables, SamplerConfig cfg)
     : cfg_(cfg) {
   if (cfg_.reservoir_queries == 0) {
@@ -191,7 +203,7 @@ std::size_t OnlineRetrainer::retrain_impl() {
     // and the retrain slot is claimed), and the store would throw on a
     // duplicate anyway.
     const auto t_diff = std::chrono::steady_clock::now();
-    std::uint64_t diff_blocks = 0;
+    std::vector<std::uint64_t> session_blocks;
     std::lock_guard lock(mu_);
     for (std::size_t i = 0; i < chosen.size(); ++i) {
       const TableId t = chosen[i];
@@ -208,37 +220,30 @@ std::size_t OnlineRetrainer::retrain_impl() {
         }
         continue;
       }
-      diff_blocks += session.total_blocks();
+      session_blocks.push_back(session.total_blocks());
       sessions_.push_back(std::move(session));
       ++stats_.sessions_opened;
       ++opened;
     }
     const double diff_us = elapsed_us(t_diff);
 
-    // Latency budget: with a rate-limited trickle, the push of this plan
-    // takes ~ceil(diff_blocks / blocks_per_interval) * interval_us of
-    // simulated time. A training phase slower than that can never keep up
-    // with its own republish cadence — warn, and count it where dashboards
-    // look (StoreMetrics::retrain_budget_overruns).
-    bool overrun = false;
-    if (cfg_.republish.blocks_per_interval > 0 && diff_blocks > 0) {
-      const double push_us =
-          static_cast<double>((diff_blocks +
-                               cfg_.republish.blocks_per_interval - 1) /
-                              cfg_.republish.blocks_per_interval) *
-          cfg_.republish.interval_us;
-      if (train_us > push_us) {
-        overrun = true;
-        std::fprintf(stderr,
-                     "bandana: retrain training wall time %.0f us exceeds "
-                     "trickle push budget %.0f us (%llu diff blocks at %llu "
-                     "blocks per %.0f us interval)\n",
-                     train_us, push_us,
-                     static_cast<unsigned long long>(diff_blocks),
-                     static_cast<unsigned long long>(
-                         cfg_.republish.blocks_per_interval),
-                     cfg_.republish.interval_us);
-      }
+    // Latency budget: the rate-limited sessions push side by side, so
+    // this plan's push takes as long as its largest session. A training
+    // phase slower than that can never keep up with its own republish
+    // cadence — warn, and count it where dashboards look
+    // (StoreMetrics::retrain_budget_overruns).
+    const double push_us =
+        trickle_push_budget_us(session_blocks, cfg_.republish);
+    const bool overrun = push_us > 0.0 && train_us > push_us;
+    if (overrun) {
+      std::fprintf(stderr,
+                   "bandana: retrain training wall time %.0f us exceeds "
+                   "trickle push budget %.0f us (largest of %zu sessions at "
+                   "%llu blocks per %.0f us interval each)\n",
+                   train_us, push_us, session_blocks.size(),
+                   static_cast<unsigned long long>(
+                       cfg_.republish.blocks_per_interval),
+                   cfg_.republish.interval_us);
     }
     stats_.drain_us += static_cast<std::uint64_t>(drain_us);
     stats_.train_us += static_cast<std::uint64_t>(train_us);

@@ -165,6 +165,14 @@ struct RetrainerStats {
   std::uint64_t budget_overruns = 0;    ///< train_us > push budget events.
 };
 
+/// Simulated time a rate-limited push of one retrain takes, given each
+/// opened trickle session's block count. Every session carries its own
+/// rate limiter, so the sessions push side by side and the largest sets
+/// the time: the max over sessions of ceil(blocks / blocks_per_interval)
+/// x interval_us. 0 when the push is unlimited or there is nothing to push.
+double trickle_push_budget_us(std::span<const std::uint64_t> session_blocks,
+                              const RepublishConfig& cfg);
+
 /// Ties a Store, a TrafficSampler and the Trainer into the live retraining
 /// loop. Construction attaches the sampler to the store's serving path;
 /// destruction stops the background thread (if started) and detaches it.

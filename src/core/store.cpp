@@ -559,11 +559,11 @@ double Store::lookup_batch(TableId t, std::span<const VectorId> ids,
   std::uint64_t hits = 0;
   const std::uint64_t epoch = table.begin_batch();
   std::vector<DeferredLookup> deferred;
+  std::vector<BandanaTable::LookupOutcome> outcomes(ids.size());
+  table.lookup_get(ids, *storage_, out, epoch, stage ? &staged : nullptr,
+                   /*staged_only=*/stage, outcomes);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto outcome = table.lookup(ids[i], *storage_,
-                                      out.subspan(i * vb, vb), epoch,
-                                      stage ? &staged : nullptr,
-                                      /*staged_only=*/stage);
+    const auto& outcome = outcomes[i];
     if (outcome.deferred) {
       deferred.push_back({&table, ids[i], out.subspan(i * vb, vb), epoch, i});
       continue;
@@ -641,6 +641,7 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
   // requests to the same table interleave freely.
   std::vector<std::pair<TableId, std::uint64_t>> request_epochs;
   std::vector<DeferredLookup> deferred;
+  std::vector<BandanaTable::LookupOutcome> outcomes;
   for (std::size_t g = 0; g < request.gets.size(); ++g) {
     const auto& get = request.gets[g];
     BandanaTable& table = *tables_[get.table];
@@ -658,11 +659,14 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
       epoch = table.begin_batch();
       request_epochs.emplace_back(get.table, epoch);
     }
+    outcomes.assign(get.ids.size(), {});
+    table.lookup_get(get.ids, *storage_, bytes, epoch,
+                     stage ? &staged : nullptr, /*staged_only=*/stage,
+                     outcomes);
+    // Deferrals queue in id order, as per-id lookups would queue them: the
+    // retry waves' block grouping depends on that order.
     for (std::size_t i = 0; i < get.ids.size(); ++i) {
-      const auto outcome = table.lookup(
-          get.ids[i], *storage_,
-          std::span<std::byte>(bytes).subspan(i * vb, vb), epoch,
-          stage ? &staged : nullptr, /*staged_only=*/stage);
+      const auto& outcome = outcomes[i];
       if (outcome.deferred) {
         // tag = get index: retry accounting lands on the right TableStats.
         deferred.push_back({&table, get.ids[i],

@@ -361,12 +361,19 @@ std::size_t BandanaTable::reclaim_retired_locked() {
   // Everything retired so far predates the bank observations below (both
   // happen under reclaim_mu_), so a drained bank covers retire_seq_.
   const std::uint64_t seq = retire_seq_;
-  // Flip first: new readers move to the other bank, so the bank the
-  // previous pass left busy gets its chance to drain by the next pass
-  // even under a continuous read stream.
-  reader_gen_.fetch_add(1, std::memory_order_seq_cst);
-  for (std::uint32_t bank = 0; bank < 2; ++bank) {
-    if (bank_drained(bank)) bank_drained_seq_[bank] = seq;
+  // Credit only the bank new readers are NOT entering: once drained it
+  // stays drained of every reader that could predate this pass, so credit
+  // it and flip, which hands the other bank its turn to drain. Under a
+  // continuous read stream the current bank is never empty, so a rule
+  // that waited for both banks at once would never free anything; this
+  // one credits the banks alternately across passes. With no readers the
+  // two rounds credit both banks, so an idle swap frees at once.
+  for (int round = 0; round < 2; ++round) {
+    const std::uint32_t idle = static_cast<std::uint32_t>(
+        (reader_gen_.load(std::memory_order_seq_cst) + 1) & 1);
+    if (!bank_drained(idle)) break;
+    bank_drained_seq_[idle] = seq;
+    reader_gen_.fetch_add(1, std::memory_order_seq_cst);
   }
   const std::uint64_t safe =
       std::min(bank_drained_seq_[0], bank_drained_seq_[1]);
@@ -406,7 +413,8 @@ BandanaTable::RetrainedState BandanaTable::mapping_snapshot() const {
 
 void BandanaTable::cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
                                 std::span<const std::byte> bytes,
-                                std::size_t point, bool is_prefetch) {
+                                std::size_t point, bool is_prefetch,
+                                TableMetrics& counts) {
   const VectorId evicted = st.cache.insert(v, point);
   std::uint32_t slot;
   if (evicted != kInvalidVector) {
@@ -420,14 +428,13 @@ void BandanaTable::cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
   st.slot_of[v] = slot;
   std::memcpy(slot_bytes(slot).data(), bytes.data(), vector_bytes_);
   st.prefetched[v] = is_prefetch ? 1 : 0;
-  if (is_prefetch) {
-    metrics_.prefetch_inserted.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (is_prefetch) ++counts.prefetch_inserted;
 }
 
 void BandanaTable::admit_prefetches(State& st, std::uint32_t shard_idx,
                                     BlockId local_block,
-                                    std::span<const std::byte> block) {
+                                    std::span<const std::byte> block,
+                                    TableMetrics& counts) {
   const auto members = st.layout.block_members(local_block);
   for (std::size_t i = 0; i < members.size(); ++i) {
     const VectorId u = members[i];
@@ -438,23 +445,24 @@ void BandanaTable::admit_prefetches(State& st, std::uint32_t shard_idx,
       case PrefetchPolicy::kNone:
         return;
       case PrefetchPolicy::kAll:
-        cache_vector(st, shard_idx, u, bytes, 0, /*is_prefetch=*/true);
+        cache_vector(st, shard_idx, u, bytes, 0, /*is_prefetch=*/true,
+                     counts);
         break;
       case PrefetchPolicy::kPosition:
-        cache_vector(st, shard_idx, u, bytes, st.low_point, true);
+        cache_vector(st, shard_idx, u, bytes, st.low_point, true, counts);
         break;
       case PrefetchPolicy::kShadow:
         if (st.shadow->contains(u)) {
-          cache_vector(st, shard_idx, u, bytes, 0, true);
+          cache_vector(st, shard_idx, u, bytes, 0, true, counts);
         }
         break;
       case PrefetchPolicy::kShadowPosition:
         cache_vector(st, shard_idx, u, bytes,
-                     st.shadow->contains(u) ? 0 : st.low_point, true);
+                     st.shadow->contains(u) ? 0 : st.low_point, true, counts);
         break;
       case PrefetchPolicy::kThreshold:
         if (st.access_counts[u] > st.policy.access_threshold) {
-          cache_vector(st, shard_idx, u, bytes, 0, true);
+          cache_vector(st, shard_idx, u, bytes, 0, true, counts);
         }
         break;
     }
@@ -476,37 +484,91 @@ bool BandanaTable::is_cached(VectorId v) const {
 BandanaTable::LookupOutcome BandanaTable::lookup(
     VectorId v, BlockStorage& storage, std::span<std::byte> out,
     std::uint64_t epoch, const StagedBlockReads* staged, bool staged_only) {
-  assert(v < num_vectors_);
-  assert(out.size() >= vector_bytes_);
-  // The guard spans the whole retry loop: every state pointer loaded below
-  // stays alive until we return, even if a concurrent swap retires it and
-  // a reclaim pass runs before we reach the shard lock.
+  LookupOutcome outcome;
+  lookup_get({&v, 1}, storage, out, epoch, staged, staged_only,
+             {&outcome, 1});
+  return outcome;
+}
+
+void BandanaTable::lookup_get(std::span<const VectorId> ids,
+                              BlockStorage& storage, std::span<std::byte> out,
+                              std::uint64_t epoch,
+                              const StagedBlockReads* staged, bool staged_only,
+                              std::span<LookupOutcome> outcomes) {
+  assert(out.size() >= ids.size() * vector_bytes_);
+  assert(outcomes.size() >= ids.size());
+  const std::size_t n = ids.size();
+  if (n == 0) return;
+  TableMetrics counts;
+  const auto serve = [&](State& st, std::uint32_t s, std::size_t i) {
+    assert(ids[i] < num_vectors_);
+    outcomes[i] = lookup_locked(st, s, ids[i], storage,
+                                out.subspan(i * vector_bytes_, vector_bytes_),
+                                epoch, staged, staged_only, counts);
+  };
+  // The guard spans the whole get: every state pointer loaded below stays
+  // alive until we return, even if a concurrent swap retires it and a
+  // reclaim pass runs before we reach a shard lock.
   ReadGuard guard(*this);
   State* st = state_.load(std::memory_order_seq_cst);
-  for (;;) {
-    // Everything a lookup touches — the cache entry, the block, its other
-    // members, the shadow entry, the slab slots — lives in the one shard
-    // the state's layout assigns v to.
-    Shard& shard = *shards_[st->cache.shard_of(v)];
-    std::lock_guard lock(shard.mu);
-    // Re-validate under the lock: swap_state publishes the new state while
-    // holding every shard lock, so a stale pointer here means the swap
-    // fully completed — retry against the new mapping (which may stripe v
-    // to a different shard). Nothing was mutated yet.
-    State* cur = state_.load(std::memory_order_acquire);
-    if (cur != st) {
-      st = cur;
-      continue;
-    }
-    return lookup_locked(*st, st->cache.shard_of(v), v, storage, out, epoch,
-                         staged, staged_only);
+
+  // Everything a lookup touches — the cache entry, the block, its other
+  // members, the shadow entry, the slab slots — lives in the one shard the
+  // state's layout assigns the id to. Group the ids by shard with a stable
+  // counting sort: order[] lists id indices shard by shard, and
+  // bucket_end[s] is where shard s's group ends.
+  thread_local std::vector<std::uint32_t> order;
+  thread_local std::vector<std::uint32_t> bucket_end;
+  order.resize(n);
+  bucket_end.assign(num_shards_, 0);
+  for (const VectorId v : ids) ++bucket_end[st->cache.shard_of(v)];
+  std::uint32_t start = 0;
+  for (auto& e : bucket_end) {  // sizes -> starts
+    const std::uint32_t size = e;
+    e = start;
+    start += size;
   }
+  for (std::size_t i = 0; i < n; ++i) {  // starts -> ends
+    order[bucket_end[st->cache.shard_of(ids[i])]++] =
+        static_cast<std::uint32_t>(i);
+  }
+
+  std::size_t served = 0;  // prefix of order[] already served
+  try {
+    for (std::uint32_t s = 0; s < num_shards_ && served < n; ++s) {
+      const std::size_t end = bucket_end[s];
+      if (served == end) continue;
+      std::lock_guard lock(shards_[s]->mu);
+      // Re-validate under the lock: swap_state publishes the new state
+      // while holding every shard lock, so a stale pointer here means the
+      // swap fully completed and may have re-striped the ids. Nothing of
+      // this group was mutated yet; the rest of the get retries per id.
+      if (state_.load(std::memory_order_acquire) != st) break;
+      for (; served < end; ++served) serve(*st, s, order[served]);
+    }
+    for (; served < n; ++served) {
+      const std::size_t i = order[served];
+      for (;;) {
+        st = state_.load(std::memory_order_acquire);
+        const std::uint32_t s = st->cache.shard_of(ids[i]);
+        std::lock_guard lock(shards_[s]->mu);
+        if (state_.load(std::memory_order_acquire) != st) continue;
+        serve(*st, s, i);
+        break;
+      }
+    }
+  } catch (...) {
+    // A failing block read still leaves the lookups before it counted.
+    metrics_.add(counts);
+    throw;
+  }
+  metrics_.add(counts);
 }
 
 BandanaTable::LookupOutcome BandanaTable::lookup_locked(
     State& st, std::uint32_t shard_idx, VectorId v, BlockStorage& storage,
     std::span<std::byte> out, std::uint64_t epoch,
-    const StagedBlockReads* staged, bool staged_only) {
+    const StagedBlockReads* staged, bool staged_only, TableMetrics& counts) {
   LookupOutcome outcome;
   Shard& shard = *shards_[shard_idx];
   // Airtight staged mode: if this lookup would miss and its block was not
@@ -522,19 +584,18 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
     outcome.deferred = true;
     return outcome;
   }
-  metrics_.lookups.fetch_add(1, std::memory_order_relaxed);
-  metrics_.app_bytes_served.fetch_add(vector_bytes_,
-                                      std::memory_order_relaxed);
+  ++counts.lookups;
+  counts.app_bytes_served += vector_bytes_;
 
   if (st.shadow) {
     if (!st.shadow->access(v)) st.shadow->insert(v);
   }
 
   if (st.cache.access(v)) {
-    metrics_.hits.fetch_add(1, std::memory_order_relaxed);
+    ++counts.hits;
     outcome.hit = true;
     if (st.prefetched[v]) {
-      metrics_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+      ++counts.prefetch_hits;
       st.prefetched[v] = 0;
     }
     std::memcpy(out.data(), slot_bytes(st.slot_of[v]).data(), vector_bytes_);
@@ -545,7 +606,7 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
   // never span shards). ">=" rather than "==": a mark left by a *newer*
   // concurrent scope means the block was just fetched, so this scope's
   // read coalesces with it instead of being re-counted (and re-admitted).
-  metrics_.miss_bytes.fetch_add(vector_bytes_, std::memory_order_relaxed);
+  counts.miss_bytes += vector_bytes_;
   const bool already_read = st.block_epochs[local_b] >= epoch;
   // The request's staging pass may already hold this block's bytes (one
   // batched overlapped read for the whole request). Store's staged_only
@@ -561,9 +622,8 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
   }
   if (!already_read) {
     st.block_epochs[local_b] = epoch;
-    metrics_.nvm_block_reads.fetch_add(1, std::memory_order_relaxed);
-    metrics_.nvm_bytes_read.fetch_add(block_bytes_,
-                                      std::memory_order_relaxed);
+    ++counts.nvm_block_reads;
+    counts.nvm_bytes_read += block_bytes_;
     outcome.nvm_read = true;
     outcome.block_read = global_b;
   }
@@ -574,9 +634,10 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
       block_bytes.subspan(std::size_t{pos_in_block} * vector_bytes_,
                           vector_bytes_);
   std::memcpy(out.data(), vector_view.data(), vector_bytes_);
-  cache_vector(st, shard_idx, v, vector_view, 0, /*is_prefetch=*/false);
+  cache_vector(st, shard_idx, v, vector_view, 0, /*is_prefetch=*/false,
+               counts);
   if (!already_read && st.policy.policy != PrefetchPolicy::kNone) {
-    admit_prefetches(st, shard_idx, local_b, block_bytes);
+    admit_prefetches(st, shard_idx, local_b, block_bytes, counts);
   }
   return outcome;
 }

@@ -4,10 +4,12 @@
 // Concurrency model: the vector universe is striped across N cache shards
 // by *block* (shard_of(v) = block_of(v) % N), so a miss, its block read,
 // and the prefetch admission of the block's other members all stay inside
-// one shard — lookup() takes exactly one shard lock and concurrent
+// one shard — a lookup holds exactly one shard lock and concurrent
 // requests to the same table proceed in parallel on different shards.
-// Metrics are relaxed atomics (lock-free snapshot); block-read dedup
-// epochs are per-block and therefore shard-local too.
+// lookup_get() serves a whole table-get with one lock acquisition per
+// touched shard. Metrics are relaxed atomics (lock-free snapshot),
+// published once per table-get; block-read dedup epochs are per-block and
+// therefore shard-local too.
 //
 // Online retraining (§2.2) swaps the whole layout-dependent state — the
 // block layout, the local-block -> global-block map, the cache/shadow
@@ -30,18 +32,20 @@
 // being kept for the table's lifetime: every state-dereferencing reader
 // enters a striped reader bank (selected by the current generation parity)
 // before loading the state pointer and exits it when done. A reclaim pass
-// (run by every swap_state, and on demand via reclaim_retired) flips the
-// generation so new readers land on the other bank, then observes each
-// bank's per-slot entered/exited counters: a bank whose slots all read
-// exited == entered (exited loaded first — both counters are monotone, so
-// equality proves the slot was empty at the first load and stayed
-// untouched until the second) holds no reader that predates the pass. A
-// retired state is freed once BOTH banks have been observed drained after
-// its retirement, so a straggler that loaded the old pointer just before
-// the swap always keeps it alive until it exits. Under a continuous read
-// stream each pass drains the bank the previous pass flipped away from,
-// so the retired list stays bounded by a couple of retrain cycles rather
-// than growing with every push.
+// (run by every swap_state, and on demand via reclaim_retired) observes
+// the bank new readers are NOT entering through its per-slot
+// entered/exited counters: a bank whose slots all read exited == entered
+// (exited loaded first — both counters are monotone, so equality proves
+// the slot was empty at the first load and stayed untouched until the
+// second) holds no reader that predates the pass. A drained bank is
+// credited with the latest retirement and the generation flips, so the
+// other bank gets its turn; a pass repeats this at most twice. A retired
+// state is freed once BOTH banks have been credited after its retirement,
+// so a straggler that loaded the old pointer just before the swap always
+// keeps it alive until it exits. Under a continuous read stream
+// successive passes credit the banks alternately, so the retired list
+// stays bounded by a couple of retrain cycles rather than growing with
+// every push; with no readers one pass credits both and frees at once.
 #pragma once
 
 #include <atomic>
@@ -155,6 +159,21 @@ class BandanaTable {
                        const StagedBlockReads* staged = nullptr,
                        bool staged_only = false);
 
+  /// Serve one table-get: ids[i]'s bytes go to out[i * vector_bytes, ...)
+  /// and its outcome to outcomes[i], exactly as a lookup() of each id in
+  /// order would produce them. The batch takes one reader guard, buckets
+  /// the ids by cache shard (keeping their order within each shard) and
+  /// locks each touched shard once; everything a lookup touches is
+  /// shard-local, so reordering across shards changes no byte, outcome,
+  /// counter or cache order. A mapping swap caught under a shard lock
+  /// sends the ids not yet served through the per-id retry path. Table
+  /// metrics are summed locally and published once at the end, so a
+  /// snapshot taken mid-get can lag the get's lookups.
+  void lookup_get(std::span<const VectorId> ids, BlockStorage& storage,
+                  std::span<std::byte> out, std::uint64_t epoch,
+                  const StagedBlockReads* staged, bool staged_only,
+                  std::span<LookupOutcome> outcomes);
+
   /// True if v is currently cached. Takes the shard lock but never mutates
   /// LRU state — the staging pass peeks ahead of the real lookups to
   /// collect the blocks a request will miss on.
@@ -248,9 +267,10 @@ class BandanaTable {
   /// shard locks). With one shard this is the exact LRU eviction order.
   std::vector<VectorId> cache_contents() const;
 
-  /// Run one reclaim pass: flip the reader generation, observe both banks,
-  /// and free every retired state whose retirement is covered by a drain
-  /// observation of each bank. Returns states freed. swap_state runs a
+  /// Run one reclaim pass: up to twice, credit the non-current reader bank
+  /// if it has drained and flip the generation; then free every retired
+  /// state whose retirement is covered by a drain observation of each
+  /// bank. Returns states freed. swap_state runs a
   /// pass automatically; long-lived serving loops (or tests) call this to
   /// drain stragglers from earlier swaps.
   std::size_t reclaim_retired();
@@ -349,16 +369,20 @@ class BandanaTable {
   std::unique_ptr<State> make_state(TablePolicy policy, BlockLayout layout,
                                     std::vector<std::uint32_t> access_counts,
                                     std::vector<BlockId> block_map) const;
+  /// One lookup under its shard's lock; counters land in `counts`, which
+  /// lookup_get publishes once per table-get.
   LookupOutcome lookup_locked(State& st, std::uint32_t shard_idx, VectorId v,
                               BlockStorage& storage, std::span<std::byte> out,
                               std::uint64_t epoch,
-                              const StagedBlockReads* staged, bool staged_only);
+                              const StagedBlockReads* staged, bool staged_only,
+                              TableMetrics& counts);
   std::span<std::byte> slot_bytes(std::uint32_t slot);
   void cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
                     std::span<const std::byte> bytes, std::size_t point,
-                    bool is_prefetch);
+                    bool is_prefetch, TableMetrics& counts);
   void admit_prefetches(State& st, std::uint32_t shard_idx,
-                        BlockId local_block, std::span<const std::byte> block);
+                        BlockId local_block, std::span<const std::byte> block,
+                        TableMetrics& counts);
 
   std::uint32_t num_vectors_;
   std::uint32_t num_blocks_;

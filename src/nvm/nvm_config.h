@@ -72,9 +72,15 @@ struct NvmDeviceConfig {
 /// instead of dumping the whole retrained table onto the channel queues as
 /// one open-loop wave. Tightening the rate trades republish duration for
 /// read tail latency (bench_fig05's trickle sweep).
+///
+/// The limit is per table session: every TrickleRepublish carries its own
+/// limiter, so a retrain that pushes N tables at once writes up to N x
+/// blocks_per_interval blocks per interval, and takes as long as its
+/// largest table's push (OnlineRetrainer's budget check uses that).
 struct RepublishConfig {
-  /// Blocks admitted per interval; 0 = unlimited (the one-shot endpoint:
-  /// the entire plan diff goes out as a single write wave).
+  /// Blocks admitted per interval per table session; 0 = unlimited (the
+  /// one-shot endpoint: the entire plan diff goes out as a single write
+  /// wave).
   std::uint32_t blocks_per_interval = 0;
 
   /// Length of one rate-limit interval in simulated microseconds. Must be

@@ -498,6 +498,75 @@ TEST(StoreCluster, AsyncScatterGatherMatchesSyncBytes) {
                std::out_of_range);
 }
 
+TEST(StoreCluster, AsyncRejectsBadRequestsInline) {
+  // Validation stays on the submitting thread: a bad table or vector id
+  // throws from multi_get_async itself, before any replica is picked, any
+  // node is marked outstanding or any counter moves.
+  const Model m = two_table_model();
+  StoreCluster cluster(cluster_config(3, 2, 2), m.plan, m.values);
+  ThreadPool pool(2);
+  MultiGetRequest bad_table;
+  bad_table.add(0, std::vector<VectorId>{1, 2}).add(9, std::vector<VectorId>{0});
+  EXPECT_THROW(cluster.router().multi_get_async(bad_table, pool),
+               std::out_of_range);
+  MultiGetRequest bad_vector;
+  bad_vector.add(0, std::vector<VectorId>{1})
+      .add(1, std::vector<VectorId>{3, 99'999});
+  EXPECT_THROW(cluster.router().multi_get_async(bad_vector, pool),
+               std::out_of_range);
+  pool.wait_idle();
+  const RouterMetrics rm = cluster.router().metrics();
+  EXPECT_EQ(rm.requests, 0u);
+  EXPECT_EQ(rm.sub_requests, 0u);
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    EXPECT_EQ(cluster.node_outstanding(n), 0u) << "node " << n;
+    EXPECT_EQ(cluster.node(n).total_metrics().lookups, 0u) << "node " << n;
+  }
+}
+
+TEST(StoreCluster, SequentialAsyncPicksTheSyncReplicas) {
+  // Replica choice happens on the submitting thread in submission order,
+  // so requests submitted one after another rotate exactly like the same
+  // requests served synchronously: every node serves the same lookups,
+  // and the router counts the same sub-requests.
+  const Model m = two_table_model();
+  ClusterConfig ccfg = cluster_config(3, 2, 2);
+  ccfg.placement = PlacementKind::kPlanAware;
+  ccfg.split_min_vectors = 256;
+  StoreCluster sync_cluster(ccfg, m.plan, m.values);
+  StoreCluster async_cluster(ccfg, m.plan, m.values);
+  ThreadPool pool(4);
+
+  const Trace trace = TraceGenerator(table_config(), 23).generate(150);
+  std::vector<std::future<ClusterMultiGetResult>> futures;
+  for (std::size_t q = 0; q < trace.num_queries(); ++q) {
+    MultiGetRequest req;
+    req.add(0, trace.query(q)).add(1, trace.query(q));
+    sync_cluster.router().multi_get(req);
+    futures.push_back(async_cluster.router().multi_get_async(req, pool));
+  }
+  for (auto& f : futures) EXPECT_TRUE(f.get().complete());
+
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    EXPECT_EQ(async_cluster.node(n).total_metrics().lookups,
+              sync_cluster.node(n).total_metrics().lookups)
+        << "node " << n;
+    EXPECT_EQ(async_cluster.node_outstanding(n), 0u) << "node " << n;
+  }
+  const RouterMetrics want = sync_cluster.router().metrics();
+  const RouterMetrics got = async_cluster.router().metrics();
+  EXPECT_EQ(got.requests, want.requests);
+  EXPECT_EQ(got.sub_requests, want.sub_requests);
+  EXPECT_EQ(got.failed_sub_requests, want.failed_sub_requests);
+  EXPECT_EQ(got.failovers, want.failovers);
+  // The split tables really do spread over several nodes.
+  std::uint32_t serving = 0;
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    if (sync_cluster.node(n).total_metrics().lookups > 0) ++serving;
+  }
+  EXPECT_GT(serving, 1u);
+}
+
 TEST(StoreCluster, AsyncServesUnderConcurrentFaultFlips) {
   // TSan target: async scatter-gather racing fault injection. Bytes must
   // stay correct for every id that was actually served; the loss

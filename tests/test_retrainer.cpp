@@ -184,6 +184,27 @@ TEST(TrickleRateLimiter, IdleGapCannotBankACatchUpBurst) {
   EXPECT_EQ(limiter.allowance(later + cfg.interval_us), 8u);
 }
 
+TEST(TricklePushBudget, LargestSessionSetsTheBudget) {
+  // Each trickle session runs its own rate limiter, so sessions push side
+  // by side: the budget is the slowest session's, not the sum's.
+  RepublishConfig cfg;
+  cfg.blocks_per_interval = 256;
+  cfg.interval_us = 100.0;
+  const std::vector<std::uint64_t> eight(8, 256);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(eight, cfg), 100.0);
+  const std::vector<std::uint64_t> mixed = {10, 257, 512, 1};
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(mixed, cfg), 200.0);
+  const std::vector<std::uint64_t> one_over = {513};
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(one_over, cfg), 300.0);
+  // Nothing opened, or nothing to push: no budget to overrun.
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us({}, cfg), 0.0);
+  const std::vector<std::uint64_t> empty_sessions = {0, 0};
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(empty_sessions, cfg), 0.0);
+  // Unlimited rate: the push is one wave, there is no budget.
+  cfg.blocks_per_interval = 0;
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(eight, cfg), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Layout plan diff.
 
