@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "cluster/router.h"
@@ -101,71 +100,24 @@ StoreCluster::StoreCluster(ClusterConfig cfg, const StorePlan& plan,
 
 StoreCluster::~StoreCluster() = default;
 
-std::uint32_t StoreCluster::lease_slot() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kLeaseSlots;
-  return slot;
-}
-
 StoreCluster::PlacementLease StoreCluster::placement_lease() const {
   PlacementLease lease;
-  lease.c_ = this;
-  lease.bank_ = static_cast<std::uint32_t>(
-      lease_gen_.load(std::memory_order_relaxed) & 1);
-  lease.slot_ = lease_slot();
-  // seq_cst enter THEN seq_cst map load: a flip's drain scan that does not
-  // observe this enter is seq_cst-ordered before it, and therefore before
-  // the map load — which then sees the flipped pointer. Either the flip
+  // Enter THEN load (seq_cst, common/epoch.h): either a concurrent flip
   // waits for this lease, or this lease already routes on the new map.
-  lease_banks_[lease.bank_][lease.slot_].entered.fetch_add(
-      1, std::memory_order_seq_cst);
+  lease.guard_ = placement_epochs_.enter();
   lease.map_ = placement_ptr_.load(std::memory_order_seq_cst);
   return lease;
 }
 
-void StoreCluster::PlacementLease::release() noexcept {
-  if (c_ == nullptr) return;
-  c_->lease_banks_[bank_][slot_].exited.fetch_add(1,
-                                                  std::memory_order_release);
-  c_ = nullptr;
-}
-
-bool StoreCluster::lease_bank_drained(std::uint32_t bank) const {
-  for (std::uint32_t s = 0; s < kLeaseSlots; ++s) {
-    // exited first: both counters are monotone, so observing
-    // exited >= entered proves the slot was empty at some instant between
-    // the two loads.
-    const std::uint64_t exited =
-        lease_banks_[bank][s].exited.load(std::memory_order_acquire);
-    const std::uint64_t entered =
-        lease_banks_[bank][s].entered.load(std::memory_order_seq_cst);
-    if (entered != exited) return false;
-  }
-  return true;
-}
-
 void StoreCluster::flip_placement(std::unique_ptr<const PlacementMap> next) {
   std::lock_guard<std::mutex> flip_lock(flip_mu_);
-  const PlacementMap* fresh = next.get();
-  std::unique_ptr<const PlacementMap> old = std::move(placement_owner_);
-  placement_owner_ = std::move(next);
-  placement_ptr_.store(fresh, std::memory_order_seq_cst);
+  const std::unique_ptr<const PlacementMap> old =
+      std::exchange(placement_owner_, std::move(next));
+  placement_ptr_.store(placement_owner_.get(), std::memory_order_seq_cst);
   placement_flips_.fetch_add(1, std::memory_order_relaxed);
-  // Two-phase drain: flip the lease generation so fresh leases land on the
-  // other bank (a continuous request stream can't keep a bank busy
-  // forever), then wait for the old-generation bank to empty; repeat for
-  // the second bank, since a lease may have read the generation just
-  // before the first flip. A lease the scans miss is seq_cst-ordered after
-  // the pointer store above, i.e. it routes on the NEW map (see
-  // placement_lease()); every lease that could still hold `old` is
-  // therefore waited out here, making it safe for the caller to retire
-  // donor-side state once we return.
-  for (int phase = 0; phase < 2; ++phase) {
-    const std::uint32_t old_bank = static_cast<std::uint32_t>(
-        lease_gen_.fetch_add(1, std::memory_order_seq_cst) & 1);
-    while (!lease_bank_drained(old_bank)) std::this_thread::yield();
-  }
+  // Every lease that could still hold `old` is waited out here, making it
+  // safe for the caller to retire donor-side state once we return.
+  placement_epochs_.synchronize();
   // `old` dies here — no reader can reference it.
 }
 

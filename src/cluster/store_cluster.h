@@ -37,11 +37,11 @@
 // (cluster/rebalance.h) streams one (table, range, replica) from its donor
 // node to a target node while the donor keeps serving, then atomically
 // re-points the placement entry. Routing reads the placement through
-// PlacementLease — a two-bank reader-epoch guard (the BandanaTable swap
-// idiom, applied to the placement map) — so every request routes AND
-// serves against exactly one map: entirely-old or entirely-new, never
-// torn. The flip blocks until every lease on the old map drains, which is
-// what makes it safe to retire the donor's copy afterwards.
+// PlacementLease — a reader-epoch guard (common/epoch.h) plus the map it
+// loaded — so every request routes AND serves against exactly one map:
+// entirely-old or entirely-new, never torn. The flip blocks until every
+// lease on the old map drains, which is what makes it safe to retire the
+// donor's copy afterwards.
 #pragma once
 
 #include <atomic>
@@ -54,6 +54,7 @@
 
 #include "cluster/cluster_config.h"
 #include "cluster/placement.h"
+#include "common/epoch.h"
 #include "core/metrics.h"
 #include "core/store.h"
 #include "core/trainer.h"
@@ -177,34 +178,13 @@ class StoreCluster {
   /// calls.
   class PlacementLease {
    public:
-    PlacementLease() = default;
-    PlacementLease(PlacementLease&& o) noexcept
-        : c_(o.c_), map_(o.map_), bank_(o.bank_), slot_(o.slot_) {
-      o.c_ = nullptr;
-    }
-    PlacementLease& operator=(PlacementLease&& o) noexcept {
-      if (this != &o) {
-        release();
-        c_ = o.c_;
-        map_ = o.map_;
-        bank_ = o.bank_;
-        slot_ = o.slot_;
-        o.c_ = nullptr;
-      }
-      return *this;
-    }
-    ~PlacementLease() { release(); }
-
-    explicit operator bool() const { return c_ != nullptr; }
+    explicit operator bool() const { return static_cast<bool>(guard_); }
     const PlacementMap& map() const { return *map_; }
 
    private:
     friend class StoreCluster;
-    void release() noexcept;
-    const StoreCluster* c_ = nullptr;
+    ReaderEpochs::Guard guard_;
     const PlacementMap* map_ = nullptr;
-    std::uint32_t bank_ = 0;
-    std::uint32_t slot_ = 0;
   };
 
   /// Take a read lease on the placement (see PlacementLease).
@@ -299,31 +279,19 @@ class StoreCluster {
   /// flat per-range round-robin state stays valid across flips.
   void flip_range(TableId t, std::size_t range_idx, std::uint32_t replica,
                   std::uint32_t target_node, TableId target_local);
-  /// Publish `next` and block until old-map leases drain (two-phase bank
-  /// drain — see placement_lease()).
+  /// Publish `next` and block until old-map leases drain.
   void flip_placement(std::unique_ptr<const PlacementMap> next);
-  bool lease_bank_drained(std::uint32_t bank) const;
 
   ClusterConfig cfg_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::uint32_t> table_vectors_;
   std::unique_ptr<ClusterRouter> router_;
 
-  // --- Placement, behind reader epochs (the BandanaTable two-bank idiom:
-  // leases enter a bank with a seq_cst increment then load the map pointer
-  // seq_cst; a flip that misses an enter during its drain scan is globally
-  // ordered before it, so that lease read the NEW map). ---
-  static constexpr std::uint32_t kLeaseSlots = 16;
-  struct alignas(64) LeaseSlot {
-    std::atomic<std::uint64_t> entered{0};
-    std::atomic<std::uint64_t> exited{0};
-  };
-  static std::uint32_t lease_slot();
-
+  // --- Placement, behind reader epochs: a lease enters placement_epochs_
+  // and then loads placement_ptr_. ---
   std::unique_ptr<const PlacementMap> placement_owner_;
   std::atomic<const PlacementMap*> placement_ptr_{nullptr};
-  mutable LeaseSlot lease_banks_[2][kLeaseSlots];
-  std::atomic<std::uint64_t> lease_gen_{0};
+  ReaderEpochs placement_epochs_;
   /// Serializes placement flips (at most one migration completes at a
   /// time; begin_rebalance also guards with rebalance_active_).
   std::mutex flip_mu_;

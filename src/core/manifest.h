@@ -62,7 +62,8 @@ struct ManifestTable {
   std::vector<BlockId> free_blocks;
   /// Tombstone: the table was migrated out (Store::retire_table) — its
   /// slot keeps the TableId but it no longer serves, and its blocks were
-  /// reclaimed into the store-wide free pool.
+  /// reclaimed into the store-wide free pool. Written with an empty
+  /// mapping; Store::open builds no table for it.
   bool retired = false;
 };
 

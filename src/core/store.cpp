@@ -86,7 +86,7 @@ Store::Store(StoreConfig config, BlockStorageFactory storage_factory,
              std::uint64_t seed)
     : config_(config),
       storage_factory_(std::move(storage_factory)),
-      storage_mu_(std::make_unique<std::shared_mutex>()),
+      storage_mu_(std::make_unique<WriterPriorityMutex>()),
       manifest_mu_(std::make_unique<std::mutex>()),
       tap_(std::make_unique<std::atomic<AccessTap*>>(nullptr)),
       timing_mu_(std::make_unique<std::mutex>()),
@@ -147,6 +147,14 @@ void Store::restore_from(const Manifest& m, const std::string& manifest_path) {
   const std::uint32_t vpb = config_.vectors_per_block();
   for (std::size_t i = 0; i < m.tables.size(); ++i) {
     const ManifestTable& mt = m.tables[i];
+    free_blocks_.push_back(mt.free_blocks);
+    republish_in_flight_.push_back(0);
+    if (mt.retired) {
+      // A tombstone builds no table (older manifests still carry its final
+      // mapping, which nothing needs).
+      tables_.emplace_back();
+      continue;
+    }
     for (const BlockId g : mt.block_map) {
       if (g >= m.storage_blocks) {
         throw std::runtime_error(
@@ -160,9 +168,6 @@ void Store::restore_from(const Manifest& m, const std::string& manifest_path) {
     tables_.push_back(std::make_unique<BandanaTable>(
         config_, mt.policy, BlockLayout::from_order(mt.order, vpb),
         mt.access_counts, mt.first_block, mt.block_map));
-    free_blocks_.push_back(mt.free_blocks);
-    republish_in_flight_.push_back(0);
-    retired_.push_back(mt.retired ? 1 : 0);
   }
   free_pool_ = m.free_pool;
   // Crash-orphaned install reservations: the install never finished, so no
@@ -214,16 +219,18 @@ Manifest Store::compose_manifest() const {
   m.block_file = block_file_;
   m.tables.reserve(tables_.size());
   for (std::size_t t = 0; t < tables_.size(); ++t) {
+    ManifestTable& mt = m.tables.emplace_back();
+    if (!tables_[t]) {
+      mt.retired = true;  // A tombstone: empty mapping, nothing to restore.
+      continue;
+    }
     auto snap = tables_[t]->mapping_snapshot();
-    ManifestTable mt;
     mt.first_block = tables_[t]->first_block();
     mt.order = snap.layout.order();
     mt.block_map = std::move(snap.block_map);
     mt.access_counts = std::move(snap.access_counts);
     mt.policy = snap.policy;
     mt.free_blocks = free_blocks_[t];
-    mt.retired = retired_[t] != 0;
-    m.tables.push_back(std::move(mt));
   }
   m.free_pool = free_pool_;
   m.pending_installs.reserve(pending_installs_.size());
@@ -354,7 +361,6 @@ TableId Store::add_table(const EmbeddingTable& values, BlockLayout layout,
   tables_.push_back(std::move(table));
   free_blocks_.emplace_back();
   republish_in_flight_.push_back(0);
-  retired_.push_back(0);
   next_block_ += blocks;
   // The table becomes durable only when this commit's pointer flip lands:
   // a crash mid-publish (or mid-commit) recovers to the previous manifest,
@@ -367,7 +373,7 @@ const BandanaTable& Store::checked_table(TableId t) const {
   if (t >= tables_.size()) {
     throw std::out_of_range("Store: bad table id " + std::to_string(t));
   }
-  if (t < retired_.size() && retired_[t]) {
+  if (!tables_[t]) {
     throw std::logic_error("Store: table " + std::to_string(t) +
                            " was retired (migrated out)");
   }
@@ -731,7 +737,7 @@ void Store::set_access_tap(AccessTap* tap) {
   // it — and that requests admitted after we release observe the new
   // pointer. Without this, detaching a tap and destroying it would race a
   // pool thread mid-on_table_get.
-  std::unique_lock<std::shared_mutex> quiesce(*storage_mu_);
+  std::unique_lock quiesce(*storage_mu_);
 }
 
 void Store::record_empty_write_wave() {
@@ -807,7 +813,7 @@ TrickleRepublish Store::begin_trickle_republish(
     // Online retraining re-packs and re-tunes admission; it does not
     // re-size the table's DRAM slab.
     plan.policy.cache_vectors = table.policy().cache_vectors;
-    republish_in_flight_[t] = 1;
+    republish_in_flight_[t] = kTrickleClaim;
   }
   try {
     return begin_trickle_claimed(t, values, std::move(plan), republish_cfg,
@@ -948,15 +954,7 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
       const std::uint64_t chunk =
           std::min<std::uint64_t>(n, real_write_wave_blocks());
       const BlockLayout& layout = s.next->layout;
-      auto lease = storage_->lease_wave_buffer(chunk * bb);
-      std::vector<std::byte> heap;
-      std::span<std::byte> buf;
-      if (lease) {
-        buf = lease.bytes().first(chunk * bb);
-      } else {
-        heap.resize(chunk * bb);
-        buf = heap;
-      }
+      const WaveComposeBuffer wave(*storage_, chunk * bb);
       std::vector<BlockWriteOp> ops;
       ops.reserve(static_cast<std::size_t>(chunk));
       for (std::uint64_t c0 = 0; c0 < n; c0 += chunk) {
@@ -964,7 +962,7 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
         ops.clear();
         for (std::uint64_t i = 0; i < m; ++i) {
           const std::uint64_t k = s.written + c0 + i;
-          const auto img = buf.subspan(i * bb, bb);
+          const auto img = wave.buf.subspan(i * bb, bb);
           compose_block_bytes(layout, *s.values, s.changed[k],
                               config_.vector_bytes, img);
           ops.push_back({s.targets[k], img});
@@ -1047,7 +1045,7 @@ void Store::claim_table_for_migration(TableId t) {
         "claim_table_for_migration: a session for this table is already "
         "active");
   }
-  republish_in_flight_[t] = 1;
+  republish_in_flight_[t] = kMigrationClaim;
 }
 
 void Store::release_table_claim(TableId t) noexcept {
@@ -1237,7 +1235,6 @@ TableId Store::install_finish(detail::InstallState& s) {
   tables_.push_back(std::move(table));
   free_blocks_.emplace_back();
   republish_in_flight_.push_back(0);
-  retired_.push_back(0);
   for (auto it = pending_installs_.begin(); it != pending_installs_.end();
        ++it) {
     if (it->first == s.id) {
@@ -1283,19 +1280,26 @@ void Store::retire_table(TableId t) {
   if (t >= tables_.size()) {
     throw std::out_of_range("retire_table: bad table id " + std::to_string(t));
   }
-  if (retired_[t]) return;  // idempotent
+  if (!tables_[t]) return;  // idempotent
+  if (republish_in_flight_[t] == kTrickleClaim) {
+    throw std::logic_error("retire_table: a trickle republish of table " +
+                           std::to_string(t) + " is in flight");
+  }
   // Reclaim everything the table references — its serving map and its
   // trickle replacement bank — into the store-wide pool for future
-  // installs. The BandanaTable object stays (its slot keeps the TableId)
-  // but checked_table refuses it from here on.
+  // installs.
   const std::vector<BlockId> map = tables_[t]->block_map();
   free_pool_.insert(free_pool_.end(), map.begin(), map.end());
   auto& fl = free_blocks_[t];
   free_pool_.insert(free_pool_.end(), fl.begin(), fl.end());
   fl.clear();
-  retired_[t] = 1;
-  // Terminal: retiring clears the table's claim bit (the migration's own
-  // read-out claim — no trickle session can coexist with it).
+  // Free the table itself (cache slab, LRU, layout, per-vector arrays).
+  // Its final counters fold into the store-level sum so total_metrics()
+  // keeps counting them; the empty slot is the tombstone that keeps later
+  // TableIds from shifting, and checked_table refuses it from here on.
+  retired_metrics_.merge(tables_[t]->metrics());
+  tables_[t].reset();
+  // Terminal: retiring clears the migration's read-out claim.
   republish_in_flight_[t] = 0;
   staging_metrics_->tables_retired.fetch_add(1, std::memory_order_relaxed);
   // Donor-retire-LAST ordering (cluster/rebalance.h): by the time this
@@ -1311,7 +1315,7 @@ bool Store::table_retired(TableId t) const {
     throw std::out_of_range("table_retired: bad table id " +
                             std::to_string(t));
   }
-  return retired_[t] != 0;
+  return !tables_[t];
 }
 
 TrickleRepublish::TrickleRepublish(std::unique_ptr<detail::TrickleState> state)
@@ -1423,6 +1427,7 @@ std::uint64_t TableInstall::waves() const {
 }
 
 TableMetrics Store::table_metrics(TableId t) const {
+  std::shared_lock lock(*storage_mu_);
   return checked_table(t).metrics();
 }
 
@@ -1431,8 +1436,11 @@ const BandanaTable& Store::table(TableId t) const {
 }
 
 TableMetrics Store::total_metrics() const {
-  TableMetrics total;
-  for (const auto& table : tables_) total.merge(table->metrics());
+  std::shared_lock lock(*storage_mu_);
+  TableMetrics total = retired_metrics_;
+  for (const auto& table : tables_) {
+    if (table) total.merge(table->metrics());
+  }
   return total;
 }
 
@@ -1464,14 +1472,18 @@ EnduranceTracker Store::endurance() const {
 std::size_t Store::reclaim_retired_states() {
   std::shared_lock lock(*storage_mu_);
   std::size_t freed = 0;
-  for (const auto& table : tables_) freed += table->reclaim_retired();
+  for (const auto& table : tables_) {
+    if (table) freed += table->reclaim_retired();
+  }
   return freed;
 }
 
 std::size_t Store::retired_states() const {
   std::shared_lock lock(*storage_mu_);
   std::size_t n = 0;
-  for (const auto& table : tables_) n += table->retired_count();
+  for (const auto& table : tables_) {
+    if (table) n += table->retired_count();
+  }
   return n;
 }
 

@@ -49,6 +49,7 @@
 
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "common/writer_priority_mutex.h"
 #include "core/config.h"
 #include "core/manifest.h"
 #include "core/metrics.h"
@@ -294,11 +295,13 @@ class Store {
   /// Retire table `t`: stop serving it (lookups on a retired table throw
   /// std::logic_error), reclaim its storage blocks — current map plus
   /// replacement bank — into the store-wide free pool for future installs,
-  /// and commit. The slot keeps its TableId (a tombstone): later tables do
-  /// not shift. Idempotent. A migration retires the donor copy LAST, after
-  /// the target's install committed and the placement flipped, so a crash
-  /// anywhere in a migration leaves at least one committed replica of
-  /// every vector.
+  /// free the table's DRAM (its counters stay in total_metrics()), and
+  /// commit. The slot keeps its TableId (a tombstone, recorded in the
+  /// manifest without a mapping): later tables do not shift. Idempotent.
+  /// Throws std::logic_error while a trickle republish of `t` is in
+  /// flight. A migration retires the donor copy LAST, after the target's
+  /// install committed and the placement flipped, so a crash anywhere in a
+  /// migration leaves at least one committed replica of every vector.
   void retire_table(TableId t);
   bool table_retired(TableId t) const;
 
@@ -310,8 +313,10 @@ class Store {
   void set_access_tap(AccessTap* tap);
 
   /// Metrics accessors are lock-free snapshots of per-shard counters
-  /// (aggregated on read), so polling them never stalls in-flight
-  /// multi_get_async requests. Latency accessors take the timing lock.
+  /// (aggregated on read) taken under the shared storage lock, which
+  /// serving holds shared too, so polling them never stalls in-flight
+  /// multi_get_async requests. total_metrics() includes the final counters
+  /// of retired tables. Latency accessors take the timing lock.
   TableMetrics table_metrics(TableId t) const;
   TableMetrics total_metrics() const;
   /// Staged-read-pipeline and write-path counters. The staged counters are
@@ -339,6 +344,7 @@ class Store {
   /// lock — a background trickle may be recording writes concurrently).
   EnduranceTracker endurance() const;
   const StoreConfig& config() const { return config_; }
+  /// The reference dangles once the table is retired.
   const BandanaTable& table(TableId t) const;
   /// The backing storage (memory or file). Valid once a table exists or
   /// reserve_blocks ran.
@@ -479,9 +485,14 @@ class Store {
   std::unique_ptr<BlockStorage> storage_;
   /// Unique: add_table / republish / trickle begin+abandon (storage-map
   /// mutation). Shared: serving and trickle write waves (they write only
-  /// blocks no current mapping references).
-  std::unique_ptr<std::shared_mutex> storage_mu_;
+  /// blocks no current mapping references). Writer-priority, so serving
+  /// cannot starve a retrain push; no path takes it shared twice.
+  std::unique_ptr<WriterPriorityMutex> storage_mu_;
+  /// Null for a retired (migrated-out) table: its slot stays as a
+  /// tombstone so later TableIds do not shift; checked_table refuses it.
   std::vector<std::unique_ptr<BandanaTable>> tables_;
+  /// Final counters of retired tables (total_metrics() adds them).
+  TableMetrics retired_metrics_;
   BlockId next_block_ = 0;
   /// Per-table storage blocks retired by completed trickle swaps, reused
   /// by the table's next republish (double buffering: storage stabilizes
@@ -489,12 +500,12 @@ class Store {
   /// is touched under the unique lock (begin/abandon) or by table t's
   /// single active session (finish, under the shared lock).
   std::vector<std::vector<BlockId>> free_blocks_;
-  /// Per-table flag: a trickle session OR a migration read-out claim is
-  /// mid-flight (one per table; both exclude mapping swaps).
+  /// Per-table claim, 0 when free: a trickle session OR a migration
+  /// read-out is mid-flight (one per table; both exclude mapping swaps,
+  /// and only a migration claim may be retired).
   std::vector<std::uint8_t> republish_in_flight_;
-  /// Per-table tombstones: retired (migrated-out) tables keep their slot
-  /// but no longer serve (checked_table throws).
-  std::vector<std::uint8_t> retired_;
+  static constexpr std::uint8_t kTrickleClaim = 1;
+  static constexpr std::uint8_t kMigrationClaim = 2;
   /// Store-wide free pool: blocks reclaimed from retired tables, consumed
   /// by allocate_blocks before the file grows. Distinct from the per-table
   /// free_blocks_ replacement banks (those stay with their table's trickle

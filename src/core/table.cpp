@@ -23,24 +23,6 @@ std::vector<double> insertion_points_for(const TablePolicy& policy) {
 /// the growth migration chunks do.
 constexpr std::uint64_t kDefaultWriteWaveBlocks = 4096;
 
-/// A wave-sized compose buffer: a leased registered wave buffer when the
-/// backend offers one (batched writes then go out as zero-copy
-/// WRITE_FIXED), else a plain heap buffer.
-struct WaveComposeBuffer {
-  WaveComposeBuffer(BlockStorage& storage, std::size_t bytes)
-      : lease(storage.lease_wave_buffer(bytes)) {
-    if (lease) {
-      buf = lease.bytes().first(bytes);
-    } else {
-      heap.resize(bytes);
-      buf = heap;
-    }
-  }
-  BlockStorage::WaveBufferLease lease;
-  std::vector<std::byte> heap;
-  std::span<std::byte> buf;
-};
-
 /// Shard count for the table: one per hardware thread by default, but
 /// never more shards than blocks (vectors are striped by block, keeping
 /// prefetch admission shard-local) or cache entries (every shard needs at
@@ -56,6 +38,13 @@ std::uint32_t shard_count_for(const StoreConfig& cfg,
       1, std::min({static_cast<std::uint64_t>(cfg.resolved_cache_shards()),
                    static_cast<std::uint64_t>(layout.num_blocks()),
                    capacity})));
+}
+
+/// The fresh contiguous publish range: local block b -> first + b.
+std::vector<BlockId> contiguous_map(std::uint32_t num_blocks, BlockId first) {
+  std::vector<BlockId> map(num_blocks);
+  for (BlockId b = 0; b < num_blocks; ++b) map[b] = first + b;
+  return map;
 }
 }  // namespace
 
@@ -124,35 +113,11 @@ BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
                            BlockLayout layout,
                            std::vector<std::uint32_t> access_counts,
                            BlockId first_block)
-    : num_vectors_(layout.num_vectors()),
-      num_blocks_(layout.num_blocks()),
-      first_block_(first_block),
-      vector_bytes_(store_cfg.vector_bytes),
-      block_bytes_(store_cfg.block_bytes),
-      vectors_per_block_(store_cfg.vectors_per_block()),
-      num_shards_(shard_count_for(store_cfg, policy, layout)) {
-  if (store_cfg.block_bytes % store_cfg.vector_bytes != 0) {
-    throw std::invalid_argument("vector_bytes must divide block_bytes");
-  }
-  if (layout.vectors_per_block() != vectors_per_block_) {
-    throw std::invalid_argument("layout block size mismatch");
-  }
-  std::vector<BlockId> block_map(layout.num_blocks());
-  for (BlockId b = 0; b < block_map.size(); ++b) {
-    block_map[b] = first_block_ + b;
-  }
-  state_owner_ = make_state(policy, std::move(layout),
-                            std::move(access_counts), std::move(block_map));
-  state_.store(state_owner_.get(), std::memory_order_release);
-
-  slab_.resize(state_owner_->cache.capacity() * vector_bytes_);
-  shards_.reserve(num_shards_);
-  for (std::uint32_t s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->block_buf.resize(block_bytes_);
-    shards_.push_back(std::move(shard));
-  }
-}
+    // `layout` is copied, not moved: the map argument reads it too, and
+    // the order in which arguments are evaluated is unspecified.
+    : BandanaTable(store_cfg, policy, layout, std::move(access_counts),
+                   first_block,
+                   contiguous_map(layout.num_blocks(), first_block)) {}
 
 BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
                            BlockLayout layout,
@@ -324,89 +289,27 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
     if (slab_needed > slab_.size()) slab_.resize(slab_needed);
     old = std::move(state_owner_);
     state_owner_ = std::move(fresh);
-    // seq_cst pairs with the reader guards' enter + state load: a reader
-    // the reclaim pass does not observe entered is ordered after this
-    // store and therefore loads the NEW state, never the one retired here.
+    // seq_cst pairs with the reader guards' enter + state load
+    // (common/epoch.h): a reader no reclaim pass sees entered loads the
+    // NEW state, never the one retired here.
     state_.store(state_owner_.get(), std::memory_order_seq_cst);
   }
-  // Retire outside the shard locks (readers never take reclaim_mu_) and
-  // immediately run a reclaim pass: with no straggling readers the old
-  // state is freed right here, and under load it goes once both banks
-  // drain on later passes.
-  {
-    std::lock_guard reclaim_lock(reclaim_mu_);
-    retired_.push_back({std::move(old), ++retire_seq_});
-    reclaim_retired_locked();
-  }
+  // Retire outside the shard locks and immediately run a reclaim pass:
+  // with no straggling readers the old state is freed right here, and
+  // under load it goes on a later pass.
+  epochs_.retire(std::move(old));
+  epochs_.try_reclaim();
   return freed;
-}
-
-bool BandanaTable::bank_drained(std::uint32_t bank) const {
-  for (std::uint32_t s = 0; s < kReaderSlots; ++s) {
-    const ReaderSlot& slot = reader_banks_[bank][s];
-    // Load exited BEFORE entered: both are monotone and an exit is always
-    // preceded by its enter, so exited(t1) == entered(t2) with t1 < t2
-    // forces entered(t1) == exited(t1) (nobody inside at t1) and
-    // entered(t2) == entered(t1) (nobody entered since) — the slot held no
-    // reader that predates this check.
-    const std::uint64_t exited = slot.exited.load(std::memory_order_seq_cst);
-    const std::uint64_t entered = slot.entered.load(std::memory_order_seq_cst);
-    if (entered != exited) return false;
-  }
-  return true;
-}
-
-std::size_t BandanaTable::reclaim_retired_locked() {
-  if (retired_.empty()) return 0;
-  // Everything retired so far predates the bank observations below (both
-  // happen under reclaim_mu_), so a drained bank covers retire_seq_.
-  const std::uint64_t seq = retire_seq_;
-  // Credit only the bank new readers are NOT entering: once drained it
-  // stays drained of every reader that could predate this pass, so credit
-  // it and flip, which hands the other bank its turn to drain. Under a
-  // continuous read stream the current bank is never empty, so a rule
-  // that waited for both banks at once would never free anything; this
-  // one credits the banks alternately across passes. With no readers the
-  // two rounds credit both banks, so an idle swap frees at once.
-  for (int round = 0; round < 2; ++round) {
-    const std::uint32_t idle = static_cast<std::uint32_t>(
-        (reader_gen_.load(std::memory_order_seq_cst) + 1) & 1);
-    if (!bank_drained(idle)) break;
-    bank_drained_seq_[idle] = seq;
-    reader_gen_.fetch_add(1, std::memory_order_seq_cst);
-  }
-  const std::uint64_t safe =
-      std::min(bank_drained_seq_[0], bank_drained_seq_[1]);
-  std::size_t freed = 0;
-  for (auto it = retired_.begin(); it != retired_.end();) {
-    if (it->seq <= safe) {
-      it = retired_.erase(it);
-      ++freed;
-    } else {
-      ++it;
-    }
-  }
-  return freed;
-}
-
-std::size_t BandanaTable::reclaim_retired() {
-  std::lock_guard lock(reclaim_mu_);
-  return reclaim_retired_locked();
-}
-
-std::size_t BandanaTable::retired_count() const {
-  std::lock_guard lock(reclaim_mu_);
-  return retired_.size();
 }
 
 std::vector<BlockId> BandanaTable::block_map() const {
-  ReadGuard guard(*this);
+  const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
   return st->block_map;
 }
 
 BandanaTable::RetrainedState BandanaTable::mapping_snapshot() const {
-  ReadGuard guard(*this);
+  const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
   return {st->layout, st->block_map, st->access_counts, st->policy};
 }
@@ -475,7 +378,7 @@ bool BandanaTable::is_cached(VectorId v) const {
   // mutated again, so its answer is merely stale (the staged_only lookup
   // pipeline re-checks under the lock and defers on any disagreement).
   // The guard keeps a just-retired state alive across the deref.
-  ReadGuard guard(*this);
+  const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
   std::lock_guard lock(shards_[st->cache.shard_of(v)]->mu);
   return st->cache.contains(v);
@@ -509,7 +412,7 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
   // The guard spans the whole get: every state pointer loaded below stays
   // alive until we return, even if a concurrent swap retires it and a
   // reclaim pass runs before we reach a shard lock.
-  ReadGuard guard(*this);
+  const auto guard = epochs_.enter();
   State* st = state_.load(std::memory_order_seq_cst);
 
   // Everything a lookup touches — the cache entry, the block, its other
@@ -643,7 +546,7 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
 }
 
 CacheShardStats BandanaTable::shard_stats(std::uint32_t s) const {
-  ReadGuard guard(*this);
+  const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
   std::lock_guard lock(shards_[s]->mu);
   return st->cache.shard_stats(s);
@@ -658,7 +561,7 @@ CacheShardStats BandanaTable::cache_stats() const {
 }
 
 std::vector<VectorId> BandanaTable::cache_contents() const {
-  ReadGuard guard(*this);
+  const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
   std::vector<VectorId> out;
   for (std::uint32_t s = 0; s < num_shards_; ++s) {

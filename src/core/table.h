@@ -28,24 +28,10 @@
 // them). swap_state only requires exclusion against other swaps/publishes
 // (Store's shared storage lock + one trickle session per table).
 //
-// Retired states are reclaimed with a two-bank epoch scheme instead of
-// being kept for the table's lifetime: every state-dereferencing reader
-// enters a striped reader bank (selected by the current generation parity)
-// before loading the state pointer and exits it when done. A reclaim pass
-// (run by every swap_state, and on demand via reclaim_retired) observes
-// the bank new readers are NOT entering through its per-slot
-// entered/exited counters: a bank whose slots all read exited == entered
-// (exited loaded first — both counters are monotone, so equality proves
-// the slot was empty at the first load and stayed untouched until the
-// second) holds no reader that predates the pass. A drained bank is
-// credited with the latest retirement and the generation flips, so the
-// other bank gets its turn; a pass repeats this at most twice. A retired
-// state is freed once BOTH banks have been credited after its retirement,
-// so a straggler that loaded the old pointer just before the swap always
-// keeps it alive until it exits. Under a continuous read stream
-// successive passes credit the banks alternately, so the retired list
-// stays bounded by a couple of retrain cycles rather than growing with
-// every push; with no readers one pass credits both and frees at once.
+// Retired states are reclaimed through reader epochs (common/epoch.h):
+// every state-dereferencing reader holds an epoch guard across its state
+// load and use, swap_state retires the old state and runs a reclaim pass,
+// and a retired state is freed once no guard that could hold it remains.
 #pragma once
 
 #include <atomic>
@@ -56,6 +42,7 @@
 #include <vector>
 
 #include "cache/sharded_lru.h"
+#include "common/epoch.h"
 #include "core/config.h"
 #include "core/metrics.h"
 #include "nvm/block_storage.h"
@@ -184,7 +171,7 @@ class BandanaTable {
   /// after — the staged_only lookup pipeline re-checks under the shard
   /// lock and defers on any disagreement.
   BlockId global_block_of(VectorId v) const {
-    ReadGuard guard(*this);
+    const auto guard = epochs_.enter();
     const State* st = state_.load(std::memory_order_seq_cst);
     return st->block_map[st->layout.block_of(v)];
   }
@@ -248,7 +235,7 @@ class BandanaTable {
   }
   /// By-value policy read, safe against concurrent swap + reclamation.
   TablePolicy policy_snapshot() const {
-    ReadGuard guard(*this);
+    const auto guard = epochs_.enter();
     return state_.load(std::memory_order_seq_cst)->policy;
   }
   std::size_t vector_bytes() const { return vector_bytes_; }
@@ -267,16 +254,14 @@ class BandanaTable {
   /// shard locks). With one shard this is the exact LRU eviction order.
   std::vector<VectorId> cache_contents() const;
 
-  /// Run one reclaim pass: up to twice, credit the non-current reader bank
-  /// if it has drained and flip the generation; then free every retired
-  /// state whose retirement is covered by a drain observation of each
-  /// bank. Returns states freed. swap_state runs a
-  /// pass automatically; long-lived serving loops (or tests) call this to
-  /// drain stragglers from earlier swaps.
-  std::size_t reclaim_retired();
+  /// Run one reclaim pass (ReaderEpochs::try_reclaim), freeing retired
+  /// states no reader can still hold. Returns states freed. swap_state
+  /// runs a pass automatically; long-lived serving loops (or tests) call
+  /// this to drain stragglers from earlier swaps.
+  std::size_t reclaim_retired() { return epochs_.try_reclaim(); }
 
   /// Retired states still awaiting reclamation (diagnostic).
-  std::size_t retired_count() const;
+  std::size_t retired_count() const { return epochs_.retired(); }
 
  private:
   /// Everything derived from one (layout, block map, policy) triple.
@@ -316,56 +301,6 @@ class BandanaTable {
     std::vector<std::byte> block_buf;  ///< scratch for block reads
   };
 
-  /// Reader-epoch machinery. A reader enters one striped slot of the bank
-  /// named by the generation's parity, loads the state pointer (both with
-  /// seq_cst, so a reclaim pass that reads the counters and misses the
-  /// enter is globally ordered before it — and the reader's state load
-  /// then sees the post-swap pointer, never the retired state), and exits
-  /// the same slot on destruction. Slots are thread-striped to keep the
-  /// hot-path RMW on a mostly-private cache line.
-  static constexpr std::uint32_t kReaderSlots = 16;
-  struct alignas(64) ReaderSlot {
-    std::atomic<std::uint64_t> entered{0};
-    std::atomic<std::uint64_t> exited{0};
-  };
-  static std::uint32_t reader_slot() {
-    static std::atomic<std::uint32_t> next{0};
-    thread_local const std::uint32_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kReaderSlots;
-    return slot;
-  }
-  class ReadGuard {
-   public:
-    explicit ReadGuard(const BandanaTable& t)
-        : t_(&t),
-          bank_(static_cast<std::uint32_t>(
-              t.reader_gen_.load(std::memory_order_relaxed) & 1)),
-          slot_(reader_slot()) {
-      t_->reader_banks_[bank_][slot_].entered.fetch_add(
-          1, std::memory_order_seq_cst);
-    }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-    ~ReadGuard() {
-      t_->reader_banks_[bank_][slot_].exited.fetch_add(
-          1, std::memory_order_release);
-    }
-
-   private:
-    const BandanaTable* t_;
-    std::uint32_t bank_;
-    std::uint32_t slot_;
-  };
-  /// One retired state plus the retirement sequence it must outlive.
-  struct RetiredState {
-    std::unique_ptr<State> state;
-    std::uint64_t seq = 0;
-  };
-  /// exited-then-entered per-slot equality check (see class comment).
-  bool bank_drained(std::uint32_t bank) const;
-  /// The reclaim pass body; caller holds reclaim_mu_.
-  std::size_t reclaim_retired_locked();
-
   std::unique_ptr<State> make_state(TablePolicy policy, BlockLayout layout,
                                     std::vector<std::uint32_t> access_counts,
                                     std::vector<BlockId> block_map) const;
@@ -399,19 +334,8 @@ class BandanaTable {
   std::unique_ptr<State> state_owner_;
   std::atomic<State*> state_;
 
-  /// Reader epochs: two banks of striped enter/exit counters; the
-  /// generation's parity names the bank new readers enter. Mutable — read
-  /// paths on const tables still register.
-  mutable ReaderSlot reader_banks_[2][kReaderSlots];
-  std::atomic<std::uint64_t> reader_gen_{0};
-  /// Guards the retirement bookkeeping below (swap_state's push and
-  /// concurrent reclaim passes). Never taken by readers.
-  mutable std::mutex reclaim_mu_;
-  std::uint64_t retire_seq_ = 0;                ///< Tags handed to retires.
-  std::uint64_t bank_drained_seq_[2] = {0, 0};  ///< Latest covered retire.
-  /// States replaced by swap_state, kept alive until both reader banks
-  /// have been observed drained after their retirement.
-  std::vector<RetiredState> retired_;
+  /// Guards every state dereference; swapped-out states retire here.
+  ReaderEpochs epochs_;
 
   AtomicTableMetrics metrics_;
 };

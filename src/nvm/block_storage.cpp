@@ -51,20 +51,10 @@ void BlockStorage::write_blocks(std::span<const BlockWriteOp> ops) {
 void StagedBlockReads::fetch(const BlockStorage& storage,
                              std::uint64_t wave_blocks) {
   block_bytes_ = storage.block_bytes();
-  const std::size_t total = blocks_.size() * block_bytes_;
-  std::span<std::byte> dst;
-  lease_ = total > 0 ? storage.lease_wave_buffer(total)
-                     : BlockStorage::WaveBufferLease{};
-  if (lease_) {
-    dst = lease_.bytes().first(total);
-  } else {
-    bytes_.resize(total);
-    dst = bytes_;
-  }
-  data_ = dst.data();
+  staged_ = WaveComposeBuffer(storage, blocks_.size() * block_bytes_);
   std::vector<BlockReadOp> ops(blocks_.size());
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    ops[i] = {blocks_[i], dst.subspan(i * block_bytes_, block_bytes_)};
+    ops[i] = {blocks_[i], staged_.buf.subspan(i * block_bytes_, block_bytes_)};
   }
   const std::size_t wave =
       wave_blocks == 0 ? ops.size() : static_cast<std::size_t>(wave_blocks);

@@ -173,6 +173,27 @@ class BlockStorage {
   }
 };
 
+/// A wave-sized scratch buffer for composing write images or staging
+/// reads: a leased registered wave buffer when the backend offers one (a
+/// batched read or write through it goes out as zero-copy READ_FIXED /
+/// WRITE_FIXED), else a plain heap buffer. `buf` spans exactly the bytes
+/// asked for.
+struct WaveComposeBuffer {
+  WaveComposeBuffer() = default;
+  WaveComposeBuffer(const BlockStorage& storage, std::size_t bytes)
+      : lease(storage.lease_wave_buffer(bytes)) {
+    if (lease) {
+      buf = lease.bytes().first(bytes);
+    } else {
+      heap.resize(bytes);
+      buf = heap;
+    }
+  }
+  BlockStorage::WaveBufferLease lease;
+  std::vector<std::byte> heap;
+  std::span<std::byte> buf;
+};
+
 /// A request-scoped set of prefetched block bytes: the store's read
 /// pipeline collects a request's miss blocks, fetches them through
 /// read_blocks() in admission-gated waves, and lets each table lookup
@@ -203,16 +224,14 @@ class StagedBlockReads {
   /// Staged bytes of block `b`, or an empty span when b was not staged.
   std::span<const std::byte> find(BlockId b) const {
     const auto it = index_.find(b);
-    if (it == index_.end() || data_ == nullptr) return {};
-    return {data_ + it->second * block_bytes_, block_bytes_};
+    if (it == index_.end() || staged_.buf.empty()) return {};
+    return staged_.buf.subspan(it->second * block_bytes_, block_bytes_);
   }
 
  private:
   std::vector<BlockId> blocks_;
   std::unordered_map<BlockId, std::size_t> index_;
-  std::vector<std::byte> bytes_;
-  BlockStorage::WaveBufferLease lease_;
-  const std::byte* data_ = nullptr;
+  WaveComposeBuffer staged_;  ///< Filled by fetch().
   std::size_t block_bytes_ = 0;
 };
 

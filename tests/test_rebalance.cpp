@@ -20,6 +20,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -737,6 +738,68 @@ TEST(RebalanceCrash, EveryWaveAndFlipBoundaryKeepsACommittedReplica) {
 
   cleanup(p0);
   cleanup(p1);
+}
+
+TEST(RetireTable, FreesTheTableAndLeavesATombstone) {
+  const Paths p = node_paths("retire", 0);
+  cleanup(p);
+  const Model m = make_model(2048);
+  StoreConfig cfg = store_config();
+  StoreBuilder builder(cfg);
+  builder.file_storage(p.block).manifest(p.manifest);
+  builder.add_table(m.values[0], m.plan.tables[0]);
+  builder.add_table(m.values[1], m.plan.tables[1]);
+  {
+    Store store = builder.build();
+    std::vector<std::byte> out(kVecBytes);
+    store.lookup(0, 1, out);
+    store.lookup(1, 2, out);
+    const TableMetrics before = store.total_metrics();
+
+    // A table a trickle push still writes into cannot be retired.
+    RepublishConfig slow;
+    slow.blocks_per_interval = 1;
+    slow.interval_us = 1000.0;
+    {
+      TrickleRepublish push =
+          store.begin_trickle_republish(0, m.values[0], plan_of(2048, 3), slow);
+      EXPECT_THROW(store.retire_table(0), std::logic_error);
+    }  // abandoned: the claim is released
+
+    store.retire_table(0);
+    EXPECT_TRUE(store.table_retired(0));
+    EXPECT_THROW(store.lookup(0, 1, out), std::logic_error);
+    EXPECT_THROW(store.table_metrics(0), std::logic_error);
+    // The freed table's counters stay in the store-level sum.
+    EXPECT_EQ(store.total_metrics().lookups, before.lookups);
+    EXPECT_EQ(store.retired_states(), 0u);
+  }
+
+  // The committed record is a tombstone without a mapping.
+  std::optional<Manifest> written = load_manifest(p.manifest);
+  ASSERT_TRUE(written.has_value());
+  ASSERT_EQ(written->tables.size(), 2u);
+  EXPECT_TRUE(written->tables[0].retired);
+  EXPECT_TRUE(written->tables[0].order.empty());
+  EXPECT_TRUE(written->tables[0].block_map.empty());
+  EXPECT_FALSE(written->tables[1].retired);
+
+  // Reopen: no table is built for the tombstone, table 1 keeps its id and
+  // serves. A tombstone that still carries the retired table's mapping (as
+  // older versions wrote them) opens the same way.
+  for (const bool with_mapping : {false, true}) {
+    if (with_mapping) {
+      written->tables[0].order = m.plan.tables[0].layout.order();
+      written->tables[0].block_map = written->tables[1].block_map;
+      written->commit_seq += 1;
+      write_manifest(p.manifest, *written);
+    }
+    Store reopened = Store::open(cfg, p.manifest);
+    EXPECT_EQ(reopened.num_tables(), 2u);
+    EXPECT_TRUE(reopened.table_retired(0)) << with_mapping;
+    EXPECT_TRUE(serves_exactly(reopened, 1, m.values[1])) << with_mapping;
+  }
+  cleanup(p);
 }
 
 }  // namespace

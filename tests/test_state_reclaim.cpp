@@ -1,15 +1,17 @@
 // Epoch-based reclamation of retired BandanaTable swap states.
 //
 // Every completed trickle republish swaps the table's immutable state and
-// retires the old one; the two-bank reader-epoch scheme must free retired
+// retires the old one; the reader epochs (common/epoch.h) must free retired
 // states once no straggling lookup can still reference them — immediately
 // when the store is quiescent, eventually under continuous serving — and
 // must never free one a concurrent lookup is still dereferencing (the
 // TSan stress below is the teeth of that claim).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,9 +44,12 @@ TablePlan plan_with_layout(std::uint64_t layout_seed) {
                    {}, policy, 0.0};
 }
 
-Store one_table_store(const EmbeddingTable& values) {
+/// `cache_shards` 0 = one per hardware thread (the config default).
+Store one_table_store(const EmbeddingTable& values,
+                      std::uint32_t cache_shards = 0) {
   StoreConfig cfg;
   cfg.simulate_timing = false;
+  cfg.cache_shards = cache_shards;
   StoreBuilder builder(cfg);
   builder.add_table(values, plan_with_layout(0));
   return builder.build();
@@ -93,7 +98,12 @@ TEST(StateReclaim, ExplicitReclaimPassReportsNothingWhenEmpty) {
   EXPECT_EQ(store.reclaim_retired_states(), 0u);
 }
 
-TEST(StateReclaim, ConcurrentServingSwapAndReclaimStress) {
+/// Cache shard count of the stress below: one shard serializes every
+/// lookup of the table on one lock, one per hardware thread lets them run
+/// in parallel.
+class StateReclaimStress : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(StateReclaimStress, ConcurrentServingSwapAndReclaimStress) {
   // The TSan target: reader threads hammer lookups while the main thread
   // swaps the table's state over and over (alternating value sets A/B and
   // re-randomized layouts) and a third party forces reclaim passes. Every
@@ -105,7 +115,7 @@ TEST(StateReclaim, ConcurrentServingSwapAndReclaimStress) {
   for (VectorId v = 0; v < kVectors; ++v) {
     for (float& x : b.vector(v)) x += 7.0f;
   }
-  Store store = one_table_store(a);
+  Store store = one_table_store(a, GetParam());
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> bad{0};
@@ -148,8 +158,8 @@ TEST(StateReclaim, ConcurrentServingSwapAndReclaimStress) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(bad.load(), 0u);
 
-  // Readers are gone: one pass (flip + both banks provably empty) frees
-  // every straggler.
+  // Readers are gone: one pass (both banks provably empty) frees every
+  // straggler.
   std::size_t left = store.retired_states();
   for (int pass = 0; pass < 3 && left > 0; ++pass) {
     store.reclaim_retired_states();
@@ -157,6 +167,14 @@ TEST(StateReclaim, ConcurrentServingSwapAndReclaimStress) {
   }
   EXPECT_EQ(left, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    CacheShards, StateReclaimStress,
+    ::testing::Values(1u, std::max(1u, std::thread::hardware_concurrency())),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+      return info.index == 0 ? std::string("OneShard")
+                             : std::string("HardwareThreads");
+    });
 
 }  // namespace
 }  // namespace bandana
