@@ -200,6 +200,12 @@ int main(int argc, char** argv) {
       const TableId side = store.add_table(
           tables[0],
           BlockLayout::identity(runs[0].cfg.num_vectors, 32), side_policy);
+      // Reserve the replacement region up front in EVERY mode, as Part 2c
+      // does: a push writes replacement blocks, and growing memory storage
+      // mid-sweep would migrate it in a closed-loop wave that moves the
+      // clock.
+      store.reserve_blocks(store.storage().num_blocks() +
+                           store.table(side).num_blocks());
       LatencyRecorder lat, wave_lat;
       std::uint64_t blocks = 0;
       for (std::size_t q = 0; q < num_requests; ++q) {
@@ -244,9 +250,10 @@ int main(int argc, char** argv) {
   // process: Store::begin_trickle_republish plan-diffs the new values,
   // writes replacement blocks at most blocks_per_interval per interval_us
   // (open-loop kWrite waves on the shared channels), and swaps the
-  // table's mapping when the push completes. One-shot republish is the
-  // unlimited-rate endpoint; tightening the rate trades push duration for
-  // read tail latency. Same seed, same arrivals across every row. ----
+  // table's mapping when the push completes. One-shot republish IS the
+  // unlimited-rate trickle (pumped once), so those two rows agree by
+  // construction; tightening the rate trades push duration for read tail
+  // latency. Same seed, same arrivals across every row. ----
   {
     const double interarrival_us = 100.0;
     const std::size_t push_every = std::max<std::size_t>(num_requests / 4, 1);

@@ -239,7 +239,8 @@ class StoreCluster {
   TableMetrics table_metrics(TableId t) const;
 
   // --- Retraining pushes (fan out to every replica of the table) ---
-  /// One-shot in-place republish on every replica; returns the slowest
+  /// One-shot republish (Store::republish: an unlimited-rate, crash-atomic
+  /// trickle on the current mapping) on every replica; returns the slowest
   /// replica's write-wave latency.
   double republish(TableId t, const EmbeddingTable& values, double day = 0.0);
   /// Rate-limited trickle republish on every replica (one session per

@@ -53,6 +53,8 @@ struct TablePolicy {
   std::uint32_t access_threshold = 10;
   double insertion_position = 0.5;
   double shadow_multiplier = 1.5;
+
+  bool operator==(const TablePolicy&) const = default;
 };
 
 }  // namespace bandana

@@ -82,12 +82,14 @@ struct StoreMetrics {
                                             ///< async backend resubmitted for
                                             ///< the remaining byte range
                                             ///< (0 on inline backends).
-  std::uint64_t republish_skipped_blocks = 0;  ///< Blocks a republish plan
-                                               ///< diff proved unchanged and
-                                               ///< never rewrote.
-  std::uint64_t mapping_swaps = 0;       ///< Trickle republishes that
-                                         ///< completed and swapped a table's
-                                         ///< block mapping.
+  std::uint64_t republish_skipped_blocks = 0;  ///< Blocks a republish or
+                                               ///< trickle plan diff proved
+                                               ///< unchanged and never
+                                               ///< rewrote.
+  std::uint64_t mapping_swaps = 0;       ///< Republishes (trickle or
+                                         ///< one-shot) that completed and
+                                         ///< swapped a table's block
+                                         ///< mapping.
   std::uint64_t manifest_commits = 0;    ///< Durable manifest commits (sync +
                                          ///< pointer flip) the store made; 0
                                          ///< when no manifest is attached.

@@ -42,6 +42,7 @@ struct TrickleState {
   std::uint64_t written = 0;
   std::uint64_t waves = 0;
   std::uint64_t peak_wave_bytes = 0;  ///< largest compose buffer filled
+  double last_wave_us = 0.0;  ///< simulated latency of the latest wave
   bool swapped = false;
   bool installed_mapping = false;  ///< The push replaced the table's plan.
   mutable std::mutex mu;  ///< serializes pump/done/stat reads
@@ -456,10 +457,8 @@ void Store::fetch_retry_blocks(StagedBlockReads& retry,
                                                std::memory_order_relaxed);
 }
 
-void Store::serve_deferred(
-    std::vector<DeferredLookup>& deferred,
-    const std::function<void(std::size_t, const BandanaTable::LookupOutcome&)>&
-        account) {
+void Store::serve_deferred(std::vector<DeferredLookup>& deferred,
+                           std::vector<MultiGetResult::TableStats>& per_table) {
   // Blocks evicted between the staging peek and their lookup (or truncated
   // at the staging cap) are re-fetched through the same batched seam, in
   // bounded waves. A retried lookup defers again only if a concurrent
@@ -486,7 +485,9 @@ void Store::serve_deferred(
         again.push_back(d);
         continue;
       }
-      account(d.tag, outcome);
+      auto& stats = per_table[d.get];
+      if (outcome.hit) ++stats.hits;
+      if (outcome.nvm_read) ++stats.block_reads;
     }
     deferred.erase(deferred.begin(),
                    deferred.begin() + static_cast<std::ptrdiff_t>(taken));
@@ -536,56 +537,17 @@ void Store::note_retrain(double drain_us, double train_us, double diff_us,
 
 double Store::lookup_batch(TableId t, std::span<const VectorId> ids,
                            std::span<std::byte> out) {
-  std::shared_lock storage_lock(*storage_mu_);
-  BandanaTable& table = checked_table(t);
-  const std::size_t vb = config_.vector_bytes;
-  if (out.size() < ids.size() * vb) {
+  if (out.size() < ids.size() * config_.vector_bytes) {
     throw std::invalid_argument("lookup_batch: output span too small");
   }
-  const std::uint32_t num_vectors = table.num_vectors();
-  for (const VectorId v : ids) {
-    if (v >= num_vectors) {
-      throw std::out_of_range("lookup_batch: bad vector id " +
-                              std::to_string(v));
-    }
-  }
-  // Overlapped-read backends: fetch the query's miss blocks up front in
-  // admission-sized waves, so real I/O is batched instead of one pread per
-  // miss inside the lookup loop. staged_only lookups never fall back to an
-  // inline read — an unstaged miss defers to the retry waves below.
-  StagedBlockReads staged;
-  const bool stage = storage_->prefers_batched_reads();
-  if (stage) {
-    stage_miss_blocks(table, ids, staged);
-    staged.fetch(*storage_, real_read_wave_blocks());
-    staging_metrics_->staged_blocks.fetch_add(staged.size(),
-                                              std::memory_order_relaxed);
-  }
-  std::uint64_t reads = 0;
-  std::uint64_t hits = 0;
-  const std::uint64_t epoch = table.begin_batch();
-  std::vector<DeferredLookup> deferred;
-  std::vector<BandanaTable::LookupOutcome> outcomes(ids.size());
-  table.lookup_get(ids, *storage_, out, epoch, stage ? &staged : nullptr,
-                   /*staged_only=*/stage, outcomes);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto& outcome = outcomes[i];
-    if (outcome.deferred) {
-      deferred.push_back({&table, ids[i], out.subspan(i * vb, vb), epoch, i});
-      continue;
-    }
-    if (outcome.hit) ++hits;
-    if (outcome.nvm_read) ++reads;
-  }
-  serve_deferred(deferred,
-                 [&](std::size_t, const BandanaTable::LookupOutcome& o) {
-                   if (o.hit) ++hits;
-                   if (o.nvm_read) ++reads;
-                 });
-  if (AccessTap* tap = tap_->load(std::memory_order_acquire)) {
-    tap->on_table_get(t, ids, hits, ids.size() - hits);
-  }
-  return schedule_reads(reads, query_latency_, /*advance_clock=*/true);
+  MultiGetRequest request;
+  request.add(t, ids);
+  std::shared_lock storage_lock(*storage_mu_);
+  const MultiGetResult res =
+      multi_get_impl(request, /*arrival_us=*/-1.0, query_latency_,
+                     /*advance_clock=*/true);
+  std::ranges::copy(res.vectors.front(), out.begin());
+  return res.service_latency_us;
 }
 
 double Store::lookup(TableId t, VectorId v, std::span<std::byte> out) {
@@ -594,18 +556,20 @@ double Store::lookup(TableId t, VectorId v, std::span<std::byte> out) {
 }
 
 MultiGetResult Store::multi_get(const MultiGetRequest& request) {
-  std::shared_lock storage_lock(*storage_mu_);
-  return multi_get_impl(request, /*arrival_us=*/-1.0);
+  return multi_get(request, /*arrival_us=*/-1.0);
 }
 
 MultiGetResult Store::multi_get(const MultiGetRequest& request,
                                 double arrival_us) {
   std::shared_lock storage_lock(*storage_mu_);
-  return multi_get_impl(request, arrival_us);
+  return multi_get_impl(request, arrival_us, request_latency_,
+                        /*advance_clock=*/false);
 }
 
 MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
-                                     double arrival_us) {
+                                     double arrival_us,
+                                     LatencyRecorder& recorder,
+                                     bool advance_clock) {
   const std::size_t vb = config_.vector_bytes;
   // Validate the whole request up front so a bad entry cannot leave it
   // half-served (and half-counted in the metrics).
@@ -674,7 +638,6 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
     for (std::size_t i = 0; i < get.ids.size(); ++i) {
       const auto& outcome = outcomes[i];
       if (outcome.deferred) {
-        // tag = get index: retry accounting lands on the right TableStats.
         deferred.push_back({&table, get.ids[i],
                             std::span<std::byte>(bytes).subspan(i * vb, vb),
                             epoch, g});
@@ -684,12 +647,7 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
       if (outcome.nvm_read) ++stats.block_reads;
     }
   }
-  serve_deferred(deferred,
-                 [&](std::size_t g, const BandanaTable::LookupOutcome& o) {
-                   auto& stats = result.per_table[g];
-                   if (o.hit) ++stats.hits;
-                   if (o.nvm_read) ++stats.block_reads;
-                 });
+  serve_deferred(deferred, result.per_table);
   for (std::size_t g = 0; g < request.gets.size(); ++g) {
     auto& stats = result.per_table[g];
     stats.misses = request.gets[g].ids.size() - stats.hits;
@@ -704,9 +662,8 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
                         stats.hits, stats.misses);
     }
   }
-  result.service_latency_us =
-      schedule_reads(result.block_reads, request_latency_,
-                     /*advance_clock=*/false, arrival_us);
+  result.service_latency_us = schedule_reads(result.block_reads, recorder,
+                                             advance_clock, arrival_us);
   return result;
 }
 
@@ -720,8 +677,7 @@ std::future<MultiGetResult> Store::multi_get_async(MultiGetRequest request,
   const double arrival_us = now_us();
   pool.submit([this, promise, owned, arrival_us] {
     try {
-      std::shared_lock storage_lock(*storage_mu_);
-      promise->set_value(multi_get_impl(*owned, arrival_us));
+      promise->set_value(multi_get(*owned, arrival_us));
     } catch (...) {
       promise->set_exception(std::current_exception());
     }
@@ -749,49 +705,29 @@ void Store::record_empty_write_wave() {
 }
 
 double Store::republish(TableId t, const EmbeddingTable& values, double day) {
-  std::unique_lock lock(*storage_mu_);
-  BandanaTable& table = checked_table(t);
-  if (republish_in_flight_[t]) {
-    throw std::logic_error(
-        "republish: a trickle republish of this table is in flight");
-  }
-  const auto diff =
-      table.republish(values, *storage_, real_write_wave_blocks());
-  staging_metrics_->republish_skipped_blocks.fetch_add(
-      diff.skipped_blocks, std::memory_order_relaxed);
-  staging_metrics_->write_batches.fetch_add(diff.write_batches,
-                                            std::memory_order_relaxed);
-  if (diff.written_blocks == 0) {
-    // Plan-diff early-out: identical values are a no-op — no block writes,
-    // no endurance burn, no cache flush. The zero-length wave keeps the
-    // republish cadence visible to callers watching write_latency_us().
-    record_empty_write_wave();
-    return 0.0;
-  }
-  {
-    std::lock_guard timing_lock(*timing_mu_);
-    endurance_.record_write(diff.written_blocks * config_.block_bytes, day);
-  }
-  // Open loop: a live republish is background retraining traffic. Its
-  // writes stay queued on the channels and in the admission gate at the
-  // current clock, so concurrent read requests see the paper's
-  // mixed-traffic interference (bench_fig05 read-vs-mixed sweep).
-  const double latency =
-      schedule_writes(diff.written_blocks, /*advance_clock=*/false);
-  // One-shot republish overwrites blocks IN PLACE, so it is NOT
-  // crash-atomic mid-flight (a kill between two of its writes leaves mixed
-  // old/new bytes under the committed mapping — use the trickle path for
-  // crash safety). This commit makes a *completed* republish durable.
-  commit_manifest();
-  return latency;
+  // The unlimited-rate trickle on the current mapping: one pump writes the
+  // whole diff as one open-loop wave, so concurrent reads see the paper's
+  // mixed-traffic interference (bench_fig05 read-vs-mixed sweep), and then
+  // swaps and commits the mapping.
+  TrickleRepublish push =
+      begin_trickle(t, values, std::nullopt, RepublishConfig{}, day);
+  push.pump();
+  return push.state_->last_wave_us;
 }
 
 TrickleRepublish Store::begin_trickle_republish(
     TableId t, const EmbeddingTable& values, TablePlan plan,
     const RepublishConfig& republish_cfg, double day) {
+  return begin_trickle(t, values, std::move(plan), republish_cfg, day);
+}
+
+TrickleRepublish Store::begin_trickle(TableId t, const EmbeddingTable& values,
+                                      std::optional<TablePlan> plan,
+                                      const RepublishConfig& republish_cfg,
+                                      double day) {
   // Brief exclusive section: validate, claim the table (one session at a
   // time — the claim also freezes its mapping and its old blocks, since
-  // republish/swap paths check the flag) and pin the DRAM capacity.
+  // every swap path checks the flag) and pin the DRAM capacity.
   {
     std::unique_lock lock(*storage_mu_);
     BandanaTable& table = checked_table(t);
@@ -805,18 +741,23 @@ TrickleRepublish Store::begin_trickle_republish(
       throw std::invalid_argument(
           "begin_trickle_republish: values shape mismatch");
     }
-    if (plan.layout.num_vectors() != table.num_vectors() ||
-        plan.layout.vectors_per_block() != config_.vectors_per_block()) {
+    if (!plan) {
+      auto current = table.mapping_snapshot();
+      plan = TablePlan{std::move(current.layout),
+                       std::move(current.access_counts), current.policy};
+    }
+    if (plan->layout.num_vectors() != table.num_vectors() ||
+        plan->layout.vectors_per_block() != config_.vectors_per_block()) {
       throw std::invalid_argument(
           "begin_trickle_republish: layout shape mismatch");
     }
     // Online retraining re-packs and re-tunes admission; it does not
     // re-size the table's DRAM slab.
-    plan.policy.cache_vectors = table.policy().cache_vectors;
+    plan->policy.cache_vectors = table.policy().cache_vectors;
     republish_in_flight_[t] = kTrickleClaim;
   }
   try {
-    return begin_trickle_claimed(t, values, std::move(plan), republish_cfg,
+    return begin_trickle_claimed(t, values, std::move(*plan), republish_cfg,
                                  day);
   } catch (...) {
     std::unique_lock lock(*storage_mu_);
@@ -873,6 +814,8 @@ TrickleRepublish Store::begin_trickle_claimed(
       s->changed_vectors += plan.layout.block_members(b).size();
     }
   }
+  staging_metrics_->republish_skipped_blocks.fetch_add(
+      s->skipped, std::memory_order_relaxed);
 
   std::unique_lock lock(*storage_mu_);
   if (changed.empty()) {
@@ -980,7 +923,7 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
       endurance_.record_write(n * config_.block_bytes, s.day);
     }
     s.limiter.consume(now, n);
-    schedule_writes(n, /*advance_clock=*/false);
+    s.last_wave_us = schedule_writes(n, /*advance_clock=*/false);
     s.written += n;
     ++s.waves;
   }

@@ -24,8 +24,8 @@
 // `multi_get_async` serves concurrent request streams on a ThreadPool.
 // Each table's DRAM cache is sharded (StoreConfig::cache_shards) with one
 // lock per shard, so concurrent requests proceed in parallel even inside
-// a single table. The per-table `lookup_batch` path remains for
-// single-table callers.
+// a single table. Single-table callers use `lookup_batch`, a one-get
+// multi_get on a closed-loop clock.
 //
 // Simulated IO timing runs on the event-driven per-channel NvmIoEngine
 // (nvm/io_engine.h): each request's deduplicated block reads are one
@@ -38,10 +38,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <utility>
@@ -125,9 +125,10 @@ class Store {
                     std::uint64_t seed = 42);
 
   /// Attach a manifest and commit it immediately: from this call on, every
-  /// completed mapping swap (trickle finish, no-op plan install), add_table
-  /// and one-shot republish commits a new manifest version crash-atomically
-  /// (BlockStorage::sync barrier, then tmp + fsync + rename pointer flip).
+  /// completed mapping swap (trickle finish — one-shot republish included —
+  /// or no-op plan install) and add_table commits a new manifest version
+  /// crash-atomically (BlockStorage::sync barrier, then tmp + fsync +
+  /// rename pointer flip).
   /// `block_file` is recorded so Store::open can find the backing file
   /// (leave empty for storage Store::open will never reopen by path).
   /// StoreBuilder::manifest wires this up at build; call it directly when
@@ -185,7 +186,9 @@ class Store {
   std::future<MultiGetResult> multi_get_async(MultiGetRequest request,
                                               ThreadPool& pool);
 
-  /// Serve one single-table query (batched lookups) against table `t`.
+  /// Serve one single-table query (batched lookups) against table `t`: a
+  /// one-get multi_get whose latency lands in query_latency_us() and whose
+  /// clock is closed loop (the clock moves to the query's completion).
   /// Writes the vectors contiguously into `out` (ids.size() *
   /// vector_bytes). Returns the simulated service latency in microseconds
   /// (0 when timing is disabled). Block reads within the query are
@@ -197,19 +200,23 @@ class Store {
   /// Convenience single lookup.
   double lookup(TableId t, VectorId v, std::span<std::byte> out);
 
-  /// Re-publish a table after retraining (§2.2), in place and in one shot;
-  /// counts endurance writes. The new values are plan-diffed against the
-  /// bytes already in storage: only changed blocks are rewritten (and only
-  /// their members' cached entries dropped — unchanged blocks keep serving
-  /// warm), and identical values are a complete no-op that records a
-  /// zero-length write wave. The block writes are enqueued on the NVM
+  /// Re-publish a table's new values after retraining (§2.2) in one shot:
+  /// the unlimited-rate trickle below on the table's current mapping,
+  /// pumped to completion. The values are plan-diffed against the bytes
+  /// already in storage; changed blocks are written to replacement blocks
+  /// (the first push grows storage by the changed footprint, later pushes
+  /// recycle it) as one write wave, and the mapping swaps only once that
+  /// wave has landed, so the push is crash-atomic. Unchanged blocks keep
+  /// their cached members warm; identical values are a complete no-op that
+  /// records a zero-length write wave. The wave is enqueued on the NVM
   /// channel FIFOs at the current simulated clock WITHOUT advancing it
-  /// (open-loop, like multi_get): a live republish leaves write backlog on
+  /// (open loop, like multi_get): a live republish leaves write backlog on
   /// the channels and in the admission gate, so concurrent read traffic
   /// sees the paper's mixed-traffic interference (bench_fig05's
-  /// read-vs-mixed sweep). Returns the simulated latency of the write wave
-  /// (0 when timing is off). This is the unlimited-rate endpoint of the
-  /// trickle below: same diff, but the whole wave lands at once.
+  /// read-vs-mixed sweep). Counts endurance writes, a mapping swap and a
+  /// trickle epoch. Returns the simulated latency of the write wave (0
+  /// when timing is off or nothing changed). Throws std::logic_error while
+  /// a trickle session or migration holds the table.
   double republish(TableId t, const EmbeddingTable& values, double day = 0.0);
 
   /// Begin a rate-limited trickle republish of table `t` — the production
@@ -227,7 +234,8 @@ class Store {
   /// When the last wave lands, the table's mapping is swapped atomically
   /// (BandanaTable::swap_state): lookups are always served from a
   /// consistent mapping — entirely old-plan until the swap, entirely
-  /// new-plan after — never a mix.
+  /// new-plan after — never a mix. A push that keeps the layout and policy
+  /// keeps the cache warm except for members of rewritten blocks.
   ///
   /// The plan's cache_vectors is overridden to the table's current DRAM
   /// capacity (online retraining re-packs; it does not re-size DRAM). One
@@ -384,25 +392,23 @@ class Store {
   /// wave, its blocks and the `lookups` it serves in the staging metrics.
   void fetch_retry_blocks(StagedBlockReads& retry, std::size_t lookups) const;
   /// One lookup the staged_only pipeline deferred (block unstaged at
-  /// lookup time), queued for a retry wave. `tag` is caller context
-  /// handed back through serve_deferred's `account`.
+  /// lookup time), queued for a retry wave. `get` indexes the request's
+  /// gets, so the retry's hit and block read land on its TableStats.
   struct DeferredLookup {
     BandanaTable* table;
     VectorId id;
     std::span<std::byte> out;
     std::uint64_t epoch;
-    std::size_t tag;
+    std::size_t get;
   };
   /// Serve every deferred lookup through bounded retry waves — the single
   /// place the airtight-pipeline invariant lives: at most kMaxStagedBlocks
   /// distinct blocks per wave, blocks deduplicated across the whole set,
   /// and a retried lookup cannot defer again (its block is in the retry
-  /// set, consumed under the shard lock). Invokes `account(tag, outcome)`
-  /// for each served lookup, in deferral order.
-  void serve_deferred(
-      std::vector<DeferredLookup>& deferred,
-      const std::function<void(std::size_t,
-                               const BandanaTable::LookupOutcome&)>& account);
+  /// set, consumed under the shard lock). Counts each served lookup's hit
+  /// and block read into per_table[get].
+  void serve_deferred(std::vector<DeferredLookup>& deferred,
+                      std::vector<MultiGetResult::TableStats>& per_table);
   /// Blocks per real-I/O wave: the admission cap (queue_depth x channels),
   /// or 0 (single wave) when admission is unbounded.
   std::uint64_t real_read_wave_blocks() const;
@@ -428,17 +434,30 @@ class Store {
   /// (republish: background retraining traffic) leaves the clock at
   /// submission so the write backlog interferes with subsequent reads.
   double schedule_writes(std::uint64_t writes, bool advance_clock);
-  /// `arrival_us`: simulated arrival timestamp (negative = current clock).
-  /// multi_get_async captures it at submission so that queued requests keep
-  /// their true arrival order even when serving lags.
+  /// The one serving loop (multi_get, multi_get_async, lookup_batch);
+  /// the caller holds the shared storage lock. `arrival_us`: simulated
+  /// arrival timestamp (negative = current clock) — multi_get_async
+  /// captures it at submission so that queued requests keep their true
+  /// arrival order even when serving lags. `recorder` and `advance_clock`
+  /// are handed to schedule_reads.
   MultiGetResult multi_get_impl(const MultiGetRequest& request,
-                                double arrival_us);
+                                double arrival_us, LatencyRecorder& recorder,
+                                bool advance_clock);
 
   // Trickle-session plumbing (called by TrickleRepublish on its state).
-  /// Diff + arm phase of begin_trickle_republish, entered with the table
-  /// already claimed (republish_in_flight_[t] set): the O(table) byte diff
-  /// runs under the shared lock, then a brief unique section allocates
-  /// replacement blocks. On throw the caller releases the claim.
+  /// begin_trickle_republish and republish: validate and claim table `t`
+  /// under the unique lock, then run begin_trickle_claimed. An empty
+  /// `plan` (republish) means the table's current mapping, snapshotted in
+  /// the exclusive section that takes the claim, so no swap can land
+  /// between snapshot and push.
+  TrickleRepublish begin_trickle(TableId t, const EmbeddingTable& values,
+                                 std::optional<TablePlan> plan,
+                                 const RepublishConfig& republish_cfg,
+                                 double day);
+  /// Diff + arm phase of a trickle, entered with the table already claimed
+  /// (republish_in_flight_[t] set): the O(table) byte diff runs under the
+  /// shared lock, then a brief unique section allocates replacement
+  /// blocks. On throw the caller releases the claim.
   TrickleRepublish begin_trickle_claimed(TableId t,
                                          const EmbeddingTable& values,
                                          TablePlan plan,
@@ -483,10 +502,10 @@ class Store {
   StoreConfig config_;
   BlockStorageFactory storage_factory_;
   std::unique_ptr<BlockStorage> storage_;
-  /// Unique: add_table / republish / trickle begin+abandon (storage-map
-  /// mutation). Shared: serving and trickle write waves (they write only
-  /// blocks no current mapping references). Writer-priority, so serving
-  /// cannot starve a retrain push; no path takes it shared twice.
+  /// Unique: add_table / trickle begin+abandon (storage-map mutation).
+  /// Shared: serving and trickle write waves (they write only blocks no
+  /// current mapping references). Writer-priority, so serving cannot
+  /// starve a retrain push; no path takes it shared twice.
   std::unique_ptr<WriterPriorityMutex> storage_mu_;
   /// Null for a retired (migrated-out) table: its slot stays as a
   /// tombstone so later TableIds do not shift; checked_table refuses it.

@@ -197,65 +197,6 @@ std::uint64_t BandanaTable::publish(const EmbeddingTable& values,
   return batches;
 }
 
-BandanaTable::RepublishDiff BandanaTable::republish(
-    const EmbeddingTable& values, BlockStorage& storage,
-    std::uint64_t wave_blocks) {
-  State& st = *state_owner_;
-  if (values.num_vectors() != num_vectors_ ||
-      values.vector_bytes() != vector_bytes_) {
-    throw std::invalid_argument("republish: shape mismatch with layout");
-  }
-  RepublishDiff diff;
-  const std::uint64_t total = st.layout.num_blocks();
-  if (total == 0) return diff;
-  const std::size_t chunk = static_cast<std::size_t>(std::min(
-      wave_blocks == 0 ? kDefaultWriteWaveBlocks : wave_blocks, total));
-  // Changed blocks accumulate in the wave buffer and flush as one batched
-  // write per full wave; each block's current bytes are read before any
-  // pending write touches a DIFFERENT block, so the diff stays exact.
-  WaveComposeBuffer wave(storage, chunk * block_bytes_);
-  std::vector<std::byte> current(block_bytes_);
-  std::vector<BlockWriteOp> ops;
-  ops.reserve(chunk);
-  const auto flush = [&] {
-    if (ops.empty()) return;
-    storage.write_blocks(ops);
-    ++diff.write_batches;
-    ops.clear();
-  };
-  for (BlockId b = 0; b < total; ++b) {
-    const auto fresh =
-        wave.buf.subspan(ops.size() * block_bytes_, block_bytes_);
-    compose_block_bytes(st.layout, values, b, vector_bytes_, fresh);
-    storage.read_block(st.block_map[b], current);
-    if (std::memcmp(fresh.data(), current.data(), block_bytes_) == 0) {
-      // Plan-diff early-out: the block's bytes are already what the new
-      // values say — no write, and its members' cached entries stay warm.
-      ++diff.skipped_blocks;
-      continue;
-    }
-    ops.push_back({st.block_map[b], fresh});
-    ++diff.written_blocks;
-    // Cached bytes of this block's members are stale: drop them (the ids
-    // and the learned layout stay valid — that is SHP's advantage over
-    // K-means, §4.2.2). The caller excludes lookups, so no shard locks are
-    // needed here.
-    for (const VectorId v : st.layout.block_members(b)) {
-      ++diff.written_vectors;
-      if (st.cache.contains(v)) {
-        st.cache.erase(v);
-        st.free_slots[st.cache.shard_of(v)].push_back(st.slot_of[v]);
-        st.prefetched[v] = 0;
-      }
-    }
-    if (ops.size() == chunk) flush();
-  }
-  flush();
-  metrics_.republish_writes.fetch_add(diff.written_vectors,
-                                      std::memory_order_relaxed);
-  return diff;
-}
-
 std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
   State& cur = *state_owner_;
   if (next.policy.cache_vectors != cur.policy.cache_vectors) {
@@ -263,6 +204,8 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
         "swap_state: online retraining must keep the table's DRAM capacity "
         "(the slab is fixed at construction)");
   }
+  const bool keep_cache = next.policy == cur.policy &&
+                          next.layout.order() == cur.layout.order();
   auto fresh =
       make_state(next.policy, std::move(next.layout),
                  std::move(next.access_counts), std::move(next.block_map));
@@ -287,6 +230,25 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
     for (auto& shard : shards_) locks.emplace_back(shard->mu);
     const std::size_t slab_needed = fresh->cache.capacity() * vector_bytes_;
     if (slab_needed > slab_.size()) slab_.resize(slab_needed);
+    if (keep_cache) {
+      // Value-only push: cached members of blocks that kept their storage
+      // block still hold exact bytes. Copied, not moved — stragglers may
+      // still peek the retired state.
+      fresh->cache = cur.cache;
+      if (cur.shadow) *fresh->shadow = *cur.shadow;
+      fresh->slot_of = cur.slot_of;
+      fresh->prefetched = cur.prefetched;
+      fresh->free_slots = cur.free_slots;
+      for (BlockId b = 0; b < fresh->layout.num_blocks(); ++b) {
+        if (fresh->block_map[b] == cur.block_map[b]) continue;
+        for (const VectorId v : fresh->layout.block_members(b)) {
+          if (!fresh->cache.erase(v)) continue;
+          fresh->free_slots[fresh->cache.shard_of(v)].push_back(
+              fresh->slot_of[v]);
+          fresh->prefetched[v] = 0;
+        }
+      }
+    }
     old = std::move(state_owner_);
     state_owner_ = std::move(fresh);
     // seq_cst pairs with the reader guards' enter + state load

@@ -23,9 +23,10 @@
 // blocks elsewhere) or retries and completes entirely against the new one.
 // No lookup ever observes a half-swapped mapping.
 //
-// publish/republish mutate NVM storage in place and require external
-// exclusion against lookups (Store holds its storage mutex uniquely around
-// them). swap_state only requires exclusion against other swaps/publishes
+// publish writes NVM storage in place and requires external exclusion
+// against lookups (Store holds its storage mutex uniquely around it). Every
+// later write goes to replacement blocks and becomes visible through
+// swap_state, which only requires exclusion against other swaps/publishes
 // (Store's shared storage lock + one trickle session per table).
 //
 // Retired states are reclaimed through reader epochs (common/epoch.h):
@@ -53,9 +54,8 @@ namespace bandana {
 
 /// Compose local block `b`'s bytes under `layout` from `values`
 /// (zero-padded tail for a partial last block). The single definition of
-/// block composition: publish, in-place republish and the trickle plan
-/// diff must all agree byte-for-byte or the diff would mis-classify
-/// blocks.
+/// block composition: publish and the trickle plan diff must agree
+/// byte-for-byte or the diff would mis-classify blocks.
 void compose_block_bytes(const BlockLayout& layout,
                          const EmbeddingTable& values, BlockId b,
                          std::size_t vector_bytes, std::span<std::byte> block);
@@ -86,24 +86,6 @@ class BandanaTable {
   /// external exclusion against lookups.
   std::uint64_t publish(const EmbeddingTable& values, BlockStorage& storage,
                         std::uint64_t wave_blocks = 0);
-
-  /// What an in-place republish actually rewrote after the plan diff.
-  struct RepublishDiff {
-    std::uint64_t written_blocks = 0;  ///< Blocks whose bytes changed.
-    std::uint64_t skipped_blocks = 0;  ///< Blocks proven byte-identical.
-    std::uint64_t written_vectors = 0; ///< Members of the written blocks.
-    std::uint64_t write_batches = 0;   ///< Batched write_blocks waves issued.
-  };
-
-  /// Re-publish updated values in place (retraining with an unchanged
-  /// layout, §4.2.2): diffs each block's new bytes against storage, writes
-  /// only the blocks that changed — accumulated into waves of at most
-  /// `wave_blocks` blocks (0 = 4096) and flushed as batched write_blocks()
-  /// calls — and drops only those blocks' members from the cache
-  /// (unchanged blocks keep serving their warm entries). Identical values
-  /// are a complete no-op. Requires external exclusion.
-  RepublishDiff republish(const EmbeddingTable& values, BlockStorage& storage,
-                          std::uint64_t wave_blocks = 0);
 
   struct LookupOutcome {
     bool hit = false;
@@ -194,12 +176,16 @@ class BandanaTable {
   /// layout-dependent state off to the side, then takes every shard lock,
   /// publishes the new state pointer and retires the old one (kept alive
   /// for stragglers that loaded the pointer before the swap — they retry
-  /// under their shard lock and never mutate it). The cache starts cold:
-  /// cached bytes predate the new values. Concurrent lookups are safe; the
-  /// caller must exclude concurrent publish/republish/swap_state of this
-  /// table (Store: one trickle session per table). Returns the old
-  /// mapping's global blocks the new mapping no longer references, for
-  /// reuse by the next republish (double buffering).
+  /// under their shard lock and never mutate it). A new layout or policy
+  /// starts the cache cold. A value-only push (same layout order, same
+  /// policy) keeps it warm: the new state inherits the cache, shadow and
+  /// slots, and drops only members of blocks whose storage block changed
+  /// (a block keeps its storage block only if the plan diff proved its
+  /// bytes unchanged, §4.2.2). Concurrent lookups are safe; the caller
+  /// must exclude concurrent publish/swap_state of this table (Store: one
+  /// trickle session per table). Returns the old mapping's global blocks
+  /// the new mapping no longer references, for reuse by the next
+  /// republish (double buffering).
   std::vector<BlockId> swap_state(RetrainedState next);
 
   /// Snapshot of the current local-block -> global-block mapping.

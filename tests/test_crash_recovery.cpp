@@ -1,8 +1,8 @@
 // Kill-9-style crash injection for the persistence layer: a fault-injecting
 // BlockStorage wrapper dies (throws, and stays dead) at every write-wave
-// boundary of a trickle republish and a live add_table publish, plus the two
-// manifest-commit boundaries (just before / just after the rename pointer
-// flip). After each simulated crash the store is reopened from the durable
+// boundary of a trickle republish, a one-shot republish and a live add_table
+// publish, plus the two manifest-commit boundaries (just before / just after
+// the rename pointer flip). After each simulated crash the store is reopened from the durable
 // manifest and every vector of every table must read back as EXACTLY the old
 // plan's bytes or EXACTLY the new plan's bytes — never a torn mix — with the
 // flip as the dividing line: any crash before it recovers entirely-old, any
@@ -213,17 +213,22 @@ char classify(Store& s, TableId t, const EmbeddingTable& a,
 
 enum class HookCrash { kNone, kBeforeFlip, kAfterFlip };
 
+/// How table 0 is pushed to values 3: a trickle onto a shuffled layout, or
+/// the one-shot republish on its current (identity) layout.
+enum class Push { kTrickle, kRepublish };
+
 struct CrashRun {
   bool crashed = false;
-  std::uint64_t write_calls = 0;  ///< Trickle-phase write calls observed.
+  std::uint64_t write_calls = 0;  ///< Push-phase write calls observed.
 };
 
 /// Build a persisted 2-table store (values 1 and 2, identity layouts),
-/// pre-size the replacement region, then trickle table 0 to values 3 on a
-/// shuffled layout with the fault armed. Returns whether the injected crash
-/// fired and how many write calls the trickle phase issued.
+/// pre-size the replacement region, then push table 0 to values 3 with the
+/// fault armed. Returns whether the injected crash fired and how many write
+/// calls the push phase issued.
 CrashRun run_trickle_with_faults(Backend be, const Paths& p,
-                                 std::uint64_t crash_at_write, HookCrash hook) {
+                                 std::uint64_t crash_at_write, HookCrash hook,
+                                 Push push = Push::kTrickle) {
   cleanup(p);
   auto fault = std::make_shared<FaultPlan>();
   const EmbeddingTable v1a = make_values(1);
@@ -236,7 +241,7 @@ CrashRun run_trickle_with_faults(Backend be, const Paths& p,
                     .add_table(v1a, identity_plan())
                     .add_table(v1b, identity_plan())
                     .build();
-  // Pre-size the replacement region so the trickle itself never regrows
+  // Pre-size the replacement region so the push itself never regrows
   // storage: the armed phase then contains exactly the republish write
   // waves plus the finishing manifest commit.
   store.reserve_blocks(2 * kTables * kTableBlocks);
@@ -253,9 +258,13 @@ CrashRun run_trickle_with_faults(Backend be, const Paths& p,
 
   CrashRun r;
   try {
-    TrickleRepublish session = store.begin_trickle_republish(
-        0, v2, shuffled_plan(), RepublishConfig{});
-    while (!session.done()) session.pump();
+    if (push == Push::kRepublish) {
+      store.republish(0, v2);
+    } else {
+      TrickleRepublish session = store.begin_trickle_republish(
+          0, v2, shuffled_plan(), RepublishConfig{});
+      while (!session.done()) session.pump();
+    }
   } catch (const CrashInjected&) {
     r.crashed = true;
   }
@@ -279,16 +288,15 @@ void expect_recovered(Backend be, const Paths& p, char expect_t0,
 
 class CrashRecoveryTest : public ::testing::TestWithParam<Backend> {};
 
-TEST_P(CrashRecoveryTest, TrickleCrashAtEveryWaveBoundary) {
-  const Backend be = GetParam();
-  const Paths p = test_paths(be == Backend::kFile ? "wave_file" : "wave_async");
-
-  // Dry run: no crash — the trickle completes, the flip lands, recovery
-  // serves the new plan. Its write-call count defines the sweep range.
-  const CrashRun dry = run_trickle_with_faults(be, p, 0, HookCrash::kNone);
+/// Dry run, then a crash at every write-wave boundary of the push.
+void sweep_write_crashes(Backend be, const Paths& p, Push push) {
+  // Dry run: no crash — the push completes, the flip lands, recovery serves
+  // the new plan. Its write-call count defines the sweep range.
+  const CrashRun dry =
+      run_trickle_with_faults(be, p, 0, HookCrash::kNone, push);
   ASSERT_FALSE(dry.crashed);
-  // All 32 blocks change (new values AND new layout), chunked to the 8-block
-  // admission wave: the boundary sweep must have several points.
+  // All 32 blocks change (new values), chunked to the 8-block admission
+  // wave: the boundary sweep must have several points.
   ASSERT_GE(dry.write_calls, 2u);
   expect_recovered(be, p, 'B', 1);
 
@@ -297,10 +305,17 @@ TEST_P(CrashRecoveryTest, TrickleCrashAtEveryWaveBoundary) {
   // commit), so recovery must serve entirely the OLD plan.
   for (std::uint64_t k = 1; k <= dry.write_calls; ++k) {
     SCOPED_TRACE("crash at write call " + std::to_string(k));
-    const CrashRun run = run_trickle_with_faults(be, p, k, HookCrash::kNone);
+    const CrashRun run =
+        run_trickle_with_faults(be, p, k, HookCrash::kNone, push);
     EXPECT_TRUE(run.crashed);
     expect_recovered(be, p, 'A', 0);
   }
+}
+
+TEST_P(CrashRecoveryTest, TrickleCrashAtEveryWaveBoundary) {
+  const Backend be = GetParam();
+  const Paths p = test_paths(be == Backend::kFile ? "wave_file" : "wave_async");
+  sweep_write_crashes(be, p, Push::kTrickle);
 
   // The recovered store is a first-class store: re-run the interrupted
   // republish to completion and the next reopen serves the new plan.
@@ -313,6 +328,16 @@ TEST_P(CrashRecoveryTest, TrickleCrashAtEveryWaveBoundary) {
     EXPECT_TRUE(session.mapping_swapped());
   }
   expect_recovered(be, p, 'B', 1);
+  cleanup(p);
+}
+
+// The one-shot republish writes replacement blocks and swaps at the flip
+// like a trickle, so a crash mid-push recovers the old values, never torn.
+TEST_P(CrashRecoveryTest, RepublishCrashAtEveryWaveBoundary) {
+  const Backend be = GetParam();
+  const Paths p =
+      test_paths(be == Backend::kFile ? "republish_file" : "republish_async");
+  sweep_write_crashes(be, p, Push::kRepublish);
   cleanup(p);
 }
 

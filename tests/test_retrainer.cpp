@@ -239,7 +239,8 @@ TEST(LayoutDiff, DisjointBlockCountsMarkTailChanged) {
 }
 
 // ---------------------------------------------------------------------------
-// One-shot republish plan-diff early-out.
+// Republish plan diff: the no-op early-out, and value-only pushes that
+// keep unchanged blocks' members cached.
 
 TEST(RepublishDiff, IdenticalValuesAreANoOpWithZeroLengthWave) {
   const EmbeddingTable values = patterned_table(kVectors, 0.0f);
@@ -270,34 +271,63 @@ TEST(RepublishDiff, IdenticalValuesAreANoOpWithZeroLengthWave) {
   EXPECT_EQ(store.table_metrics(t).hits, warm_hits + 1);
 }
 
+/// How a value-only push reaches the table: the one-shot republish, a
+/// rate-limited trickle on the current layout and policy, or that trickle
+/// with a re-tuned insertion position (a new policy, so a cold cache).
+enum class ValuePush { kOneShot, kTrickle, kRetunedTrickle };
+
 TEST(RepublishDiff, RewritesOnlyChangedBlocksAndFlushesOnlyTheirMembers) {
   const EmbeddingTable values = patterned_table(kVectors, 0.0f);
   EmbeddingTable updated = patterned_table(kVectors, 0.0f);
   // Change exactly one vector -> exactly one block differs.
   updated.vector(100)[0] += 1000.0f;
 
-  StoreConfig cfg = store_config();
-  Store store(cfg);
-  TablePolicy policy = plain_policy(256);
-  policy.policy = PrefetchPolicy::kNone;  // keep cache contents predictable
-  const TableId t = store.add_table(values, BlockLayout::identity(kVectors, kVpb),
-                                    policy);
-  std::vector<std::byte> out(kVecBytes);
-  store.lookup(t, 100, out);  // same block as the change (identity layout)
-  store.lookup(t, 500, out);  // different block: must stay warm
+  for (const ValuePush push :
+       {ValuePush::kOneShot, ValuePush::kTrickle, ValuePush::kRetunedTrickle}) {
+    SCOPED_TRACE(push == ValuePush::kOneShot   ? "one-shot republish"
+                 : push == ValuePush::kTrickle ? "same-layout trickle"
+                                               : "re-tuned trickle");
+    StoreConfig cfg = store_config();
+    Store store(cfg);
+    TablePolicy policy = plain_policy(256);
+    policy.policy = PrefetchPolicy::kNone;  // keep cache contents predictable
+    const TableId t = store.add_table(
+        values, BlockLayout::identity(kVectors, kVpb), policy);
+    std::vector<std::byte> out(kVecBytes);
+    store.lookup(t, 100, out);  // same block as the change (identity layout)
+    store.lookup(t, 500, out);  // different block: must stay warm
 
-  const auto endurance_before = store.endurance().total_bytes_written();
-  store.republish(t, updated);
-  EXPECT_EQ(store.endurance().total_bytes_written(),
-            endurance_before + cfg.block_bytes);  // one block rewritten
-  EXPECT_EQ(store.table_metrics(t).republish_writes, std::uint64_t{kVpb});
+    const auto endurance_before = store.endurance().total_bytes_written();
+    if (push == ValuePush::kOneShot) {
+      store.republish(t, updated);
+    } else {
+      TablePolicy next_policy = policy;
+      if (push == ValuePush::kRetunedTrickle) {
+        next_policy.insertion_position = 0.25;
+      }
+      TrickleRepublish session = store.begin_trickle_republish(
+          t, updated,
+          TablePlan{BlockLayout::identity(kVectors, kVpb), {}, next_policy,
+                    0.0},
+          RepublishConfig{1, 10.0});
+      while (!session.done()) {
+        if (session.pump() == 0) store.advance_time_us(10.0);
+      }
+    }
+    EXPECT_EQ(store.endurance().total_bytes_written(),
+              endurance_before + cfg.block_bytes);  // one block rewritten
+    EXPECT_EQ(store.table_metrics(t).republish_writes, std::uint64_t{kVpb});
+    EXPECT_EQ(store.store_metrics().republish_skipped_blocks,
+              std::uint64_t{kVectors / kVpb - 1});
 
-  const auto hits_before = store.table_metrics(t).hits;
-  store.lookup(t, 500, out);  // unchanged block: still cached
-  EXPECT_EQ(store.table_metrics(t).hits, hits_before + 1);
-  store.lookup(t, 100, out);  // changed block: flushed, re-read fresh bytes
-  EXPECT_EQ(store.table_metrics(t).hits, hits_before + 1);
-  EXPECT_TRUE(bytes_match(updated, 100, out));
+    const auto hits_before = store.table_metrics(t).hits;
+    store.lookup(t, 500, out);  // unchanged block: cached unless re-tuned
+    const std::uint64_t warm = push == ValuePush::kRetunedTrickle ? 0 : 1;
+    EXPECT_EQ(store.table_metrics(t).hits, hits_before + warm);
+    store.lookup(t, 100, out);  // changed block: flushed, re-read fresh bytes
+    EXPECT_EQ(store.table_metrics(t).hits, hits_before + warm);
+    EXPECT_TRUE(bytes_match(updated, 100, out));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 // pushes. The torn-vector assertion: every embedding a request returns is
 // byte-for-byte the OLD plan's value or the NEW plan's value, never a mix
 // of the two — a lookup serves entirely from one consistent mapping. After
-// the final swap quiesces, every lookup must serve the final values.
+// each swap quiesces, every vector must serve the final values. A closing
+// one-shot republish of every other block, also under live readers, must
+// keep the unchanged blocks' cached members and drop the rewritten ones.
 //
 // Runs on the plain memory backend (inline reads under the shard locks)
 // and on a batched-read backend (the staged_only pipeline, where a swap
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -71,6 +74,19 @@ class BatchedMemoryStorage final : public BlockStorage {
  private:
   MemoryBlockStorage inner_;
 };
+
+/// Every vector of table `t` serves exactly `values`.
+void expect_serves(Store& store, TableId t, const EmbeddingTable& values) {
+  std::vector<VectorId> ids(kVectors);
+  std::iota(ids.begin(), ids.end(), VectorId{0});
+  std::vector<std::byte> out(std::size_t{kVectors} * kVecBytes);
+  store.lookup_batch(t, ids, out);
+  for (const VectorId v : ids) {
+    ASSERT_TRUE(equals_value(values, v, {out.data() + v * kVecBytes,
+                                         kVecBytes}))
+        << "post-swap vector " << v;
+  }
+}
 
 TablePlan make_plan(BlockLayout layout, std::uint64_t cache_vectors) {
   TablePolicy policy;
@@ -166,14 +182,69 @@ void run_swap_stress(BlockStorageFactory factory, std::uint64_t seed) {
     live = &next;
 
     // Quiesced after the swap: everything serves the new plan exactly.
-    std::vector<std::byte> out(kVecBytes);
-    for (const VectorId v : {0u, 17u, 2048u, kVectors - 1}) {
-      store.lookup(t, v, out);
-      ASSERT_TRUE(equals_value(*live, v, out)) << "post-swap vector " << v;
-    }
+    expect_serves(store, t, *live);
   }
   EXPECT_GE(checked, kWindow);
   EXPECT_EQ(store.store_metrics().mapping_swaps, 3u);
+
+  // One-shot republish of every other block (even b) on the current
+  // layout, with a full reader window in flight. The readers touch only
+  // cache shards 0 and 1 (shard = block % 4), which mix rewritten and
+  // unchanged blocks, so shards 2 and 3 show the swap's cache carry-over
+  // exactly: shard 2 holds only rewritten blocks and must come out empty,
+  // shard 3 only unchanged ones and must keep every entry, in LRU order.
+  ASSERT_EQ(store.table(t).num_shards(), 4u);
+  const BlockLayout layout = store.table(t).mapping_snapshot().layout;
+  const auto shard_of = [&](VectorId v) { return layout.block_of(v) % 4; };
+  EmbeddingTable values_c = *live;
+  for (BlockId b = 0; b < layout.num_blocks(); b += 2) {
+    for (const VectorId v : layout.block_members(b)) {
+      values_c.vector(v)[0] += 3.0e6f;
+    }
+  }
+  std::vector<VectorId> reader_pool;
+  for (VectorId v = 0; v < kVectors; ++v) {
+    if (shard_of(v) < 2) reader_pool.push_back(v);
+  }
+  std::vector<std::vector<VectorId>> reader_ids(kWindow);
+  for (auto& ids : reader_ids) {
+    for (std::size_t i = 0; i < kIdsPerRequest; ++i) {
+      ids.push_back(reader_pool[rng.next_below(reader_pool.size())]);
+    }
+  }
+  const auto in_shard = [&](const std::vector<VectorId>& ids,
+                            std::uint32_t shard) {
+    std::vector<VectorId> out;
+    for (const VectorId v : ids) {
+      if (shard_of(v) == shard) out.push_back(v);
+    }
+    return out;
+  };
+  const std::vector<VectorId> cached = store.table(t).cache_contents();
+  const std::vector<VectorId> kept = in_shard(cached, 3);
+  ASSERT_FALSE(kept.empty());
+  ASSERT_FALSE(in_shard(cached, 2).empty());
+
+  for (const auto& ids : reader_ids) {
+    MultiGetRequest req;
+    req.add(t, ids);
+    inflight.push_back({store.multi_get_async(std::move(req), pool), &ids});
+  }
+  store.republish(t, values_c);
+  while (!inflight.empty()) settle_one(*live, values_c);
+  EXPECT_EQ(store.store_metrics().mapping_swaps, 4u);
+
+  const std::vector<VectorId> after = store.table(t).cache_contents();
+  EXPECT_TRUE(in_shard(after, 2).empty());
+  EXPECT_EQ(in_shard(after, 3), kept);
+  const std::uint64_t hits_before = store.table_metrics(t).hits;
+  std::vector<std::byte> out(kVecBytes);
+  for (const VectorId v : kept) {
+    store.lookup(t, v, out);
+    ASSERT_TRUE(equals_value(values_c, v, out)) << "kept vector " << v;
+  }
+  EXPECT_EQ(store.table_metrics(t).hits, hits_before + kept.size());
+  expect_serves(store, t, values_c);
 
   // Pipeline hygiene under the swap: the staged path may defer (and the
   // metric proves the stress exercised it), but truncation never happens
