@@ -200,12 +200,6 @@ int main(int argc, char** argv) {
       const TableId side = store.add_table(
           tables[0],
           BlockLayout::identity(runs[0].cfg.num_vectors, 32), side_policy);
-      // Reserve the replacement region up front in EVERY mode, as Part 2c
-      // does: a push writes replacement blocks, and growing memory storage
-      // mid-sweep would migrate it in a closed-loop wave that moves the
-      // clock.
-      store.reserve_blocks(store.storage().num_blocks() +
-                           store.table(side).num_blocks());
       LatencyRecorder lat, wave_lat;
       std::uint64_t blocks = 0;
       for (std::size_t q = 0; q < num_requests; ++q) {
@@ -263,10 +257,6 @@ int main(int argc, char** argv) {
         "push rewrites the full diff):\n\n",
         interarrival_us, push_every);
 
-    const std::uint32_t vpb = store_cfg.vectors_per_block();
-    const std::uint32_t table0_blocks =
-        (runs[0].cfg.num_vectors + vpb - 1) / vpb;
-
     struct Row {
       const char* mode;
       double p99 = 0.0;
@@ -290,9 +280,6 @@ int main(int argc, char** argv) {
     };
     for (const Mode& mode : modes) {
       Store store = StoreBuilder(store_cfg).add_plan(plan, tables).build();
-      // Reserve the replacement region up front in EVERY mode (including
-      // read-only), so storage growth never perturbs the comparison.
-      store.reserve_blocks(store.storage().num_blocks() + table0_blocks);
       RepublishConfig rate;
       rate.blocks_per_interval = mode.bpi;
       rate.interval_us = interarrival_us;  // one allowance per request slot

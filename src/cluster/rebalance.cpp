@@ -138,7 +138,7 @@ void RebalanceSession::abandon() noexcept {
     std::lock_guard lock(s.mu);
     if (s.completed) return;
     // Unwind in reverse begin order: the target install abandons (its
-    // reserved blocks return to the free pool; a durable pending record a
+    // reserved blocks return to the free list; a durable pending record a
     // dead backend can't drop is reclaimed at reopen), the donor's claim
     // releases (it never stopped serving), and the cluster slot frees.
     s.install.reset();

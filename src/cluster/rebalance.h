@@ -50,7 +50,7 @@ struct RebalanceState;  // rebalance.cpp
 /// Handle on one in-flight range migration (StoreCluster::begin_rebalance).
 /// Move-only; calls on one handle serialize internally. Destroying an
 /// incomplete session abandons it: the target's reserved blocks return to
-/// its free pool, the donor keeps serving its copy, and the cluster is
+/// its free list, the donor keeps serving its copy, and the cluster is
 /// free to begin another session.
 class RebalanceSession {
  public:

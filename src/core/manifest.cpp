@@ -81,8 +81,8 @@ std::vector<std::uint8_t> serialize_payload(const Manifest& m) {
     put_u32(out, t.retired ? 1u : 0u);
   }
   put_u32_vec(out, m.free_pool);
-  put_u64(out, m.pending_installs.size());
-  for (const std::vector<BlockId>& blocks : m.pending_installs) {
+  put_u64(out, m.reservations.size());
+  for (const std::vector<BlockId>& blocks : m.reservations) {
     put_u32_vec(out, blocks);
   }
   return out;
@@ -185,9 +185,9 @@ std::optional<Manifest> parse_payload(const std::uint8_t* data,
     if (error) *error = "manifest payload truncated";
     return std::nullopt;
   }
-  m.pending_installs.reserve(static_cast<std::size_t>(num_pending));
+  m.reservations.reserve(static_cast<std::size_t>(num_pending));
   for (std::uint64_t i = 0; i < num_pending && r.ok; ++i) {
-    m.pending_installs.push_back(r.get_u32_vec<BlockId>());
+    m.reservations.push_back(r.get_u32_vec<BlockId>());
   }
   if (!r.ok || r.pos != size) {
     if (error) *error = "manifest payload truncated or overlong";

@@ -5,9 +5,12 @@
 // records everything Store::open needs to reconstruct serving state
 // without retraining: store geometry, per-table config (layout order,
 // policy, access counts), each table's local-block -> storage-block map,
-// the replacement-block free banks (so double buffering keeps alternating
-// across restarts instead of growing storage), the trickle epoch, and the
-// block-file path.
+// the store's one free list (so pushes keep recycling blocks across
+// restarts instead of growing storage), its reservations (blocks handed to
+// an unfinished install or trickle push, reclaimed on reopen), the trickle
+// epoch, and the block-file path. Every storage block below next_block
+// appears exactly once across the block maps, the free list and the
+// reservations.
 //
 // Commit protocol (write_manifest): the whole manifest is serialized into
 // one buffer, written to `<path>.tmp`, fsync'd, and then atomically
@@ -16,11 +19,10 @@
 // crash at ANY instant leaves either the complete previous manifest or the
 // complete new one — never a torn mix. Store orders its commits so the
 // data a manifest references is durable (BlockStorage::sync) BEFORE the
-// flip, and blocks referenced by the currently-durable manifest are never
-// overwritten until a newer manifest that drops them has committed (the
-// trickle path's double-buffered replacement blocks provide exactly this
-// alternation). Recovery therefore always lands on an entirely-old or
-// entirely-new plan.
+// flip, and blocks a currently-durable manifest maps are never
+// overwritten until a newer manifest that frees them has committed (writes
+// go only to free or reserved blocks). Recovery therefore always lands on
+// an entirely-old or entirely-new plan.
 //
 // Validation (load_manifest): magic, format version, payload length and an
 // FNV-1a checksum over the payload must all match; any short read,
@@ -47,22 +49,24 @@ namespace bandana {
 
 /// Current on-disk format version. Loaders reject anything else.
 /// v2 added live-migration state: per-table retired tombstones, the
-/// store-wide reclaimed free pool, and pending-install block reservations.
+/// store-wide free pool, and pending block reservations.
 inline constexpr std::uint32_t kManifestVersion = 2;
 
 /// One table's recoverable state.
 struct ManifestTable {
-  BlockId first_block = 0;               ///< Initial contiguous publish base.
+  /// Kept only for format v2: written as 0, ignored on load.
+  BlockId first_block = 0;
   std::vector<VectorId> order;           ///< Layout permutation (position->v).
   std::vector<BlockId> block_map;        ///< local block -> storage block
   std::vector<std::uint32_t> access_counts;
   TablePolicy policy;
-  /// Storage blocks retired by this table's completed swaps, free for its
-  /// next republish (the replacement bank).
+  /// Kept only for format v2: written empty. Older writers kept a
+  /// per-table replacement bank here; Store::open merges it into the one
+  /// free list.
   std::vector<BlockId> free_blocks;
   /// Tombstone: the table was migrated out (Store::retire_table) — its
   /// slot keeps the TableId but it no longer serves, and its blocks were
-  /// reclaimed into the store-wide free pool. Written with an empty
+  /// returned to the store-wide free list. Written with an empty
   /// mapping; Store::open builds no table for it.
   bool retired = false;
 };
@@ -80,14 +84,15 @@ struct Manifest {
   /// factory (empty for memory-backed stores, which are not recoverable).
   std::string block_file;
   std::vector<ManifestTable> tables;
-  /// Store-wide free pool: blocks reclaimed from retired tables, handed to
-  /// future streaming installs before the file grows.
+  /// The store's one free list (bottom to top): blocks no mapping and no
+  /// reservation holds, popped by every allocation before the file grows.
   std::vector<BlockId> free_pool;
-  /// Blocks reserved by streaming installs still in flight at commit time
-  /// (Store::begin_table_install). No table references them yet; recovery
-  /// reclaims each list into the free pool and drops the record, so a
-  /// crash mid-stream leaves no half-table and leaks no storage.
-  std::vector<std::vector<BlockId>> pending_installs;
+  /// Pending records: blocks reserved at commit time by a streaming
+  /// install (Store::begin_table_install) or a trickle push still in
+  /// flight. No table maps them yet; recovery reclaims each list into the
+  /// free list and drops the record, so a crash mid-stream leaves no
+  /// half-table and leaks no storage.
+  std::vector<std::vector<BlockId>> reservations;
 };
 
 /// Test seam for crash injection around the commit's atomic pointer flip.

@@ -67,17 +67,19 @@ struct StoreMetrics {
   std::uint64_t retry_blocks = 0;        ///< Deduplicated blocks fetched by
                                          ///< retry waves.
   std::uint64_t retry_waves = 0;         ///< Batched retry fetches issued.
-  std::uint64_t write_waves = 0;         ///< Publish/republish/growth write
-                                         ///< waves scheduled on the engine
-                                         ///< (including zero-length no-op
-                                         ///< republish waves).
+  std::uint64_t write_waves = 0;         ///< Write waves (add_table, push,
+                                         ///< install) scheduled on the
+                                         ///< engine, including zero-length
+                                         ///< no-op republish waves. Storage
+                                         ///< growth is host work: never
+                                         ///< counted.
   std::uint64_t write_blocks = 0;        ///< Blocks carried by those waves.
-  std::uint64_t write_batches = 0;       ///< Batched write_blocks() calls the
-                                         ///< store's write paths issued
-                                         ///< (publish/republish/growth/
-                                         ///< trickle waves). Chunking is
-                                         ///< decided by the store, so the
-                                         ///< count is backend-identical.
+  std::uint64_t write_batches = 0;       ///< Batched write_blocks() calls
+                                         ///< the store's write waves issued
+                                         ///< (growth copies not counted).
+                                         ///< Chunking is decided by the
+                                         ///< store, so the count is
+                                         ///< backend-identical.
   std::uint64_t write_short_resubmits = 0;  ///< Partial device writes the
                                             ///< async backend resubmitted for
                                             ///< the remaining byte range

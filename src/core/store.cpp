@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -37,6 +38,7 @@ struct TrickleState {
   const EmbeddingTable* values = nullptr;  ///< caller-owned retrained values
   std::vector<BlockId> changed;    ///< changed local block ids, diff order
   std::vector<BlockId> targets;    ///< their replacement storage blocks
+  std::uint64_t reservation = 0;   ///< Key into Store::reservations_.
   std::uint64_t changed_vectors = 0;
   std::uint64_t skipped = 0;
   std::uint64_t written = 0;
@@ -55,7 +57,7 @@ struct TrickleState {
 /// drops the record in one commit.
 struct InstallState {
   Store* store = nullptr;
-  std::uint64_t id = 0;  ///< Key into Store::pending_installs_.
+  std::uint64_t id = 0;  ///< Key into Store::reservations_.
   TablePolicy policy;
   std::optional<BlockLayout> layout;  ///< Moved into the table at finish.
   std::vector<std::uint32_t> access_counts;
@@ -146,9 +148,13 @@ void Store::restore_from(const Manifest& m, const std::string& manifest_path) {
   std::unique_lock lock(*storage_mu_);
   ensure_capacity(m.storage_blocks);
   const std::uint32_t vpb = config_.vectors_per_block();
+  free_list_ = m.free_pool;
   for (std::size_t i = 0; i < m.tables.size(); ++i) {
     const ManifestTable& mt = m.tables[i];
-    free_blocks_.push_back(mt.free_blocks);
+    // Older writers kept a per-table replacement bank: it joins the one
+    // free list (this writer stores it empty).
+    free_list_.insert(free_list_.end(), mt.free_blocks.begin(),
+                      mt.free_blocks.end());
     republish_in_flight_.push_back(0);
     if (mt.retired) {
       // A tombstone builds no table (older manifests still carry its final
@@ -168,15 +174,14 @@ void Store::restore_from(const Manifest& m, const std::string& manifest_path) {
     // map/layout shapes against each other and the config geometry.
     tables_.push_back(std::make_unique<BandanaTable>(
         config_, mt.policy, BlockLayout::from_order(mt.order, vpb),
-        mt.access_counts, mt.first_block, mt.block_map));
+        mt.access_counts, mt.block_map));
   }
-  free_pool_ = m.free_pool;
-  // Crash-orphaned install reservations: the install never finished, so no
+  // Crash-orphaned reservations (an unfinished install or trickle): no
   // table references these blocks — reclaim them as free capacity. No
   // re-commit needed; reclaiming again on the next reopen is idempotent,
   // and the next durable commit drops the records.
-  for (const std::vector<BlockId>& blocks : m.pending_installs) {
-    free_pool_.insert(free_pool_.end(), blocks.begin(), blocks.end());
+  for (const std::vector<BlockId>& blocks : m.reservations) {
+    free_list_.insert(free_list_.end(), blocks.begin(), blocks.end());
   }
   next_block_ = static_cast<BlockId>(m.next_block);
   trickle_epoch_ = m.trickle_epoch;
@@ -225,18 +230,18 @@ Manifest Store::compose_manifest() const {
       mt.retired = true;  // A tombstone: empty mapping, nothing to restore.
       continue;
     }
+    // first_block and free_blocks stay at their defaults (0, empty): the
+    // v2 format keeps the fields, and the one free list is free_pool.
     auto snap = tables_[t]->mapping_snapshot();
-    mt.first_block = tables_[t]->first_block();
     mt.order = snap.layout.order();
     mt.block_map = std::move(snap.block_map);
     mt.access_counts = std::move(snap.access_counts);
     mt.policy = snap.policy;
-    mt.free_blocks = free_blocks_[t];
   }
-  m.free_pool = free_pool_;
-  m.pending_installs.reserve(pending_installs_.size());
-  for (const auto& [id, blocks] : pending_installs_) {
-    m.pending_installs.push_back(blocks);
+  m.free_pool = free_list_;
+  m.reservations.reserve(reservations_.size());
+  for (const auto& [id, blocks] : reservations_) {
+    m.reservations.push_back(blocks);
   }
   return m;
 }
@@ -282,7 +287,7 @@ void Store::ensure_capacity(std::uint64_t total_blocks) {
   }
   if (storage_ && used > 0) {
     if (!grown->same_backing(*storage_)) {
-      // Distinct backends: migrate the published blocks in bounded chunks —
+      // Distinct backends: migrate the written blocks in bounded chunks —
       // a 375 GB file-backed store must never be buffered wholesale through
       // memory. (Same-backing growth resized in place; nothing to copy.)
       const std::uint64_t chunk_blocks = std::min(used, kGrowthChunkBlocks);
@@ -303,13 +308,7 @@ void Store::ensure_capacity(std::uint64_t total_blocks) {
             std::span<const BlockReadOp>(reads).first(n));
         grown->write_blocks(
             std::span<const BlockWriteOp>(writes).first(n));
-        staging_metrics_->write_batches.fetch_add(1,
-                                                  std::memory_order_relaxed);
       }
-      // Growth migration rewrites every published block: those writes
-      // occupy the device channels like any other write traffic. Closed
-      // loop — growth is setup, drained before serving resumes.
-      schedule_writes(used, /*advance_clock=*/true);
     }
     std::vector<std::byte> check(config_.block_bytes);
     grown->read_block(0, check);
@@ -339,33 +338,32 @@ void Store::reserve_blocks(std::uint64_t total_blocks) {
 TableId Store::add_table(const EmbeddingTable& values, BlockLayout layout,
                          TablePolicy policy,
                          std::vector<std::uint32_t> access_counts) {
-  std::unique_lock lock(*storage_mu_);
-  const std::uint32_t blocks = layout.num_blocks();
-  auto table = std::make_unique<BandanaTable>(
-      config_, policy, std::move(layout), std::move(access_counts),
-      /*first_block=*/next_block_);
-  ensure_capacity(std::uint64_t{next_block_} + blocks);
-  staging_metrics_->write_batches.fetch_add(
-      table->publish(values, *storage_, real_write_wave_blocks()),
-      std::memory_order_relaxed);
-  {
-    // Endurance mutations and reads serialize on the timing lock (the
-    // trickle pump records from background threads).
-    std::lock_guard timing_lock(*timing_mu_);
-    endurance_.record_write(std::uint64_t{blocks} * config_.block_bytes, 0.0);
+  if (values.num_vectors() != layout.num_vectors() ||
+      values.vector_bytes() != config_.vector_bytes) {
+    throw std::invalid_argument("add_table: values shape mismatch");
   }
-  // The publish wave's writes go through the engine's channel FIFOs,
-  // closed loop: the table only serves once its blocks have landed, so
-  // the backlog drains before the first read arrives.
-  schedule_writes(blocks, /*advance_clock=*/true);
-
+  std::unique_lock lock(*storage_mu_);
+  const std::vector<BlockId> blocks = allocate_blocks(layout.num_blocks());
+  std::unique_ptr<BandanaTable> table;
+  try {
+    table = std::make_unique<BandanaTable>(
+        config_, policy, std::move(layout), std::move(access_counts), blocks);
+    std::vector<BlockId> local(blocks.size());
+    std::iota(local.begin(), local.end(), BlockId{0});
+    // Closed loop: the table only serves once its blocks have landed, so
+    // the backlog drains before the first read arrives.
+    write_wave(blocks, WaveImages::composed(table->layout(), values, local),
+               /*closed_loop=*/true, /*day=*/0.0);
+  } catch (...) {
+    // No mapping references the blocks: they go back on the list.
+    free_list_.insert(free_list_.end(), blocks.begin(), blocks.end());
+    throw;
+  }
   tables_.push_back(std::move(table));
-  free_blocks_.emplace_back();
   republish_in_flight_.push_back(0);
-  next_block_ += blocks;
   // The table becomes durable only when this commit's pointer flip lands:
-  // a crash mid-publish (or mid-commit) recovers to the previous manifest,
-  // which simply does not know this table.
+  // a crash mid-write (or mid-commit) recovers to the previous manifest,
+  // which simply does not know this table — its blocks are free there.
   commit_manifest();
   return static_cast<TableId>(tables_.size() - 1);
 }
@@ -412,13 +410,13 @@ double Store::schedule_writes(std::uint64_t writes, bool advance_clock) {
   }
   if (!config_.simulate_timing || writes == 0) return 0.0;
   std::lock_guard lock(*timing_mu_);
-  // Publish/republish block writes are one admission wave of
-  // IoKind::kWrite events: they join the same per-channel FIFOs and hold
-  // the same queue_depth x channels gate slots as reads, so write traffic
-  // contends with read traffic exactly as the device's shared submission
-  // queue would (paper §2.2). Closed loop drains the backlog (initial
-  // publish / growth: setup completes before serving); open loop leaves
-  // it on the channels (live republish: the Fig. 5 interference).
+  // A write wave's block writes are one admission wave of IoKind::kWrite
+  // events: they join the same per-channel FIFOs and hold the same
+  // queue_depth x channels gate slots as reads, so write traffic contends
+  // with read traffic exactly as the device's shared submission queue
+  // would (paper §2.2). Closed loop drains the backlog (add_table: setup
+  // completes before serving); open loop leaves it on the channels (live
+  // pushes and installs: the Fig. 5 interference).
   const double start = now_us_;
   const double max_done =
       engine_.submit_wave(start, writes, nullptr, IoKind::kWrite);
@@ -502,6 +500,46 @@ std::uint64_t Store::real_read_wave_blocks() const {
 std::uint64_t Store::real_write_wave_blocks() const {
   const std::uint64_t wave = real_read_wave_blocks();
   return wave == 0 ? kGrowthChunkBlocks : wave;
+}
+
+double Store::write_wave(std::span<const BlockId> targets,
+                         const WaveImages& images, bool closed_loop,
+                         double day) {
+  const std::size_t bb = config_.block_bytes;
+  const std::uint64_t n = targets.size();
+  const std::uint64_t chunk = std::min(n, real_write_wave_blocks());
+  // Composed images share ONE wave-sized buffer, so a push's DRAM overhead
+  // is O(wave) however large the push. Caller bytes need none.
+  std::optional<WaveComposeBuffer> wave;
+  if (images.values != nullptr && n > 0) wave.emplace(*storage_, chunk * bb);
+  std::vector<BlockWriteOp> ops;
+  ops.reserve(static_cast<std::size_t>(chunk));
+  for (std::uint64_t c0 = 0; c0 < n; c0 += chunk) {
+    const std::uint64_t m = std::min(chunk, n - c0);
+    ops.clear();
+    for (std::uint64_t i = 0; i < m; ++i) {
+      std::span<const std::byte> img;
+      if (wave) {
+        const auto buf = wave->buf.subspan(i * bb, bb);
+        compose_block_bytes(*images.layout, *images.values,
+                            images.local[c0 + i], config_.vector_bytes, buf);
+        img = buf;
+      } else {
+        img = images.bytes.subspan((c0 + i) * bb, bb);
+      }
+      ops.push_back({targets[c0 + i], img});
+    }
+    storage_->write_blocks(ops);
+    staging_metrics_->write_batches.fetch_add(1, std::memory_order_relaxed);
+  }
+  {
+    // Endurance mutations and reads all serialize on the timing lock
+    // (waves of different tables run concurrently under the shared storage
+    // lock, and endurance() may be polled at any time).
+    std::lock_guard timing_lock(*timing_mu_);
+    endurance_.record_write(n * bb, day);
+  }
+  return schedule_writes(n, closed_loop);
 }
 
 StoreMetrics Store::store_metrics() const {
@@ -828,8 +866,7 @@ TrickleRepublish Store::begin_trickle_claimed(
       const auto freed = table->swap_state(
           {std::move(plan.layout), std::move(block_map),
            std::move(plan.access_counts), plan.policy});
-      auto& fl = free_blocks_[t];
-      fl.insert(fl.end(), freed.begin(), freed.end());
+      free_list_.insert(free_list_.end(), freed.begin(), freed.end());
       staging_metrics_->mapping_swaps.fetch_add(1, std::memory_order_relaxed);
       s->installed_mapping = true;
     }
@@ -846,29 +883,16 @@ TrickleRepublish Store::begin_trickle_claimed(
     return TrickleRepublish(std::move(s));
   }
 
-  // Allocate replacement blocks: recycle the table's previously retired
-  // blocks first (double buffering), then grow storage once for the rest.
-  auto& fl = free_blocks_[t];
-  const std::uint64_t deficit =
-      changed.size() > fl.size() ? changed.size() - fl.size() : 0;
-  if (deficit > 0) {
-    ensure_capacity(std::uint64_t{next_block_} + deficit);
-  }
-  s->targets.reserve(changed.size());
-  for (const std::uint32_t b : changed) {
-    BlockId g;
-    if (!fl.empty()) {
-      g = fl.back();
-      fl.pop_back();
-    } else {
-      g = next_block_++;
-    }
-    s->targets.push_back(g);
-    block_map[b] = g;
+  // Replacement blocks come from the one allocator and stay reserved — in
+  // every manifest commit — until the session finishes or is abandoned.
+  s->targets = allocate_blocks(changed.size());
+  for (std::size_t k = 0; k < changed.size(); ++k) {
+    block_map[changed[k]] = s->targets[k];
   }
   s->next.emplace(BandanaTable::RetrainedState{
       std::move(plan.layout), std::move(block_map),
       std::move(plan.access_counts), plan.policy});
+  s->reservation = add_reservation(s->targets);
   return TrickleRepublish(std::move(s));
 }
 
@@ -884,46 +908,22 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
     {
       // Shared lock: the wave writes only blocks no current mapping
       // references, so it runs concurrently with serving reads — the only
-      // contention is the one the device model charges for (the write
-      // events below on the shared channel FIFOs).
+      // contention is the one the device model charges for (the wave's
+      // write events on the shared channel FIFOs). The images are composed
+      // lazily from the caller's values, one admission wave at a time.
       std::shared_lock storage_lock(*storage_mu_);
-      // Lazy per-wave composition: the allowance (possibly the whole
-      // remaining push when the rate is unlimited) is chunked to the
-      // admission wave, each chunk's images composed from the caller's
-      // values into ONE wave buffer — leased from the backend's
-      // registered pool when available — and flushed as a single batched
-      // write. Session DRAM never exceeds one wave of images.
-      const std::size_t bb = config_.block_bytes;
-      const std::uint64_t chunk =
-          std::min<std::uint64_t>(n, real_write_wave_blocks());
-      const BlockLayout& layout = s.next->layout;
-      const WaveComposeBuffer wave(*storage_, chunk * bb);
-      std::vector<BlockWriteOp> ops;
-      ops.reserve(static_cast<std::size_t>(chunk));
-      for (std::uint64_t c0 = 0; c0 < n; c0 += chunk) {
-        const std::uint64_t m = std::min(chunk, n - c0);
-        ops.clear();
-        for (std::uint64_t i = 0; i < m; ++i) {
-          const std::uint64_t k = s.written + c0 + i;
-          const auto img = wave.buf.subspan(i * bb, bb);
-          compose_block_bytes(layout, *s.values, s.changed[k],
-                              config_.vector_bytes, img);
-          ops.push_back({s.targets[k], img});
-        }
-        storage_->write_blocks(ops);
-        staging_metrics_->write_batches.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        s.peak_wave_bytes = std::max<std::uint64_t>(s.peak_wave_bytes,
-                                                    m * bb);
-      }
-      // Endurance mutations and reads all serialize on the timing lock
-      // (pumps of different tables run concurrently under the shared
-      // storage lock, and endurance() may be polled at any time).
-      std::lock_guard timing_lock(*timing_mu_);
-      endurance_.record_write(n * config_.block_bytes, s.day);
+      const auto next = [&](const std::vector<BlockId>& v) {
+        return std::span<const BlockId>(v).subspan(s.written, n);
+      };
+      s.last_wave_us = write_wave(
+          next(s.targets),
+          WaveImages::composed(s.next->layout, *s.values, next(s.changed)),
+          /*closed_loop=*/false, s.day);
     }
     s.limiter.consume(now, n);
-    s.last_wave_us = schedule_writes(n, /*advance_clock=*/false);
+    s.peak_wave_bytes = std::max(
+        s.peak_wave_bytes,
+        std::min(n, real_write_wave_blocks()) * config_.block_bytes);
     s.written += n;
     ++s.waves;
   }
@@ -934,26 +934,27 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
 void Store::finish_trickle(detail::TrickleState& s) {
   // Shared lock: the swap itself synchronizes with lookups through the
   // table's shard locks; we only need to exclude storage-map mutators.
-  // The manifest lock serializes this swap + free-list update with any
-  // concurrent manifest compose (another table's finishing session, an
-  // incremental add_table's commit) so every committed manifest captures a
-  // consistent multi-table snapshot.
+  // The manifest lock serializes this swap + free-list and reservation
+  // update with any concurrent manifest compose or finish (another table's
+  // finishing session) so every committed manifest captures a consistent
+  // multi-table snapshot. Freed blocks cannot be reallocated before this
+  // commit lands: allocation needs the unique lock.
   std::shared_lock storage_lock(*storage_mu_);
   std::lock_guard mlock(*manifest_mu_);
   BandanaTable& table = *tables_[s.table];
   auto freed = table.swap_state(std::move(*s.next));
   s.next.reset();
   table.note_republished(s.changed_vectors);
-  auto& fl = free_blocks_[s.table];
-  fl.insert(fl.end(), freed.begin(), freed.end());
+  free_list_.insert(free_list_.end(), freed.begin(), freed.end());
+  drop_reservation(s.reservation, /*recycle=*/false);
   staging_metrics_->mapping_swaps.fetch_add(1, std::memory_order_relaxed);
   republish_in_flight_[s.table] = 0;
   s.installed_mapping = true;
   s.swapped = true;
   ++trickle_epoch_;
   // Durable commit of the swap: replacement blocks were written to storage
-  // blocks no committed manifest references (freshly grown, or freed by an
-  // earlier COMMITTED swap), so until this commit's rename lands the
+  // blocks no committed manifest maps (freshly grown, reserved, or freed
+  // by an earlier COMMITTED swap), so until this commit's rename lands the
   // durable state is entirely the old plan; after it, entirely the new one.
   // If the commit throws, the in-memory store keeps serving the new plan
   // while the durable state stays on the old plan — crash-consistent
@@ -967,9 +968,10 @@ void Store::abandon_trickle(detail::TrickleState& s) noexcept {
     if (s.swapped) return;
     std::unique_lock lock(*storage_mu_);
     // The replacement blocks were written (or reserved) but never became
-    // reachable: recycle them and leave the table on the old plan.
-    auto& fl = free_blocks_[s.table];
-    fl.insert(fl.end(), s.targets.begin(), s.targets.end());
+    // reachable: recycle them and leave the table on the old plan. No
+    // commit: a durable record of the reservation is reclaimed on reopen,
+    // and the next commit drops it.
+    drop_reservation(s.reservation, /*recycle=*/true);
     republish_in_flight_[s.table] = 0;
     s.swapped = true;
   } catch (...) {
@@ -1055,18 +1057,34 @@ void Store::read_table_blocks(TableId t, std::uint32_t first_block,
 }
 
 std::vector<BlockId> Store::allocate_blocks(std::uint64_t count) {
+  const std::size_t reuse = static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, free_list_.size()));
+  // Grow before popping, so a throwing factory leaves the list intact.
+  // (This also creates the storage on a fresh store, even for 0 blocks.)
+  ensure_capacity(std::uint64_t{next_block_} + (count - reuse));
   std::vector<BlockId> out;
   out.reserve(static_cast<std::size_t>(count));
-  while (out.size() < count && !free_pool_.empty()) {
-    out.push_back(free_pool_.back());
-    free_pool_.pop_back();
-  }
-  const std::uint64_t grow = count - out.size();
-  if (grow > 0) {
-    ensure_capacity(std::uint64_t{next_block_} + grow);
-    for (std::uint64_t i = 0; i < grow; ++i) out.push_back(next_block_++);
-  }
+  out.assign(free_list_.rbegin(),
+             free_list_.rbegin() + static_cast<std::ptrdiff_t>(reuse));
+  free_list_.resize(free_list_.size() - reuse);
+  while (out.size() < count) out.push_back(next_block_++);
   return out;
+}
+
+std::uint64_t Store::add_reservation(std::vector<BlockId> blocks) {
+  const std::uint64_t id = ++next_reservation_id_;
+  reservations_.emplace_back(id, std::move(blocks));
+  return id;
+}
+
+void Store::drop_reservation(std::uint64_t id, bool recycle) {
+  const auto it = std::ranges::find(
+      reservations_, id, [](const auto& r) { return r.first; });
+  if (it == reservations_.end()) return;
+  if (recycle) {
+    free_list_.insert(free_list_.end(), it->second.begin(), it->second.end());
+  }
+  reservations_.erase(it);
 }
 
 TableInstall Store::begin_table_install(
@@ -1095,9 +1113,8 @@ TableInstall Store::begin_table_install(
   s->access_counts = std::move(access_counts);
 
   std::unique_lock lock(*storage_mu_);
-  s->id = ++next_install_id_;
   s->blocks = allocate_blocks(blocks);
-  pending_installs_.emplace_back(s->id, s->blocks);
+  s->id = add_reservation(s->blocks);
   try {
     // The pending record becomes durable BEFORE any byte streams: a crash
     // mid-install reopens to a manifest that knows the reserved blocks are
@@ -1105,8 +1122,7 @@ TableInstall Store::begin_table_install(
     // from the donor copy.
     commit_manifest();
   } catch (...) {
-    free_pool_.insert(free_pool_.end(), s->blocks.begin(), s->blocks.end());
-    pending_installs_.pop_back();
+    drop_reservation(s->id, /*recycle=*/true);
     throw;
   }
   return TableInstall(std::move(s));
@@ -1131,30 +1147,17 @@ std::size_t Store::install_write(detail::InstallState& s, std::uint32_t first,
   {
     // Shared lock: the reserved blocks are referenced by no mapping, so
     // serving reads proceed concurrently; only storage-map mutators are
-    // excluded. Zero-copy: the ops point straight into the caller's wave
-    // buffer (the images were composed on the donor).
+    // excluded. Zero-copy: the wave writes straight from the caller's
+    // bytes (the images were composed on the donor). Open loop: install
+    // waves are background write traffic on the target's channels,
+    // contending with its serving reads (paper §2.2 interference).
     std::shared_lock storage_lock(*storage_mu_);
-    const std::uint64_t wave = real_write_wave_blocks();
-    std::vector<BlockWriteOp> ops;
-    ops.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(wave, count)));
-    for (std::uint64_t c0 = 0; c0 < count; c0 += wave) {
-      const std::uint64_t n = std::min<std::uint64_t>(wave, count - c0);
-      ops.clear();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        ops.push_back({s.blocks[first + c0 + i],
-                       bytes.subspan((c0 + i) * bb, bb)});
-      }
-      storage_->write_blocks(ops);
-      staging_metrics_->write_batches.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::lock_guard timing_lock(*timing_mu_);
-    endurance_.record_write(count * config_.block_bytes, 0.0);
+    write_wave(std::span<const BlockId>(s.blocks).subspan(first, count),
+               WaveImages::caller_bytes(bytes), /*closed_loop=*/false,
+               /*day=*/0.0);
   }
   staging_metrics_->migration_write_blocks.fetch_add(
       count, std::memory_order_relaxed);
-  // Open loop: install waves are background write traffic on the target's
-  // channels, contending with its serving reads (paper §2.2 interference).
-  schedule_writes(count, /*advance_clock=*/false);
   s.written += count;
   ++s.waves;
   return static_cast<std::size_t>(count);
@@ -1174,17 +1177,10 @@ TableId Store::install_finish(detail::InstallState& s) {
   // and the config geometry, exactly as reopen does.
   auto table = std::make_unique<BandanaTable>(
       config_, s.policy, std::move(*s.layout), std::move(s.access_counts),
-      /*first_block=*/s.blocks.empty() ? 0 : s.blocks.front(), s.blocks);
+      s.blocks);
   tables_.push_back(std::move(table));
-  free_blocks_.emplace_back();
   republish_in_flight_.push_back(0);
-  for (auto it = pending_installs_.begin(); it != pending_installs_.end();
-       ++it) {
-    if (it->first == s.id) {
-      pending_installs_.erase(it);
-      break;
-    }
-  }
+  drop_reservation(s.id, /*recycle=*/false);
   s.finished = true;
   staging_metrics_->table_installs.fetch_add(1, std::memory_order_relaxed);
   // ONE commit flips both facts: the table exists and its pending record is
@@ -1199,14 +1195,7 @@ void Store::install_abandon(detail::InstallState& s) noexcept {
     std::lock_guard session_lock(s.mu);
     if (s.finished) return;
     std::unique_lock lock(*storage_mu_);
-    free_pool_.insert(free_pool_.end(), s.blocks.begin(), s.blocks.end());
-    for (auto it = pending_installs_.begin(); it != pending_installs_.end();
-         ++it) {
-      if (it->first == s.id) {
-        pending_installs_.erase(it);
-        break;
-      }
-    }
+    drop_reservation(s.id, /*recycle=*/true);
     s.finished = true;
     // Drop the pending record durably while the backend still cooperates.
     // If this commit throws (abandon often runs because storage died), the
@@ -1228,14 +1217,10 @@ void Store::retire_table(TableId t) {
     throw std::logic_error("retire_table: a trickle republish of table " +
                            std::to_string(t) + " is in flight");
   }
-  // Reclaim everything the table references — its serving map and its
-  // trickle replacement bank — into the store-wide pool for future
-  // installs.
+  // The table's serving map is all it holds: its blocks go back on the
+  // store-wide free list.
   const std::vector<BlockId> map = tables_[t]->block_map();
-  free_pool_.insert(free_pool_.end(), map.begin(), map.end());
-  auto& fl = free_blocks_[t];
-  free_pool_.insert(free_pool_.end(), fl.begin(), fl.end());
-  fl.clear();
+  free_list_.insert(free_list_.end(), map.begin(), map.end());
   // Free the table itself (cache slab, LRU, layout, per-vector arrays).
   // Its final counters fold into the store-level sum so total_metrics()
   // keeps counting them; the empty slot is the tombstone that keeps later

@@ -151,12 +151,14 @@ class Store {
   /// exact plan-wide total.
   void reserve_blocks(std::uint64_t total_blocks);
 
-  /// Register a table: writes `values` to NVM per `layout` and sets up its
-  /// DRAM cache. `access_counts` (SHP-run query counts) are required for
-  /// the kThreshold policy. Returns the table handle. Prefer StoreBuilder /
-  /// from_plan, which size storage once for the whole model; incremental
-  /// growth streams already-published blocks through a bounded chunk
-  /// buffer, never the whole old storage.
+  /// Register a table: takes its blocks from the store's free list (tail
+  /// growth for the rest), writes `values` to them per `layout` as one
+  /// closed-loop write wave, and sets up its DRAM cache. `access_counts`
+  /// (SHP-run query counts) are required for the kThreshold policy. Returns
+  /// the table handle. Prefer StoreBuilder / from_plan, which size storage
+  /// once for the whole model; incremental growth streams already-written
+  /// blocks through a bounded chunk buffer, never the whole old storage,
+  /// and is host work the device model does not charge.
   TableId add_table(const EmbeddingTable& values, BlockLayout layout,
                     TablePolicy policy,
                     std::vector<std::uint32_t> access_counts = {});
@@ -204,8 +206,8 @@ class Store {
   /// the unlimited-rate trickle below on the table's current mapping,
   /// pumped to completion. The values are plan-diffed against the bytes
   /// already in storage; changed blocks are written to replacement blocks
-  /// (the first push grows storage by the changed footprint, later pushes
-  /// recycle it) as one write wave, and the mapping swaps only once that
+  /// taken from the store's free list (storage grows only by what the list
+  /// cannot cover) as one write wave, and the mapping swaps only once that
   /// wave has landed, so the push is crash-atomic. Unchanged blocks keep
   /// their cached members warm; identical values are a complete no-op that
   /// records a zero-length write wave. The wave is enqueued on the NVM
@@ -224,9 +226,10 @@ class Store {
   /// (typically `Trainer::train` output on freshly sampled traffic; see
   /// core/retrainer.h) may carry a *new layout*: at begin, every block of
   /// the new plan is byte-diffed against the table's current storage,
-  /// changed blocks get replacement storage blocks (recycled from the
-  /// table's previous republish when possible, else freshly grown — old
-  /// blocks are never overwritten), and unchanged blocks are skipped
+  /// changed blocks get replacement storage blocks (popped from the
+  /// store-wide free list, else freshly grown — old blocks are never
+  /// overwritten — and held as a reservation that every manifest commit
+  /// records until the session ends), and unchanged blocks are skipped
   /// entirely. Each `TrickleRepublish::pump()` then writes at most the
   /// rate limit's current allowance (`republish_cfg.blocks_per_interval`
   /// per `interval_us` of simulated time) as one IoKind::kWrite wave on
@@ -287,24 +290,23 @@ class Store {
                          std::uint32_t count, std::span<std::byte> out);
 
   /// Begin a streaming table install — the receiving half of a migration.
-  /// Storage for the table is reserved up front (recycling the store-wide
-  /// free pool left by retired tables before growing the file) and a
-  /// manifest with a pending-install record naming the reserved blocks is
-  /// committed BEFORE any byte lands: a crash mid-stream reopens with the
-  /// blocks reclaimed and NO half-table. The returned handle streams block
-  /// images in admission-sized batched write waves; finish() registers the
-  /// table and atomically replaces the pending record with the table in
-  /// one commit. Destroying an unfinished handle abandons the install
-  /// (blocks return to the free pool). `layout`/`access_counts` must match
-  /// the store geometry (vectors_per_block).
+  /// Storage for the table is reserved up front (popping the store-wide
+  /// free list before growing the file) and a manifest with a pending
+  /// record naming the reserved blocks is committed BEFORE any byte
+  /// lands: a crash mid-stream reopens with the blocks reclaimed and NO
+  /// half-table. The returned handle streams block images in
+  /// admission-sized batched write waves; finish() registers the table and
+  /// atomically replaces the pending record with the table in one commit.
+  /// Destroying an unfinished handle abandons the install (blocks return
+  /// to the free list). `layout`/`access_counts` must match the store
+  /// geometry (vectors_per_block).
   TableInstall begin_table_install(BlockLayout layout, TablePolicy policy,
                                    std::vector<std::uint32_t> access_counts);
 
   /// Retire table `t`: stop serving it (lookups on a retired table throw
-  /// std::logic_error), reclaim its storage blocks — current map plus
-  /// replacement bank — into the store-wide free pool for future installs,
-  /// free the table's DRAM (its counters stay in total_metrics()), and
-  /// commit. The slot keeps its TableId (a tombstone, recorded in the
+  /// std::logic_error), return its storage blocks to the store-wide free
+  /// list, free the table's DRAM (its counters stay in total_metrics()),
+  /// and commit. The slot keeps its TableId (a tombstone, recorded in the
   /// manifest without a mapping): later tables do not shift. Idempotent.
   /// Throws std::logic_error while a trickle republish of `t` is in
   /// flight. A migration retires the donor copy LAST, after the target's
@@ -342,8 +344,9 @@ class Store {
   LatencyRecorder query_latency_us() const;
   /// Per-request service latency of multi_get / multi_get_async calls.
   LatencyRecorder request_latency_us() const;
-  /// Per-wave service latency of publish/republish/growth write waves
-  /// through the engine (empty when timing is off).
+  /// Per-wave service latency of the write waves (add_table, trickle and
+  /// republish pushes, installs) through the engine (empty when timing is
+  /// off). Storage growth is host work and records none.
   LatencyRecorder write_latency_us() const;
   /// Per-wave service latency of migration read-out waves
   /// (read_table_blocks) through the engine (empty when timing is off).
@@ -374,9 +377,11 @@ class Store {
   friend class TrickleRepublish;
   friend class TableInstall;
 
-  /// Grow storage to `total_blocks` via the factory, streaming published
+  /// Grow storage to `total_blocks` via the factory, streaming written
   /// blocks across in bounded chunks (file factories keep their existing
-  /// contents on re-creation, so old and new storage coexist).
+  /// contents on re-creation, so old and new storage coexist). The copy is
+  /// host work, not device traffic — a file grows in place and writes
+  /// nothing — so it counts no write wave, batch, endurance or engine time.
   void ensure_capacity(std::uint64_t total_blocks);
   /// Peek table t's cache for `ids` (no LRU mutation) and stage every
   /// block the lookups would miss on, up to the staging cap. Miss blocks
@@ -416,6 +421,33 @@ class Store {
   /// bounded default chunk when admission is unbounded (write waves always
   /// bound their compose buffer, unlike the single-wave read case).
   std::uint64_t real_write_wave_blocks() const;
+  /// Where a write wave's block images come from: composed, image i being
+  /// local block `local[i]` of `values` under `layout`, built in one
+  /// wave-sized buffer (leased from the backend's registered pool when it
+  /// has one); or caller bytes, one image per target, written zero-copy.
+  struct WaveImages {
+    static WaveImages composed(const BlockLayout& layout,
+                               const EmbeddingTable& values,
+                               std::span<const BlockId> local) {
+      return {&layout, &values, local, {}};
+    }
+    static WaveImages caller_bytes(std::span<const std::byte> bytes) {
+      return {nullptr, nullptr, {}, bytes};
+    }
+    const BlockLayout* layout = nullptr;
+    const EmbeddingTable* values = nullptr;  ///< Null for caller bytes.
+    std::span<const BlockId> local;
+    std::span<const std::byte> bytes;
+  };
+  /// The one block-write path the device is charged for (add_table,
+  /// trickle pumps, installs). Writes `images` to `targets` in chunks of
+  /// real_write_wave_blocks(), one write_blocks() call and one
+  /// write_batches bump per chunk; records targets.size() x block_bytes of
+  /// endurance on `day`; then schedules the blocks as one engine wave
+  /// (schedule_writes). Returns that wave's simulated latency. Caller holds
+  /// storage_mu_ (shared suffices: targets are referenced by no mapping).
+  double write_wave(std::span<const BlockId> targets, const WaveImages& images,
+                    bool closed_loop, double day);
   const BandanaTable& checked_table(TableId t) const;
   BandanaTable& checked_table(TableId t) {
     return const_cast<BandanaTable&>(std::as_const(*this).checked_table(t));
@@ -428,10 +460,10 @@ class Store {
                         bool advance_clock, double arrival_us = -1.0);
   /// Submit `writes` block writes at the current clock as one admission
   /// wave of IoKind::kWrite events on the engine's channel FIFOs (no-op
-  /// when timing is off). Closed loop (`advance_clock`, publish/growth:
-  /// the caller waits for the write to land) moves the clock to the wave's
+  /// when timing is off). Closed loop (`advance_clock`, add_table: the
+  /// caller waits for the write to land) moves the clock to the wave's
   /// completion, draining the backlog before serving resumes; open loop
-  /// (republish: background retraining traffic) leaves the clock at
+  /// (pushes and installs: background traffic) leaves the clock at
   /// submission so the write backlog interferes with subsequent reads.
   double schedule_writes(std::uint64_t writes, bool advance_clock);
   /// The one serving loop (multi_get, multi_get_async, lookup_batch);
@@ -476,17 +508,28 @@ class Store {
                             std::span<const std::byte> bytes);
   TableId install_finish(detail::InstallState& s);
   void install_abandon(detail::InstallState& s) noexcept;
-  /// Hand out `count` fresh storage blocks: the store-wide free pool
-  /// first (blocks reclaimed from retired tables), then tail growth via
-  /// ensure_capacity. Caller holds the unique storage lock.
+  /// The one allocator: hand out `count` storage blocks, popped from the
+  /// free list first, then grown at the tail via ensure_capacity. Serves
+  /// add_table, trickle targets and installs. Caller holds the unique
+  /// storage lock.
   std::vector<BlockId> allocate_blocks(std::uint64_t count);
-  /// Rebuild tables_/free_blocks_/next_block_ from a validated manifest
+  /// Record `blocks` as a reservation (an install's reserved blocks or a
+  /// trickle session's targets) and return its id. Caller holds the unique
+  /// storage lock.
+  std::uint64_t add_reservation(std::vector<BlockId> blocks);
+  /// Drop reservation `id`. With `recycle` (an abandon) its blocks return
+  /// to the free list; without (a finish) a table mapping now owns them.
+  /// Caller holds the unique storage lock, or the shared one plus
+  /// manifest_mu_.
+  void drop_reservation(std::uint64_t id, bool recycle);
+  /// Rebuild tables_/free_list_/next_block_ from a validated manifest
   /// (Store::open). Caller: fresh store, no tables yet.
   void restore_from(const Manifest& m, const std::string& manifest_path);
   /// Serialize the store's current durable state. Caller holds storage_mu_
   /// (shared or unique) AND manifest_mu_ — the manifest lock is what keeps
   /// the multi-table snapshot consistent against concurrent shared-lock
-  /// swaps (finish_trickle takes it around its swap + free-list update).
+  /// swaps (finish_trickle takes it around its swap, free-list and
+  /// reservation update).
   Manifest compose_manifest() const;
   /// sync + compose + write_manifest + seq bump, under manifest_mu_ (taken
   /// here). No-op when no manifest is attached. Caller holds storage_mu_.
@@ -503,9 +546,10 @@ class Store {
   BlockStorageFactory storage_factory_;
   std::unique_ptr<BlockStorage> storage_;
   /// Unique: add_table / trickle begin+abandon (storage-map mutation).
-  /// Shared: serving and trickle write waves (they write only blocks no
-  /// current mapping references). Writer-priority, so serving cannot
-  /// starve a retrain push; no path takes it shared twice.
+  /// Shared: serving, write waves (they write only blocks no current
+  /// mapping references) and trickle finishes (which add manifest_mu_).
+  /// Writer-priority, so serving cannot starve a retrain push; no path
+  /// takes it shared twice.
   std::unique_ptr<WriterPriorityMutex> storage_mu_;
   /// Null for a retired (migrated-out) table: its slot stays as a
   /// tombstone so later TableIds do not shift; checked_table refuses it.
@@ -513,29 +557,25 @@ class Store {
   /// Final counters of retired tables (total_metrics() adds them).
   TableMetrics retired_metrics_;
   BlockId next_block_ = 0;
-  /// Per-table storage blocks retired by completed trickle swaps, reused
-  /// by the table's next republish (double buffering: storage stabilizes
-  /// near 2x the changed footprint instead of growing per push). Entry t
-  /// is touched under the unique lock (begin/abandon) or by table t's
-  /// single active session (finish, under the shared lock).
-  std::vector<std::vector<BlockId>> free_blocks_;
   /// Per-table claim, 0 when free: a trickle session OR a migration
   /// read-out is mid-flight (one per table; both exclude mapping swaps,
   /// and only a migration claim may be retired).
   std::vector<std::uint8_t> republish_in_flight_;
   static constexpr std::uint8_t kTrickleClaim = 1;
   static constexpr std::uint8_t kMigrationClaim = 2;
-  /// Store-wide free pool: blocks reclaimed from retired tables, consumed
-  /// by allocate_blocks before the file grows. Distinct from the per-table
-  /// free_blocks_ replacement banks (those stay with their table's trickle
-  /// double buffer). Touched under the unique storage lock.
-  std::vector<BlockId> free_pool_;
-  /// In-flight streaming installs' reserved blocks, keyed by install id —
-  /// composed into every manifest commit as pending-install records so a
-  /// crash mid-stream reclaims them on reopen.
-  std::vector<std::pair<std::uint64_t, std::vector<BlockId>>>
-      pending_installs_;
-  std::uint64_t next_install_id_ = 0;
+  /// The one free list (LIFO): blocks below next_block_ that no mapping
+  /// and no reservation holds. Mapping swaps, abandons and retires push
+  /// onto it; allocate_blocks pops it before the file grows. Mutated under
+  /// the unique storage lock, or under the shared one plus manifest_mu_
+  /// (finish_trickle).
+  std::vector<BlockId> free_list_;
+  /// Blocks handed out but not yet mapped, keyed by id: each in-flight
+  /// install's blocks and each trickle session's targets, from begin until
+  /// finish or abandon. Every manifest commit records them as pending
+  /// records, so a crash mid-stream reclaims them on reopen. Same locking
+  /// as free_list_.
+  std::vector<std::pair<std::uint64_t, std::vector<BlockId>>> reservations_;
+  std::uint64_t next_reservation_id_ = 0;
   /// Persistence (empty path = off). manifest_mu_ serializes manifest
   /// compose/commit against the shared-lock-path mapping swaps and
   /// free-list updates (finish_trickle) — lock order: storage_mu_ (either
@@ -552,8 +592,8 @@ class Store {
 
   std::unique_ptr<std::mutex> timing_mu_;  ///< Clock, engine, recorders.
   /// Event-driven per-channel device model; all of a request's reads form
-  /// one admission wave, and publish/republish writes join the same
-  /// channel FIFOs (exercised under timing_mu_).
+  /// one admission wave, and write_wave's writes join the same channel
+  /// FIFOs (exercised under timing_mu_).
   NvmIoEngine engine_;
   double now_us_ = 0.0;
   LatencyRecorder query_latency_;
@@ -572,8 +612,8 @@ class Store {
 /// background retrainer thread and a test driver can share it. The session
 /// holds a pointer to its store: it must not outlive the store, and the
 /// store must not be moved while sessions exist. Destroying an unfinished
-/// session abandons the push (replacement blocks are recycled; the table
-/// keeps serving the old plan).
+/// session abandons the push (replacement blocks return to the free list;
+/// the table keeps serving the old plan).
 class TrickleRepublish {
  public:
   TrickleRepublish(TrickleRepublish&& other) noexcept;
@@ -619,7 +659,7 @@ class TrickleRepublish {
 /// images into them; finish() registers the table and commits. Like
 /// TrickleRepublish, calls on one handle serialize internally, the handle
 /// must not outlive its store, and destroying it unfinished abandons the
-/// install (blocks return to the free pool; a durable commit drops the
+/// install (blocks return to the free list; a durable commit drops the
 /// pending record when possible — a crash before that is recovered by
 /// reopen, which reclaims pending blocks).
 class TableInstall {

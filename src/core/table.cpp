@@ -18,11 +18,6 @@ std::vector<double> insertion_points_for(const TablePolicy& policy) {
   return {0.0};
 }
 
-/// Default write-wave chunk when the caller does not pass an admission
-/// wave: bounds the compose buffer (16 MB at 4 KB blocks) the same way
-/// the growth migration chunks do.
-constexpr std::uint64_t kDefaultWriteWaveBlocks = 4096;
-
 /// Shard count for the table: one per hardware thread by default, but
 /// never more shards than blocks (vectors are striped by block, keeping
 /// prefetch admission shard-local) or cache entries (every shard needs at
@@ -38,13 +33,6 @@ std::uint32_t shard_count_for(const StoreConfig& cfg,
       1, std::min({static_cast<std::uint64_t>(cfg.resolved_cache_shards()),
                    static_cast<std::uint64_t>(layout.num_blocks()),
                    capacity})));
-}
-
-/// The fresh contiguous publish range: local block b -> first + b.
-std::vector<BlockId> contiguous_map(std::uint32_t num_blocks, BlockId first) {
-  std::vector<BlockId> map(num_blocks);
-  for (BlockId b = 0; b < num_blocks; ++b) map[b] = first + b;
-  return map;
 }
 }  // namespace
 
@@ -112,20 +100,9 @@ std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
 BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
                            BlockLayout layout,
                            std::vector<std::uint32_t> access_counts,
-                           BlockId first_block)
-    // `layout` is copied, not moved: the map argument reads it too, and
-    // the order in which arguments are evaluated is unspecified.
-    : BandanaTable(store_cfg, policy, layout, std::move(access_counts),
-                   first_block,
-                   contiguous_map(layout.num_blocks(), first_block)) {}
-
-BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
-                           BlockLayout layout,
-                           std::vector<std::uint32_t> access_counts,
-                           BlockId first_block, std::vector<BlockId> block_map)
+                           std::vector<BlockId> block_map)
     : num_vectors_(layout.num_vectors()),
       num_blocks_(layout.num_blocks()),
-      first_block_(first_block),
       vector_bytes_(store_cfg.vector_bytes),
       block_bytes_(store_cfg.block_bytes),
       vectors_per_block_(store_cfg.vectors_per_block()),
@@ -165,38 +142,6 @@ std::span<std::byte> BandanaTable::slot_bytes(std::uint32_t slot) {
   return {slab_.data() + std::size_t{slot} * vector_bytes_, vector_bytes_};
 }
 
-std::uint64_t BandanaTable::publish(const EmbeddingTable& values,
-                                    BlockStorage& storage,
-                                    std::uint64_t wave_blocks) {
-  State& st = *state_owner_;
-  if (values.num_vectors() != num_vectors_ ||
-      values.vector_bytes() != vector_bytes_) {
-    throw std::invalid_argument("publish: shape mismatch with layout");
-  }
-  const std::uint64_t total = st.layout.num_blocks();
-  if (total == 0) return 0;
-  const std::size_t chunk = static_cast<std::size_t>(std::min(
-      wave_blocks == 0 ? kDefaultWriteWaveBlocks : wave_blocks, total));
-  WaveComposeBuffer wave(storage, chunk * block_bytes_);
-  std::vector<BlockWriteOp> ops;
-  ops.reserve(chunk);
-  std::uint64_t batches = 0;
-  for (BlockId b0 = 0; b0 < total; b0 += chunk) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(chunk, total - b0));
-    ops.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto img = wave.buf.subspan(i * block_bytes_, block_bytes_);
-      compose_block_bytes(st.layout, values, b0 + static_cast<BlockId>(i),
-                          vector_bytes_, img);
-      ops.push_back({st.block_map[b0 + i], img});
-    }
-    storage.write_blocks(ops);
-    ++batches;
-  }
-  return batches;
-}
-
 std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
   State& cur = *state_owner_;
   if (next.policy.cache_vectors != cur.policy.cache_vectors) {
@@ -210,8 +155,8 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
       make_state(next.policy, std::move(next.layout),
                  std::move(next.access_counts), std::move(next.block_map));
 
-  // Global blocks only the old mapping referenced become reusable by the
-  // next republish once the new state is visible.
+  // Global blocks only the old mapping referenced become reusable (the
+  // store's free list) once the new state is visible.
   std::unordered_set<BlockId> kept(fresh->block_map.begin(),
                                    fresh->block_map.end());
   std::vector<BlockId> freed;

@@ -23,11 +23,11 @@
 // blocks elsewhere) or retries and completes entirely against the new one.
 // No lookup ever observes a half-swapped mapping.
 //
-// publish writes NVM storage in place and requires external exclusion
-// against lookups (Store holds its storage mutex uniquely around it). Every
-// later write goes to replacement blocks and becomes visible through
-// swap_state, which only requires exclusion against other swaps/publishes
-// (Store's shared storage lock + one trickle session per table).
+// The table never writes storage. Store writes a new table's blocks before
+// the table is registered, and every later write goes to replacement
+// blocks that become visible through swap_state, which only requires
+// exclusion against other swaps (Store's shared storage lock + one trickle
+// session per table).
 //
 // Retired states are reclaimed through reader epochs (common/epoch.h):
 // every state-dereferencing reader holds an epoch guard across its state
@@ -54,38 +54,23 @@ namespace bandana {
 
 /// Compose local block `b`'s bytes under `layout` from `values`
 /// (zero-padded tail for a partial last block). The single definition of
-/// block composition: publish and the trickle plan diff must agree
-/// byte-for-byte or the diff would mis-classify blocks.
+/// block composition: Store's write waves and the trickle plan diff must
+/// agree byte-for-byte or the diff would mis-classify blocks.
 void compose_block_bytes(const BlockLayout& layout,
                          const EmbeddingTable& values, BlockId b,
                          std::size_t vector_bytes, std::span<std::byte> block);
 
 /// Internal to Store. Owns the cache state of one table; block data lives in
 /// the store-wide BlockStorage at the blocks named by the table's current
-/// block map (initially the contiguous range starting at `first_block`).
+/// block map.
 class BandanaTable {
  public:
+  /// `block_map[b]` is the storage block holding local block b under
+  /// `layout` (Store allocates it and writes the blocks; reopen recovers it
+  /// from the manifest). The table writes nothing.
   BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
                BlockLayout layout, std::vector<std::uint32_t> access_counts,
-               BlockId first_block);
-
-  /// Restore construction (Store::open): identical to the primary ctor but
-  /// with an explicit local-block -> storage-block map recovered from the
-  /// manifest instead of the fresh contiguous range. No blocks are written
-  /// — the map points at data already in storage.
-  BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
-               BlockLayout layout, std::vector<std::uint32_t> access_counts,
-               BlockId first_block, std::vector<BlockId> block_map);
-
-  /// Write all vectors of `values` into NVM blocks per the current layout
-  /// and block map. Block images are composed wave-by-wave (at most
-  /// `wave_blocks` per wave, 0 = 4096-block chunks) into one buffer — a
-  /// leased registered wave buffer when the backend offers one — and each
-  /// wave goes out as a single batched write_blocks() call. Returns the
-  /// number of batches issued (for StoreMetrics::write_batches). Requires
-  /// external exclusion against lookups.
-  std::uint64_t publish(const EmbeddingTable& values, BlockStorage& storage,
-                        std::uint64_t wave_blocks = 0);
+               std::vector<BlockId> block_map);
 
   struct LookupOutcome {
     bool hit = false;
@@ -182,10 +167,9 @@ class BandanaTable {
   /// slots, and drops only members of blocks whose storage block changed
   /// (a block keeps its storage block only if the plan diff proved its
   /// bytes unchanged, §4.2.2). Concurrent lookups are safe; the caller
-  /// must exclude concurrent publish/swap_state of this table (Store: one
-  /// trickle session per table). Returns the old mapping's global blocks
-  /// the new mapping no longer references, for reuse by the next
-  /// republish (double buffering).
+  /// must exclude concurrent swap_state of this table (Store: one trickle
+  /// session per table). Returns the old mapping's global blocks the new
+  /// mapping no longer references, for Store's free list.
   std::vector<BlockId> swap_state(RetrainedState next);
 
   /// Snapshot of the current local-block -> global-block mapping.
@@ -206,7 +190,6 @@ class BandanaTable {
 
   std::uint32_t num_vectors() const { return num_vectors_; }
   std::uint32_t num_blocks() const { return num_blocks_; }
-  BlockId first_block() const { return first_block_; }
   /// Current layout / policy. References into the current state: the
   /// caller must hold exclusion against swap_state of this table (Store's
   /// unique storage lock, or the table's trickle claim) — a swapped-out
@@ -307,7 +290,6 @@ class BandanaTable {
 
   std::uint32_t num_vectors_;
   std::uint32_t num_blocks_;
-  BlockId first_block_;
   std::size_t vector_bytes_;
   std::size_t block_bytes_;
   std::uint32_t vectors_per_block_;

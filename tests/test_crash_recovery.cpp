@@ -1,12 +1,20 @@
 // Kill-9-style crash injection for the persistence layer: a fault-injecting
 // BlockStorage wrapper dies (throws, and stays dead) at every write-wave
 // boundary of a trickle republish, a one-shot republish and a live add_table
-// publish, plus the two manifest-commit boundaries (just before / just after
+// write, plus the two manifest-commit boundaries (just before / just after
 // the rename pointer flip). After each simulated crash the store is reopened from the durable
 // manifest and every vector of every table must read back as EXACTLY the old
 // plan's bytes or EXACTLY the new plan's bytes — never a torn mix — with the
 // flip as the dividing line: any crash before it recovers entirely-old, any
 // crash after it entirely-new. Runs across the File and AsyncFile backends.
+// Every durable manifest the sweeps leave must also account for each storage
+// block exactly once (tests/manifest_audit.h).
+//
+// The OneFreeList suite pins the store's single allocator across restarts:
+// a commit made while another table's push is in flight keeps that push's
+// blocks as a pending record, add_table reuses blocks a push freed, and a
+// manifest written with per-table free lists (the older writer) reopens
+// with them on the one list.
 //
 // Also pins the satellite storage fixes this PR ships: EINTR-safe
 // pread/pwrite loops distinguishing EOF from errors, overflow-checked file
@@ -33,6 +41,7 @@
 #include "nvm/async_file_storage.h"
 #include "nvm/block_storage.h"
 #include "partition/layout.h"
+#include "manifest_audit.h"
 #include "trace/embedding_table.h"
 
 namespace bandana {
@@ -299,6 +308,7 @@ void sweep_write_crashes(Backend be, const Paths& p, Push push) {
   // wave: the boundary sweep must have several points.
   ASSERT_GE(dry.write_calls, 2u);
   expect_recovered(be, p, 'B', 1);
+  EXPECT_TRUE(manifest_accounts_every_block(p.manifest));
 
   // Crash at every write-wave boundary. Every one of these predates the
   // manifest flip (replacement blocks are written before the finishing
@@ -309,6 +319,7 @@ void sweep_write_crashes(Backend be, const Paths& p, Push push) {
         run_trickle_with_faults(be, p, k, HookCrash::kNone, push);
     EXPECT_TRUE(run.crashed);
     expect_recovered(be, p, 'A', 0);
+    EXPECT_TRUE(manifest_accounts_every_block(p.manifest));
   }
 }
 
@@ -367,11 +378,18 @@ INSTANTIATE_TEST_SUITE_P(Backends, CrashRecoveryTest,
                                                                : "AsyncFile";
                          });
 
-TEST(CrashRecovery, MidPublishCrashRecoversToFewerTables) {
-  const Paths p = test_paths("publish");
+/// Whether table 0 was pushed before the crashing add_table. Without a
+/// push the new table's blocks come from the tail; after one they are the
+/// blocks the push freed, which the durable manifest holds as free.
+class CrashMidAddTable : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CrashMidAddTable, MidPublishCrashRecoversToFewerTables) {
+  const bool after_push = GetParam();
+  const Paths p = test_paths(after_push ? "publish_reuse" : "publish");
   cleanup(p);
   auto fault = std::make_shared<FaultPlan>();
   const EmbeddingTable v1 = make_values(1);
+  const EmbeddingTable v_pushed = make_values(3);
   const EmbeddingTable v_new = make_values(4);
 
   Store store = StoreBuilder(test_config())
@@ -380,8 +398,9 @@ TEST(CrashRecovery, MidPublishCrashRecoversToFewerTables) {
                     .add_table(v1, identity_plan())
                     .build();
   store.reserve_blocks(2 * kTableBlocks);
+  if (after_push) store.republish(0, v_pushed);
   fault->armed = true;
-  fault->crash_at = 2;  // second write wave of the new table's publish
+  fault->crash_at = 2;  // second write wave of the new table
   EXPECT_THROW(store.add_table(v_new, BlockLayout::identity(kVectors, kVpb),
                                test_policy()),
                CrashInjected);
@@ -391,7 +410,139 @@ TEST(CrashRecovery, MidPublishCrashRecoversToFewerTables) {
   Store s = Store::open(test_config(), p.manifest,
                         real_factory(Backend::kFile, p));
   ASSERT_EQ(s.num_tables(), 1u);
-  EXPECT_EQ(classify(s, 0, v1, v_new), 'A');
+  EXPECT_EQ(s.storage().num_blocks(), 2 * kTableBlocks);
+  EXPECT_EQ(classify(s, 0, v1, v_pushed), after_push ? 'B' : 'A');
+  EXPECT_TRUE(manifest_accounts_every_block(p.manifest));
+  cleanup(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(CrashRecovery, CrashMidAddTable, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "OntoFreedBlocks" : "AtTail";
+                         });
+
+/// Every vector of table `t` serves exactly `values`.
+bool serves(Store& s, TableId t, const EmbeddingTable& values) {
+  return classify(s, t, values, values) == 'A';
+}
+
+TEST(OneFreeList, CommitDuringAnotherTablesPushKeepsItsBlocks) {
+  const Paths p = test_paths("reservation");
+  cleanup(p);
+  const EmbeddingTable v0 = make_values(1);
+  const EmbeddingTable v1 = make_values(2);
+  const EmbeddingTable v0_next = make_values(3);
+  const EmbeddingTable v1_next = make_values(5);
+  {
+    Store store = StoreBuilder(test_config())
+                      .file_storage(p.block)
+                      .manifest(p.manifest)
+                      .add_table(v0, identity_plan())
+                      .add_table(v1, identity_plan())
+                      .build();
+    // Table 0's push holds 32 fresh targets and writes one of them ...
+    RepublishConfig slow;
+    slow.blocks_per_interval = 1;
+    slow.interval_us = 1e9;
+    TrickleRepublish push =
+        store.begin_trickle_republish(0, v0_next, identity_plan(), slow);
+    ASSERT_EQ(push.pump(), 1u);
+    // ... when table 1's republish commits: the durable manifest must still
+    // account for table 0's targets (as a pending record).
+    store.republish(1, v1_next);
+    EXPECT_EQ(store.storage().num_blocks(), 4 * kTableBlocks);
+    EXPECT_TRUE(manifest_accounts_every_block(p.manifest));
+  }  // Crash-equivalent: the unfinished push never commits again.
+
+  Store s = Store::open(test_config(), p.manifest);
+  EXPECT_EQ(s.storage().num_blocks(), 4 * kTableBlocks);
+  EXPECT_TRUE(serves(s, 0, v0));
+  EXPECT_TRUE(serves(s, 1, v1_next));
+  // Reopen reclaimed the pending record: the push recycles, never grows.
+  s.republish(0, v0_next);
+  EXPECT_EQ(s.storage().num_blocks(), 4 * kTableBlocks);
+  EXPECT_TRUE(serves(s, 0, v0_next));
+  EXPECT_TRUE(serves(s, 1, v1_next));
+  EXPECT_TRUE(manifest_accounts_every_block(p.manifest));
+  cleanup(p);
+}
+
+TEST(OneFreeList, AddTableAfterPushReusesFreedBlocks) {
+  const Paths p = test_paths("add_reuse");
+  cleanup(p);
+  const EmbeddingTable v0 = make_values(1);
+  const EmbeddingTable v0_next = make_values(3);
+  const EmbeddingTable v_new = make_values(4);
+  {
+    Store store = StoreBuilder(test_config())
+                      .file_storage(p.block)
+                      .manifest(p.manifest)
+                      .add_table(v0, identity_plan())
+                      .build();
+    store.republish(0, v0_next);
+    ASSERT_EQ(store.storage().num_blocks(), 2 * kTableBlocks);
+    // The push freed table 0's first 32 blocks: the new table takes them.
+    const TableId t = store.add_table(
+        v_new, BlockLayout::random(kVectors, kVpb, 7), test_policy());
+    EXPECT_EQ(store.storage().num_blocks(), 2 * kTableBlocks);
+    EXPECT_TRUE(serves(store, 0, v0_next));
+    EXPECT_TRUE(serves(store, t, v_new));
+    EXPECT_TRUE(manifest_accounts_every_block(p.manifest));
+  }
+  Store s = Store::open(test_config(), p.manifest);
+  ASSERT_EQ(s.num_tables(), 2u);
+  EXPECT_EQ(s.storage().num_blocks(), 2 * kTableBlocks);
+  EXPECT_TRUE(serves(s, 0, v0_next));
+  EXPECT_TRUE(serves(s, 1, v_new));
+  cleanup(p);
+}
+
+TEST(OneFreeList, ParentFormatManifestReopensAndRecycles) {
+  const Paths p = test_paths("parent_format");
+  cleanup(p);
+  const EmbeddingTable v0 = make_values(1);
+  const EmbeddingTable v1 = make_values(2);
+  const EmbeddingTable v0_next = make_values(3);
+  const EmbeddingTable v1_next = make_values(5);
+  {
+    Store store = StoreBuilder(test_config())
+                      .file_storage(p.block)
+                      .manifest(p.manifest)
+                      .add_table(v0, identity_plan())
+                      .add_table(v1, identity_plan())
+                      .build();
+    store.republish(0, v0_next);
+    ASSERT_EQ(store.storage().num_blocks(), 3 * kTableBlocks);
+  }
+  // Rewrite the durable free list the way the older writer kept it: half
+  // as table 0's own replacement bank, half as an install's pending
+  // record, plus each table's contiguous base.
+  auto m = load_manifest(p.manifest);
+  ASSERT_TRUE(m.has_value());
+  ASSERT_EQ(m->free_pool.size(), kTableBlocks);
+  ASSERT_TRUE(m->reservations.empty());
+  const auto half = m->free_pool.begin() + kTableBlocks / 2;
+  m->tables[0].free_blocks.assign(m->free_pool.begin(), half);
+  m->reservations.emplace_back(half, m->free_pool.end());
+  m->free_pool.clear();
+  m->tables[1].first_block = kTableBlocks;
+  write_manifest(p.manifest, *m);
+
+  {
+    Store s = Store::open(test_config(), p.manifest);
+    EXPECT_TRUE(serves(s, 0, v0_next));
+    EXPECT_TRUE(serves(s, 1, v1));
+    // Both halves joined the one free list: another table's push recycles
+    // all of them without growing storage.
+    s.republish(1, v1_next);
+    EXPECT_EQ(s.storage().num_blocks(), 3 * kTableBlocks);
+    EXPECT_TRUE(serves(s, 1, v1_next));
+    EXPECT_TRUE(manifest_accounts_every_block(p.manifest));
+  }
+  Store s = Store::open(test_config(), p.manifest);
+  EXPECT_EQ(s.storage().num_blocks(), 3 * kTableBlocks);
+  EXPECT_TRUE(serves(s, 0, v0_next));
+  EXPECT_TRUE(serves(s, 1, v1_next));
   cleanup(p);
 }
 

@@ -61,6 +61,22 @@ std::vector<std::uint32_t> access_counts(std::uint64_t seed) {
   return counts;
 }
 
+/// Write `values` under `layout` to storage blocks [first, first +
+/// num_blocks) and return that block map: what Store's write wave does
+/// before it registers a new table.
+std::vector<BlockId> write_table(const BlockLayout& layout,
+                                 const EmbeddingTable& values,
+                                 BlockStorage& storage, BlockId first = 0) {
+  std::vector<BlockId> map(layout.num_blocks());
+  std::vector<std::byte> block(kBlockBytes);
+  for (BlockId b = 0; b < layout.num_blocks(); ++b) {
+    map[b] = first + b;
+    compose_block_bytes(layout, values, b, kVecBytes, block);
+    storage.write_block(map[b], block);
+  }
+  return map;
+}
+
 void expect_metrics_eq(const TableMetrics& a, const TableMetrics& b) {
   EXPECT_EQ(a.lookups, b.lookups);
   EXPECT_EQ(a.hits, b.hits);
@@ -88,12 +104,12 @@ TEST_P(LookupGetEquivalence, MatchesPerIdLookups) {
   // per get.
   MemoryBlockStorage storage_per_id(kBlocks, kBlockBytes);
   MemoryBlockStorage storage_batch(kBlocks, kBlockBytes);
-  BandanaTable per_id(cfg, policy_of(prefetch), layout, access_counts(9), 0);
-  BandanaTable batch(cfg, policy_of(prefetch), layout, access_counts(9), 0);
+  const std::vector<BlockId> map = write_table(layout, values, storage_per_id);
+  write_table(layout, values, storage_batch);
+  BandanaTable per_id(cfg, policy_of(prefetch), layout, access_counts(9), map);
+  BandanaTable batch(cfg, policy_of(prefetch), layout, access_counts(9), map);
   ASSERT_EQ(per_id.num_shards(), batch.num_shards());
   if (shards > 1) ASSERT_GT(batch.num_shards(), 1u);
-  per_id.publish(values, storage_per_id);
-  batch.publish(values, storage_batch);
 
   // Staged mode stages every other block: lookups that would miss on the
   // rest defer, exactly as the store's pipeline sees an evicted peek.
@@ -154,9 +170,9 @@ TEST(LookupGet, EmptyGetTouchesNothing) {
   const EmbeddingTable values =
       TraceGenerator(table_config(), 3).make_embeddings();
   MemoryBlockStorage storage(kBlocks, kBlockBytes);
-  BandanaTable table(store_config(4), policy_of(PrefetchPolicy::kAll),
-                     BlockLayout::identity(kVectors, kVpb), {}, 0);
-  table.publish(values, storage);
+  const BlockLayout layout = BlockLayout::identity(kVectors, kVpb);
+  BandanaTable table(store_config(4), policy_of(PrefetchPolicy::kAll), layout,
+                     {}, write_table(layout, values, storage));
   table.lookup_get({}, storage, {}, table.begin_batch(), nullptr, false, {});
   EXPECT_EQ(table.metrics().lookups, 0u);
   EXPECT_TRUE(table.cache_contents().empty());
@@ -179,17 +195,10 @@ TEST(LookupGet, SwapMidGetServesWhollyOldOrNewBytes) {
   const StoreConfig cfg = store_config(4);
   const TablePolicy policy = policy_of(PrefetchPolicy::kAll);
   MemoryBlockStorage storage(2 * kBlocks, kBlockBytes);
-  BandanaTable table(cfg, policy, la, {}, 0);
-  table.publish(a, storage);
-  BandanaTable(cfg, policy, lb, {}, kBlocks).publish(b, storage);
+  const std::vector<BlockId> map_a = write_table(la, a, storage);
+  const std::vector<BlockId> map_b = write_table(lb, b, storage, kBlocks);
+  BandanaTable table(cfg, policy, la, {}, map_a);
   ASSERT_GT(table.num_shards(), 1u);
-
-  std::vector<BlockId> map_a(kBlocks);
-  std::vector<BlockId> map_b(kBlocks);
-  for (BlockId i = 0; i < kBlocks; ++i) {
-    map_a[i] = i;
-    map_b[i] = kBlocks + i;
-  }
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> bad{0};

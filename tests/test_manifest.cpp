@@ -50,7 +50,11 @@ Manifest sample_manifest() {
   t1.block_map = {2, 3};
   t1.policy.cache_vectors = 1;
   t1.policy.policy = PrefetchPolicy::kNone;
+  t1.retired = true;  // a tombstone that still carries its final mapping
   m.tables.push_back(t1);
+
+  m.free_pool = {40, 7, 255};
+  m.reservations = {{100, 101, 102}, {}, {259}};
   return m;
 }
 
@@ -72,12 +76,15 @@ void expect_equal(const Manifest& a, const Manifest& b) {
     EXPECT_EQ(x.block_map, y.block_map);
     EXPECT_EQ(x.access_counts, y.access_counts);
     EXPECT_EQ(x.free_blocks, y.free_blocks);
+    EXPECT_EQ(x.retired, y.retired);
     EXPECT_EQ(x.policy.cache_vectors, y.policy.cache_vectors);
     EXPECT_EQ(x.policy.policy, y.policy.policy);
     EXPECT_EQ(x.policy.access_threshold, y.policy.access_threshold);
     EXPECT_DOUBLE_EQ(x.policy.insertion_position, y.policy.insertion_position);
     EXPECT_DOUBLE_EQ(x.policy.shadow_multiplier, y.policy.shadow_multiplier);
   }
+  EXPECT_EQ(a.free_pool, b.free_pool);
+  EXPECT_EQ(a.reservations, b.reservations);
 }
 
 std::vector<char> read_file(const std::string& path) {

@@ -1,8 +1,11 @@
 #include "core/store.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "trace/trace_generator.h"
 
@@ -175,6 +178,61 @@ TEST(Store, RepublishRefreshesValuesAndCountsEndurance) {
 
   store.lookup(t, 42, out);
   EXPECT_TRUE(bytes_match(updated, 42, out));  // stale cache was dropped
+}
+
+// Growing storage is host work, not device traffic: the memory backend
+// copies its blocks into a bigger heap while a file grows in place, and
+// neither may cost simulated time, write waves, batches or endurance. Two
+// stores that grow the same way therefore agree across backends.
+TEST(Store, StorageGrowthIsNotChargedAsDeviceWrites) {
+  TraceGenerator gen(table_config(), 8);
+  const EmbeddingTable values = gen.make_embeddings();
+  EmbeddingTable updated = values;
+  for (VectorId v = 0; v < 4096; ++v) updated.vector(v)[0] += 1.0f;
+  TablePolicy policy;
+  policy.cache_vectors = 64;
+  policy.policy = PrefetchPolicy::kNone;
+  const std::uint64_t table_blocks = 4096 / 32;
+
+  struct Charged {
+    double now_us = 0.0;
+    StoreMetrics metrics;
+    std::uint64_t write_latencies = 0;
+    std::uint64_t endurance_bytes = 0;
+    std::uint64_t storage_blocks = 0;
+  };
+  // Two tables, no reserve (each add_table grows storage), then one push
+  // (which grows it again).
+  const auto run = [&](BlockStorageFactory factory) {
+    Store store(store_config(/*timing=*/true), std::move(factory));
+    store.add_table(values, BlockLayout::identity(4096, 32), policy);
+    store.add_table(values, BlockLayout::random(4096, 32, 3), policy);
+    store.republish(0, updated);
+    return Charged{store.now_us(), store.store_metrics(),
+                   store.write_latency_us().count(),
+                   store.endurance().total_bytes_written(),
+                   store.storage().num_blocks()};
+  };
+  const std::string path =
+      "/tmp/bandana_store_growth_" + std::to_string(::getpid()) + ".bin";
+  const Charged mem = run(memory_storage_factory());
+  const Charged file = run(file_storage_factory(path));
+  std::remove(path.c_str());
+
+  EXPECT_EQ(mem.now_us, file.now_us);
+  EXPECT_EQ(mem.metrics.write_waves, file.metrics.write_waves);
+  EXPECT_EQ(mem.metrics.write_blocks, file.metrics.write_blocks);
+  EXPECT_EQ(mem.metrics.write_batches, file.metrics.write_batches);
+  EXPECT_EQ(mem.write_latencies, file.write_latencies);
+  EXPECT_EQ(mem.storage_blocks, file.storage_blocks);
+  for (const Charged& c : {mem, file}) {
+    // Two table writes and one push, every block of each: nothing else.
+    EXPECT_EQ(c.metrics.write_waves, 3u);
+    EXPECT_EQ(c.metrics.write_blocks, 3 * table_blocks);
+    EXPECT_EQ(c.write_latencies, 3u);
+    EXPECT_EQ(c.endurance_bytes, c.metrics.write_blocks * 4096);
+    EXPECT_EQ(c.storage_blocks, 3 * table_blocks);
+  }
 }
 
 TEST(Store, RejectsBadGeometry) {

@@ -11,20 +11,29 @@
 // Runs on the plain memory backend (inline reads under the shard locks)
 // and on a batched-read backend (the staged_only pipeline, where a swap
 // between the staging peek and the lookup forces deferred retry waves).
+// A file-backed case finishes two tables' pushes from two threads at once:
+// both swaps update the store-wide free list and commit the manifest.
 // The suite is in the `concurrency` + `retraining` ctest labels and must
 // be TSan-clean.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/retrainer.h"
 #include "core/store.h"
+#include "core/store_builder.h"
 #include "core/trainer.h"
+#include "manifest_audit.h"
 #include "trace/trace_generator.h"
 
 namespace bandana {
@@ -262,6 +271,114 @@ TEST(TrickleSwapStress, NoTornVectorsOnBatchedStagedBackend) {
         return std::make_unique<BatchedMemoryStorage>(num_blocks, block_bytes);
       },
       0xBEE5);
+}
+
+/// Two tables' pushes pumped to completion from two threads at once, with
+/// multi_get_async readers on both tables throughout. Each finish swaps
+/// its table, returns the old blocks to the ONE store-wide free list and
+/// commits, under the shared storage lock plus the manifest lock — so the
+/// two finishes race each other and the readers, never the allocator.
+TEST(TrickleSwapStress, ConcurrentFinishesShareOneFreeList) {
+  const std::string block =
+      "/tmp/bandana_trickle_finish_" + std::to_string(::getpid()) + ".bin";
+  const std::string manifest = block + ".manifest";
+  const EmbeddingTable values_a = patterned_table(kVectors, 0.0f);
+  const EmbeddingTable values_b = patterned_table(kVectors, 1.0e6f);
+
+  StoreConfig cfg;
+  cfg.simulate_timing = false;
+  cfg.cache_shards = 4;
+  Store store =
+      StoreBuilder(cfg)
+          .file_storage(block)
+          .manifest(manifest)
+          .add_table(values_a,
+                     make_plan(BlockLayout::random(kVectors, kVpb, 1), 512))
+          .add_table(values_a,
+                     make_plan(BlockLayout::random(kVectors, kVpb, 2), 512))
+          .build();
+  const std::uint64_t blocks_per_table = kVectors / kVpb;
+
+  constexpr std::size_t kIdsPerRequest = 24;
+  constexpr std::size_t kWindow = 8;
+  ThreadPool pool(2);
+  Rng rng(0xF1F1);
+  const EmbeddingTable* live = &values_a;
+  for (int round = 0; round < 4; ++round) {
+    const EmbeddingTable& next = round % 2 == 0 ? values_b : values_a;
+    RepublishConfig rate;
+    rate.blocks_per_interval = 16;
+    rate.interval_us = 10.0;
+    std::vector<TrickleRepublish> sessions;
+    for (TableId t = 0; t < 2; ++t) {
+      sessions.push_back(store.begin_trickle_republish(
+          t, next,
+          make_plan(BlockLayout::random(kVectors, kVpb, 10 * round + t + 3),
+                    512),
+          rate));
+    }
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    const auto pump_to_done = [&](TrickleRepublish& session) {
+      // Start together so the two sessions' last waves and finishes race.
+      started.fetch_add(1);
+      while (started.load() < 2) std::this_thread::yield();
+      while (!session.done()) {
+        if (session.pump() == 0) store.advance_time_us(rate.interval_us);
+      }
+      finished.fetch_add(1);
+    };
+    std::thread pump0(pump_to_done, std::ref(sessions[0]));
+    std::thread pump1(pump_to_done, std::ref(sessions[1]));
+
+    std::vector<std::pair<std::future<MultiGetResult>, std::vector<VectorId>>>
+        inflight;
+    std::size_t bad = 0;
+    const auto settle_one = [&] {
+      auto [future, ids] = std::move(inflight.front());
+      inflight.erase(inflight.begin());
+      const MultiGetResult res = future.get();
+      for (std::size_t g = 0; g < 2; ++g) {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          const std::span<const std::byte> got{
+              res.vectors[g].data() + i * kVecBytes, kVecBytes};
+          if (!equals_value(*live, ids[i], got) &&
+              !equals_value(next, ids[i], got)) {
+            ++bad;
+          }
+        }
+      }
+    };
+    while (finished.load() < 2) {
+      while (inflight.size() < kWindow) {
+        std::vector<VectorId> ids;
+        for (std::size_t i = 0; i < kIdsPerRequest; ++i) {
+          ids.push_back(static_cast<VectorId>(rng.next_below(kVectors)));
+        }
+        MultiGetRequest req;
+        req.add(0, ids).add(1, ids);
+        inflight.emplace_back(store.multi_get_async(std::move(req), pool),
+                              std::move(ids));
+      }
+      settle_one();
+    }
+    pump0.join();
+    pump1.join();
+    while (!inflight.empty()) settle_one();
+    EXPECT_EQ(bad, 0u) << "torn vectors in round " << round;
+    live = &next;
+
+    expect_serves(store, 0, next);
+    expect_serves(store, 1, next);
+    EXPECT_EQ(store.store_metrics().mapping_swaps,
+              2u * static_cast<std::uint64_t>(round + 1));
+    // Each push rewrites every block of both tables, recycling the blocks
+    // the previous round freed: storage settles at two footprints each.
+    EXPECT_EQ(store.storage().num_blocks(), 4 * blocks_per_table);
+    EXPECT_TRUE(manifest_accounts_every_block(manifest));
+  }
+  std::remove(block.c_str());
+  std::remove(manifest.c_str());
 }
 
 /// The background retrainer thread end-to-end: serving threads feed the
