@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) for Bandana's hot kernels: the
 // insertion-position LRU, Zipf sampling, stack-distance updates, the NVM
-// event loop, SHP end-to-end on a small table, and cache replay throughput.
+// event loop, SHP end-to-end on a small table, cache replay throughput,
+// the store's serving loop, and the per-request recording cost (latency
+// recorder vs fixed-size histogram, one metrics publish).
 #include <benchmark/benchmark.h>
 
 #include "core/bandana.h"
@@ -182,6 +184,69 @@ void BM_StoreMultiGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreMultiGet);
+
+/// Lognormal latencies (µs) with some zeros, generated at run time.
+std::vector<double> latency_samples() {
+  Rng rng(11);
+  std::vector<double> v(4096);
+  for (double& x : v) {
+    x = rng.next_bernoulli(0.02) ? 0.0 : rng.next_lognormal(3.0, 1.2);
+  }
+  return v;
+}
+
+// The recording cost every request pays inside Store::schedule_reads
+// under the timing lock: a raw-sample recorder (cleared every 2^20
+// samples to bound this bench's memory; a store's never is) vs the
+// fixed-size histogram the store keeps.
+void BM_LatencyRecorderAdd(benchmark::State& state) {
+  const std::vector<double> samples = latency_samples();
+  LatencyRecorder rec;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    rec.add(samples[i++ % samples.size()]);
+    if ((i & ((1u << 20) - 1)) == 0) rec.clear();
+  }
+  benchmark::DoNotOptimize(rec.count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyRecorderAdd);
+
+void BM_LatencyHistogramAdd(benchmark::State& state) {
+  const std::vector<double> samples = latency_samples();
+  LatencyHistogram hist;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    hist.add(samples[i++ % samples.size()]);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(hist.count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyHistogramAdd);
+
+// One table-get's metrics publish (BandanaTable::lookup_get), single
+// threaded: relaxed RMWs on the non-zero fields.
+void BM_AtomicTableMetricsAdd(benchmark::State& state) {
+  Rng rng(12);
+  std::vector<TableMetrics> deltas(256);
+  for (TableMetrics& d : deltas) {
+    d.lookups = 1 + rng.next_below(32);
+    d.hits = rng.next_below(d.lookups + 1);
+    d.nvm_block_reads = d.lookups - d.hits;
+    d.nvm_bytes_read = 4096 * d.nvm_block_reads;
+    d.miss_bytes = 128 * (d.lookups - d.hits);
+    d.app_bytes_served = 128 * d.lookups;
+  }
+  AtomicTableMetrics metrics;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    metrics.add(deltas[i++ % deltas.size()]);
+  }
+  benchmark::DoNotOptimize(metrics.snapshot());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AtomicTableMetricsAdd);
 
 }  // namespace
 }  // namespace bandana

@@ -24,28 +24,22 @@
 #include <vector>
 
 #include "cache/lru_cache.h"
+#include "common/field_table.h"
 #include "common/types.h"
 
 namespace bandana {
 
+#define BANDANA_CACHE_SHARD_STATS_FIELDS(F) \
+  F(std::uint64_t, size, sum)               \
+  F(std::uint64_t, capacity, sum)           \
+  F(std::uint64_t, accesses, sum)           \
+  F(std::uint64_t, hits, sum)               \
+  F(std::uint64_t, inserts, sum)            \
+  F(std::uint64_t, evictions, sum)
+
 /// Per-shard occupancy and traffic counters (aggregate with operator+=).
 struct CacheShardStats {
-  std::uint64_t size = 0;
-  std::uint64_t capacity = 0;
-  std::uint64_t accesses = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t evictions = 0;
-
-  CacheShardStats& operator+=(const CacheShardStats& o) {
-    size += o.size;
-    capacity += o.capacity;
-    accesses += o.accesses;
-    hits += o.hits;
-    inserts += o.inserts;
-    evictions += o.evictions;
-    return *this;
-  }
+  BANDANA_FIELD_STRUCT(CacheShardStats, BANDANA_CACHE_SHARD_STATS_FIELDS)
 };
 
 class ShardedInsertionLru {

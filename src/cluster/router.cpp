@@ -269,18 +269,12 @@ ClusterMultiGetResult ClusterRouter::merge(
   return out;
 }
 
-namespace {
-void bump(std::atomic<std::uint64_t>& c, std::uint64_t v) {
-  if (v) c.fetch_add(v, std::memory_order_relaxed);
-}
-}  // namespace
-
 void ClusterRouter::settle(const ClusterMultiGetResult& out) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  bump(sub_requests_, out.sub_requests);
-  bump(failed_sub_requests_, out.failed_sub_requests);
-  bump(failed_lookups_, out.failed_lookups);
-  bump(failovers_, out.failovers);
+  metrics_.add({.requests = 1,
+                .sub_requests = out.sub_requests,
+                .failed_sub_requests = out.failed_sub_requests,
+                .failed_lookups = out.failed_lookups,
+                .failovers = out.failovers});
   std::lock_guard lock(latency_mu_);
   request_latency_.add(out.result.service_latency_us);
 }
@@ -409,18 +403,9 @@ std::future<ClusterMultiGetResult> ClusterRouter::multi_get_async(
   return future;
 }
 
-RouterMetrics ClusterRouter::metrics() const {
-  RouterMetrics m;
-  m.requests = requests_.load(std::memory_order_relaxed);
-  m.sub_requests = sub_requests_.load(std::memory_order_relaxed);
-  m.failed_sub_requests =
-      failed_sub_requests_.load(std::memory_order_relaxed);
-  m.failed_lookups = failed_lookups_.load(std::memory_order_relaxed);
-  m.failovers = failovers_.load(std::memory_order_relaxed);
-  return m;
-}
+RouterMetrics ClusterRouter::metrics() const { return metrics_.snapshot(); }
 
-LatencyRecorder ClusterRouter::request_latency_us() const {
+LatencyHistogram ClusterRouter::request_latency_us() const {
   std::lock_guard lock(latency_mu_);
   return request_latency_;
 }

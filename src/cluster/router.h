@@ -79,8 +79,9 @@ class ClusterRouter {
   /// Lock-free snapshot of the router counters.
   RouterMetrics metrics() const;
 
-  /// Merged per-request service latency (degrade multipliers applied).
-  LatencyRecorder request_latency_us() const;
+  /// Merged per-request service latency (degrade multipliers applied), as
+  /// a fixed-size histogram like Store::request_latency_us().
+  LatencyHistogram request_latency_us() const;
 
  private:
   /// One routed per-node sub-request plus the merge-back bookkeeping.
@@ -150,14 +151,13 @@ class ClusterRouter {
   std::size_t num_ranges_ = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> rr_;
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> sub_requests_{0};
-  std::atomic<std::uint64_t> failed_sub_requests_{0};
-  std::atomic<std::uint64_t> failed_lookups_{0};
-  std::atomic<std::uint64_t> failovers_{0};
+  struct AtomicRouterMetrics {
+    BANDANA_FIELD_MIRROR(RouterMetrics, BANDANA_ROUTER_METRICS_FIELDS)
+  };
+  AtomicRouterMetrics metrics_;
 
   mutable std::mutex latency_mu_;
-  LatencyRecorder request_latency_;
+  LatencyHistogram request_latency_;
 };
 
 }  // namespace bandana

@@ -55,6 +55,7 @@
 #include "cluster/cluster_config.h"
 #include "cluster/placement.h"
 #include "common/epoch.h"
+#include "common/field_table.h"
 #include "core/metrics.h"
 #include "core/store.h"
 #include "core/trainer.h"
@@ -67,26 +68,23 @@ class ClusterRouter;     // cluster/router.h
 class RebalanceSession;  // cluster/rebalance.h
 class StoreBuilder;      // core/store_builder.h
 
-/// Router-side counters: requests routed, sub-requests dispatched and
-/// lost, lookups zero-filled, and replica failovers.
-struct RouterMetrics {
-  std::uint64_t requests = 0;          ///< Cluster multi_gets served.
-  std::uint64_t sub_requests = 0;      ///< Per-node requests dispatched.
-  std::uint64_t failed_sub_requests = 0;  ///< Per-request (table, range)
-                                          ///< groups with no alive replica.
-  std::uint64_t failed_lookups = 0;    ///< Ids zero-filled by those losses.
-  std::uint64_t failovers = 0;         ///< Routing decisions pushed off the
-                                       ///< balancer's pick by a down node.
+// RouterMetrics: router-side counters, all sum.
+//   requests             Cluster multi_gets served.
+//   sub_requests         Per-node requests dispatched.
+//   failed_sub_requests  Per-request (table, range) groups with no alive
+//                        replica.
+//   failed_lookups       Ids zero-filled by those losses.
+//   failovers            Routing decisions pushed off the balancer's pick
+//                        by a down node.
+#define BANDANA_ROUTER_METRICS_FIELDS(F)     \
+  F(std::uint64_t, requests, sum)            \
+  F(std::uint64_t, sub_requests, sum)        \
+  F(std::uint64_t, failed_sub_requests, sum) \
+  F(std::uint64_t, failed_lookups, sum)      \
+  F(std::uint64_t, failovers, sum)
 
-  RouterMetrics& merge(const RouterMetrics& o) {
-    requests += o.requests;
-    sub_requests += o.sub_requests;
-    failed_sub_requests += o.failed_sub_requests;
-    failed_lookups += o.failed_lookups;
-    failovers += o.failovers;
-    return *this;
-  }
-  RouterMetrics& operator+=(const RouterMetrics& o) { return merge(o); }
+struct RouterMetrics {
+  BANDANA_FIELD_STRUCT(RouterMetrics, BANDANA_ROUTER_METRICS_FIELDS)
 };
 
 /// Cluster-wide rollup: every node's TableMetrics and StoreMetrics merged

@@ -38,9 +38,7 @@ void TrafficSampler::on_table_get(TableId table, std::span<const VectorId> ids,
                                   std::uint64_t hits, std::uint64_t misses) {
   if (table >= tables_.size() || ids.empty()) return;
   TableSampler& ts = *tables_[table];
-  ts.seen.fetch_add(1, std::memory_order_relaxed);
-  ts.lookups.fetch_add(hits + misses, std::memory_order_relaxed);
-  ts.hits.fetch_add(hits, std::memory_order_relaxed);
+  ts.traffic.add({.seen_queries = 1, .lookups = hits + misses, .hits = hits});
 
   // Sampling-rate gate, lock-free: admit iff a hash of the table's stream
   // position clears the rate (SHARDS-style, like cache/mini_cache.h's
@@ -78,12 +76,7 @@ std::uint64_t TrafficSampler::reservoir_size(TableId t) const {
 }
 
 TableTrafficStats TrafficSampler::traffic(TableId t) const {
-  const TableSampler& ts = *tables_.at(t);
-  TableTrafficStats s;
-  s.seen_queries = ts.seen.load(std::memory_order_relaxed);
-  s.lookups = ts.lookups.load(std::memory_order_relaxed);
-  s.hits = ts.hits.load(std::memory_order_relaxed);
-  return s;
+  return tables_.at(t)->traffic.snapshot();
 }
 
 std::vector<Trace> TrafficSampler::drain() {

@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/field_table.h"
 #include "common/rng.h"
 #include "core/store.h"
 #include "core/trainer.h"
@@ -63,11 +64,16 @@ struct SamplerConfig {
   std::uint64_t seed = 42;
 };
 
-/// Lock-free drift counters of one table (snapshot).
+// TableTrafficStats: lock-free drift counters of one table, all sum.
+// seen_queries counts the table-gets offered to the sampler; lookups and
+// hits are their ids and cache hits.
+#define BANDANA_TABLE_TRAFFIC_FIELDS(F) \
+  F(std::uint64_t, seen_queries, sum)   \
+  F(std::uint64_t, lookups, sum)        \
+  F(std::uint64_t, hits, sum)
+
 struct TableTrafficStats {
-  std::uint64_t seen_queries = 0;  ///< Table-gets offered to the sampler.
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
+  BANDANA_FIELD_STRUCT(TableTrafficStats, BANDANA_TABLE_TRAFFIC_FIELDS)
 
   double hit_rate() const {
     return lookups ? static_cast<double>(hits) / static_cast<double>(lookups)
@@ -113,9 +119,10 @@ class TrafficSampler final : public AccessTap {
     std::uint64_t admitted = 0;  ///< Stream position of algorithm R.
     std::uint64_t gate_salt = 0;
     std::atomic<std::uint64_t> stream{0};  ///< Gate position (lock-free).
-    std::atomic<std::uint64_t> seen{0};
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> hits{0};
+    struct AtomicTraffic {
+      BANDANA_FIELD_MIRROR(TableTrafficStats, BANDANA_TABLE_TRAFFIC_FIELDS)
+    };
+    AtomicTraffic traffic;
 
     explicit TableSampler(std::uint64_t seed)
         : rng(seed), gate_salt(splitmix64(seed ^ 0x6A7E6A7EULL)) {}

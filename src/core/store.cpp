@@ -379,7 +379,7 @@ const BandanaTable& Store::checked_table(TableId t) const {
   return *tables_[t];
 }
 
-double Store::schedule_reads(std::uint64_t reads, LatencyRecorder& recorder,
+double Store::schedule_reads(std::uint64_t reads, LatencyHistogram& recorder,
                              bool advance_clock, double arrival_us) {
   if (!config_.simulate_timing) return 0.0;
   std::lock_guard lock(*timing_mu_);
@@ -559,18 +559,14 @@ void Store::note_retrain(double drain_us, double train_us, double diff_us,
   auto us = [](double v) {
     return v > 0.0 ? static_cast<std::uint64_t>(v) : 0;
   };
-  staging_metrics_->retrain_runs.fetch_add(1, std::memory_order_relaxed);
-  staging_metrics_->retrain_drain_us.fetch_add(us(drain_us),
-                                               std::memory_order_relaxed);
-  staging_metrics_->retrain_train_us.fetch_add(us(train_us),
-                                               std::memory_order_relaxed);
-  staging_metrics_->retrain_diff_us.fetch_add(us(diff_us),
-                                              std::memory_order_relaxed);
-  staging_metrics_->note_peak_training_bytes(peak_training_bytes);
-  if (budget_overrun) {
-    staging_metrics_->retrain_budget_overruns.fetch_add(
-        1, std::memory_order_relaxed);
-  }
+  StoreMetrics d;
+  d.retrain_runs = 1;
+  d.retrain_drain_us = us(drain_us);
+  d.retrain_train_us = us(train_us);
+  d.retrain_diff_us = us(diff_us);
+  d.retrain_peak_training_bytes = peak_training_bytes;
+  d.retrain_budget_overruns = budget_overrun ? 1 : 0;
+  staging_metrics_->add(d);
 }
 
 double Store::lookup_batch(TableId t, std::span<const VectorId> ids,
@@ -606,7 +602,7 @@ MultiGetResult Store::multi_get(const MultiGetRequest& request,
 
 MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
                                      double arrival_us,
-                                     LatencyRecorder& recorder,
+                                     LatencyHistogram& recorder,
                                      bool advance_clock) {
   const std::size_t vb = config_.vector_bytes;
   // Validate the whole request up front so a bad entry cannot leave it
@@ -1372,22 +1368,22 @@ TableMetrics Store::total_metrics() const {
   return total;
 }
 
-LatencyRecorder Store::query_latency_us() const {
+LatencyHistogram Store::query_latency_us() const {
   std::lock_guard lock(*timing_mu_);
   return query_latency_;
 }
 
-LatencyRecorder Store::request_latency_us() const {
+LatencyHistogram Store::request_latency_us() const {
   std::lock_guard lock(*timing_mu_);
   return request_latency_;
 }
 
-LatencyRecorder Store::write_latency_us() const {
+LatencyHistogram Store::write_latency_us() const {
   std::lock_guard lock(*timing_mu_);
   return write_latency_;
 }
 
-LatencyRecorder Store::migration_latency_us() const {
+LatencyHistogram Store::migration_latency_us() const {
   std::lock_guard lock(*timing_mu_);
   return migration_latency_;
 }

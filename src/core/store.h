@@ -341,16 +341,17 @@ class Store {
   /// the retrain latency budget next to the serving counters it protects.
   void note_retrain(double drain_us, double train_us, double diff_us,
                     std::uint64_t peak_training_bytes, bool budget_overrun);
-  LatencyRecorder query_latency_us() const;
+  /// Per-query service latency of lookup_batch calls.
+  LatencyHistogram query_latency_us() const;
   /// Per-request service latency of multi_get / multi_get_async calls.
-  LatencyRecorder request_latency_us() const;
+  LatencyHistogram request_latency_us() const;
   /// Per-wave service latency of the write waves (add_table, trickle and
   /// republish pushes, installs) through the engine (empty when timing is
   /// off). Storage growth is host work and records none.
-  LatencyRecorder write_latency_us() const;
+  LatencyHistogram write_latency_us() const;
   /// Per-wave service latency of migration read-out waves
   /// (read_table_blocks) through the engine (empty when timing is off).
-  LatencyRecorder migration_latency_us() const;
+  LatencyHistogram migration_latency_us() const;
   /// Snapshot of the endurance accounting (copy taken under the timing
   /// lock — a background trickle may be recording writes concurrently).
   EnduranceTracker endurance() const;
@@ -456,7 +457,7 @@ class Store {
   /// negative) through the admission gate and record the latency to the
   /// slowest completion. `advance_clock` selects closed-loop (clock moves
   /// to completion) vs open-loop (clock stays at arrival) semantics.
-  double schedule_reads(std::uint64_t reads, LatencyRecorder& recorder,
+  double schedule_reads(std::uint64_t reads, LatencyHistogram& recorder,
                         bool advance_clock, double arrival_us = -1.0);
   /// Submit `writes` block writes at the current clock as one admission
   /// wave of IoKind::kWrite events on the engine's channel FIFOs (no-op
@@ -473,7 +474,7 @@ class Store {
   /// arrival order even when serving lags. `recorder` and `advance_clock`
   /// are handed to schedule_reads.
   MultiGetResult multi_get_impl(const MultiGetRequest& request,
-                                double arrival_us, LatencyRecorder& recorder,
+                                double arrival_us, LatencyHistogram& recorder,
                                 bool advance_clock);
 
   // Trickle-session plumbing (called by TrickleRepublish on its state).
@@ -596,13 +597,13 @@ class Store {
   /// FIFOs (exercised under timing_mu_).
   NvmIoEngine engine_;
   double now_us_ = 0.0;
-  LatencyRecorder query_latency_;
-  LatencyRecorder request_latency_;
-  LatencyRecorder write_latency_;
-  LatencyRecorder migration_latency_;
+  LatencyHistogram query_latency_;
+  LatencyHistogram request_latency_;
+  LatencyHistogram write_latency_;
+  LatencyHistogram migration_latency_;
   EnduranceTracker endurance_;
-  /// Staged-read-pipeline counters (relaxed atomics behind a pointer so
-  /// the Store stays movable).
+  /// Every StoreMetrics counter (relaxed atomics behind a pointer so the
+  /// Store stays movable).
   std::unique_ptr<AtomicStoreMetrics> staging_metrics_;
 };
 

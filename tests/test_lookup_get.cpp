@@ -77,18 +77,6 @@ std::vector<BlockId> write_table(const BlockLayout& layout,
   return map;
 }
 
-void expect_metrics_eq(const TableMetrics& a, const TableMetrics& b) {
-  EXPECT_EQ(a.lookups, b.lookups);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.nvm_block_reads, b.nvm_block_reads);
-  EXPECT_EQ(a.prefetch_inserted, b.prefetch_inserted);
-  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
-  EXPECT_EQ(a.nvm_bytes_read, b.nvm_bytes_read);
-  EXPECT_EQ(a.miss_bytes, b.miss_bytes);
-  EXPECT_EQ(a.app_bytes_served, b.app_bytes_served);
-  EXPECT_EQ(a.republish_writes, b.republish_writes);
-}
-
 class LookupGetEquivalence
     : public ::testing::TestWithParam<
           std::tuple<std::uint32_t, PrefetchPolicy, bool>> {};
@@ -151,7 +139,7 @@ TEST_P(LookupGetEquivalence, MatchesPerIdLookups) {
     ASSERT_EQ(want, got) << "query " << q;
   }
   if (staged_only) EXPECT_GT(deferred, 0u);
-  expect_metrics_eq(per_id.metrics(), batch.metrics());
+  EXPECT_EQ(per_id.metrics(), batch.metrics());
   EXPECT_EQ(per_id.cache_contents(), batch.cache_contents());
   EXPECT_GT(batch.metrics().lookups, 0u);
 }

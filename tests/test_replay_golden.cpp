@@ -237,19 +237,6 @@ ReplayResult run_replay(BlockStorageFactory factory,
   return r;
 }
 
-void expect_table_metrics_eq(const TableMetrics& a, const TableMetrics& b,
-                             const char* what) {
-  EXPECT_EQ(a.lookups, b.lookups) << what;
-  EXPECT_EQ(a.hits, b.hits) << what;
-  EXPECT_EQ(a.nvm_block_reads, b.nvm_block_reads) << what;
-  EXPECT_EQ(a.prefetch_inserted, b.prefetch_inserted) << what;
-  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits) << what;
-  EXPECT_EQ(a.nvm_bytes_read, b.nvm_bytes_read) << what;
-  EXPECT_EQ(a.miss_bytes, b.miss_bytes) << what;
-  EXPECT_EQ(a.app_bytes_served, b.app_bytes_served) << what;
-  EXPECT_EQ(a.republish_writes, b.republish_writes) << what;
-}
-
 void expect_write_path_eq(const ReplayResult& a, const ReplayResult& b,
                           const char* what) {
   EXPECT_EQ(a.store_metrics.write_waves, b.store_metrics.write_waves) << what;
@@ -463,7 +450,7 @@ TEST(ReplayGolden, MemoryBackendIsDeterministicAcrossRuns) {
   const ReplayResult a = run_replay(memory_storage_factory());
   const ReplayResult b = run_replay(memory_storage_factory());
   EXPECT_EQ(a.digest, b.digest);
-  expect_table_metrics_eq(a.totals, b.totals, "memory replay");
+  EXPECT_EQ(a.totals, b.totals) << "memory replay";
   expect_write_path_eq(a, b, "memory replay");
   EXPECT_EQ(a.store_metrics.staged_blocks, b.store_metrics.staged_blocks);
   EXPECT_EQ(a.store_metrics.deferred_lookups,
@@ -480,7 +467,7 @@ TEST(ReplayGolden, FileBackendMatchesMemoryExactly) {
   const ReplayResult file = run_replay(file_storage_factory(path));
   std::remove(path.c_str());
   EXPECT_EQ(mem.digest, file.digest);
-  expect_table_metrics_eq(mem.totals, file.totals, "file vs memory");
+  EXPECT_EQ(mem.totals, file.totals) << "file vs memory";
   expect_write_path_eq(mem, file, "file vs memory");
   EXPECT_EQ(file.store_metrics.staged_blocks, 0u);
   check_structural_goldens(file, /*inline_backend=*/true);
@@ -505,8 +492,8 @@ TEST(ReplayGolden, AsyncFileBackendServesIdenticalBytes) {
   EXPECT_EQ(mem.digest, async_pool.digest);
   // The io_uring and thread-pool paths are the same pipeline: full counter
   // identity between them.
-  expect_table_metrics_eq(async_auto.totals, async_pool.totals,
-                          "async auto vs thread-pool");
+  EXPECT_EQ(async_auto.totals, async_pool.totals)
+      << "async auto vs thread-pool";
   expect_write_path_eq(async_auto, async_pool, "async auto vs thread-pool");
   // Against memory: the write path (publish + trickle) is identical; the
   // read path differs only in staging bookkeeping.

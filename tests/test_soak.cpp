@@ -13,7 +13,9 @@
 // and the manifests must stay flat: a migrated-out table leaves a
 // tombstone of a few bytes, not its whole mapping.
 //
-// Latency recorders keep every sample and are not covered here.
+// Latency recorders: every long-lived one returns a trivially copyable
+// histogram, so it holds no heap memory and cannot grow (checked at
+// compile time below).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -24,6 +26,8 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/placement.h"
@@ -37,6 +41,17 @@
 
 namespace bandana {
 namespace {
+
+template <class T>
+constexpr bool kFixedSize = std::is_trivially_copyable_v<T>;
+static_assert(kFixedSize<decltype(std::declval<Store&>().query_latency_us())>);
+static_assert(
+    kFixedSize<decltype(std::declval<Store&>().request_latency_us())>);
+static_assert(kFixedSize<decltype(std::declval<Store&>().write_latency_us())>);
+static_assert(
+    kFixedSize<decltype(std::declval<Store&>().migration_latency_us())>);
+static_assert(kFixedSize<
+              decltype(std::declval<ClusterRouter&>().request_latency_us())>);
 
 constexpr std::uint32_t kVectors = 2048;  // 64 blocks of 32 vectors
 constexpr std::uint32_t kVpb = 32;
