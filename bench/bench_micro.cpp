@@ -1,9 +1,15 @@
 // Micro-benchmarks (google-benchmark) for Bandana's hot kernels: the
 // insertion-position LRU, Zipf sampling, stack-distance updates, the NVM
 // event loop, SHP end-to-end on a small table, cache replay throughput,
-// the store's serving loop, and the per-request recording cost (latency
-// recorder vs fixed-size histogram, one metrics publish).
+// the store's serving loop, the per-request recording cost (latency
+// recorder vs fixed-size histogram, one metrics publish), and one
+// admission wave through the async file backend.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <numeric>
+#include <string>
 
 #include "core/bandana.h"
 
@@ -247,6 +253,64 @@ void BM_AtomicTableMetricsAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AtomicTableMetricsAdd);
+
+// One admission wave (128 blocks of 4 KB: the default queue_depth 32 x
+// channels 4) through AsyncFileBlockStorage on a temp file, staged in a
+// leased wave buffer: the storage share of a staged read or a trickle
+// write. The blocks are a fixed random sample of a 1,024-block file in
+// random order, so no two ops merge into one run, as in serving. Args:
+// write (0 = read_blocks, 1 = write_blocks), pool (0 = io_uring where the
+// host offers it, 1 = the thread-pool fallback); the label names the path
+// that ran. Page-cache I/O: this prices submission and completion, not a
+// device.
+void BM_AsyncWave(benchmark::State& state) {
+  constexpr std::size_t kBlock = 4096;
+  constexpr std::size_t kWave = 128;
+  constexpr std::uint64_t kFileBlocks = 1024;
+  const bool write = state.range(0) != 0;
+  AsyncFileStorageOptions options;
+  options.force_thread_pool = state.range(1) != 0;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bandana_bench_wave_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  {
+    AsyncFileBlockStorage storage(path, kFileBlocks, kBlock,
+                                  /*preserve_contents=*/false, options);
+    std::vector<BlockId> ids(kFileBlocks);
+    std::iota(ids.begin(), ids.end(), BlockId{0});
+    Rng rng(13);
+    for (std::size_t i = 0; i < kWave; ++i) {
+      std::swap(ids[i], ids[i + rng.next_below(kFileBlocks - i)]);
+    }
+    WaveComposeBuffer wave(storage, kWave * kBlock);
+    std::fill(wave.buf.begin(), wave.buf.end(), std::byte{0x5A});
+    std::vector<BlockReadOp> reads(kWave);
+    std::vector<BlockWriteOp> writes(kWave);
+    for (std::size_t i = 0; i < kWave; ++i) {
+      reads[i] = {ids[i], wave.buf.subspan(i * kBlock, kBlock)};
+      writes[i] = {ids[i], reads[i].out};
+    }
+    storage.write_blocks(writes);  // reads land on written pages
+    for (auto _ : state) {
+      if (write) {
+        storage.write_blocks(writes);
+      } else {
+        storage.read_blocks(reads);
+      }
+      benchmark::DoNotOptimize(wave.buf.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            kWave * kBlock);
+    state.SetLabel(storage.io_uring_active() ? "io_uring" : "thread pool");
+  }
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_AsyncWave)
+    ->ArgNames({"write", "pool"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace bandana

@@ -1,7 +1,7 @@
 #include "cache/cache_sim.h"
 
-#include <cassert>
 #include <memory>
+#include <stdexcept>
 
 #include "cache/lru_cache.h"
 
@@ -27,9 +27,9 @@ CacheSimResult simulate_cache(const Trace& trace, const BlockLayout& layout,
                              config.policy == PrefetchPolicy::kShadowPosition;
   const bool uses_shadow = config.policy == PrefetchPolicy::kShadow ||
                            config.policy == PrefetchPolicy::kShadowPosition;
-  if (config.policy == PrefetchPolicy::kThreshold) {
-    assert(access_counts.size() == universe &&
-           "kThreshold needs per-vector SHP access counts");
+  if (config.policy == PrefetchPolicy::kThreshold &&
+      access_counts.size() != universe) {
+    throw std::invalid_argument("kThreshold requires per-vector access counts");
   }
 
   const std::uint64_t capacity =

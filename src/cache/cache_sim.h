@@ -86,7 +86,8 @@ struct CacheSimResult {
 };
 
 /// Replay `trace` under `config`. `access_counts` is required for
-/// kThreshold (per-vector SHP-run query counts; see ShpResult).
+/// kThreshold (per-vector SHP-run query counts; see ShpResult); without
+/// one count per vector it throws std::invalid_argument.
 CacheSimResult simulate_cache(const Trace& trace, const BlockLayout& layout,
                               const CachePolicyConfig& config,
                               std::span<const std::uint32_t> access_counts = {});

@@ -27,7 +27,9 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue an arbitrary task.
+  /// Enqueue an arbitrary task. The task must not throw: workers run it
+  /// unguarded, so an escaping exception terminates the process. A caller
+  /// that can fail catches inside the task and reports back itself.
   void submit(std::function<void()> task);
 
   /// Block until all submitted tasks have finished.

@@ -242,13 +242,16 @@ void BandanaTable::cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
 }
 
 void BandanaTable::admit_prefetches(State& st, std::uint32_t shard_idx,
-                                    BlockId local_block,
+                                    VectorId requested, BlockId local_block,
                                     std::span<const std::byte> block,
                                     TableMetrics& counts) {
   const auto members = st.layout.block_members(local_block);
   for (std::size_t i = 0; i < members.size(); ++i) {
     const VectorId u = members[i];
-    if (st.cache.contains(u)) continue;
+    // The requested vector was just cached as a demand read; if the
+    // block's own prefetches evicted it, it stays out (as in
+    // simulate_cache) rather than coming back as a prefetch.
+    if (u == requested || st.cache.contains(u)) continue;
     const std::span<const std::byte> bytes{block.data() + i * vector_bytes_,
                                            vector_bytes_};
     switch (st.policy.policy) {
@@ -447,7 +450,7 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
   cache_vector(st, shard_idx, v, vector_view, 0, /*is_prefetch=*/false,
                counts);
   if (!already_read && st.policy.policy != PrefetchPolicy::kNone) {
-    admit_prefetches(st, shard_idx, local_b, block_bytes, counts);
+    admit_prefetches(st, shard_idx, v, local_b, block_bytes, counts);
   }
   return outcome;
 }

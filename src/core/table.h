@@ -284,7 +284,7 @@ class BandanaTable {
   void cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
                     std::span<const std::byte> bytes, std::size_t point,
                     bool is_prefetch, TableMetrics& counts);
-  void admit_prefetches(State& st, std::uint32_t shard_idx,
+  void admit_prefetches(State& st, std::uint32_t shard_idx, VectorId requested,
                         BlockId local_block, std::span<const std::byte> block,
                         TableMetrics& counts);
 

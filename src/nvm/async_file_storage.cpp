@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
 
@@ -27,6 +28,14 @@
 #endif
 
 namespace bandana {
+
+/// Ops whose blocks are consecutive on disk and whose bytes are
+/// consecutive in memory.
+struct AsyncFileBlockStorage::Run {
+  BlockId block;      ///< first block of the run
+  std::byte* data;    ///< its first byte in the caller's buffer
+  std::size_t bytes;  ///< a whole number of blocks
+};
 
 #ifdef BANDANA_HAS_IO_URING
 
@@ -170,49 +179,53 @@ void AsyncFileBlockStorage::register_rings() {
 #endif
 }
 
-void AsyncFileBlockStorage::read_wave_uring(
-    Ring& ring, std::span<const BlockReadOp> ops) const {
+void AsyncFileBlockStorage::transfer_uring(Ring& ring,
+                                           std::span<const Run> runs,
+                                           bool write) const {
   const std::size_t bb = block_bytes();
+  // Test-only short-completion injection: capping every SQE below its run
+  // forces genuinely short completions through the resubmission path.
+  const std::size_t cap = options_.max_bytes_per_sqe;
   // Waves larger than the ring are chunked; each chunk is one batched
-  // submission (one io_uring_enter with GETEVENTS) and a reap loop. A
-  // partial completion resubmits the REMAINING byte range of its block
-  // (offset advanced by the bytes already landed) instead of re-reading
-  // the whole block through a synchronous pread — the wave stays fully
-  // overlapped even when the kernel splits an op.
-  for (std::size_t base = 0; base < ops.size(); base += ring.entries) {
+  // submission and a reap loop. A partial completion resubmits the
+  // REMAINING byte range of its run (offset and buffer pointer advanced
+  // past the landed bytes) instead of falling back to a synchronous
+  // pread/pwrite — the wave stays fully overlapped even when the kernel
+  // splits an op.
+  for (std::size_t base = 0; base < runs.size(); base += ring.entries) {
     const unsigned n = static_cast<unsigned>(
-        std::min<std::size_t>(ring.entries, ops.size() - base));
-    // Bytes already landed per in-chunk op; a resubmitted SQE reads
-    // [done, bb) of its block into the tail of the caller's buffer.
+        std::min<std::size_t>(ring.entries, runs.size() - base));
+    // Bytes already transferred per in-chunk run.
     std::vector<std::size_t> done_bytes(n, 0);
-    // One iovec per OP (not per SQ slot): an iovec must stay valid until
+    // One iovec per RUN (not per SQ slot): an iovec must stay valid until
     // its op completes, and the SQ tail cycles — a resubmit landing on a
-    // still-in-flight op's slot would corrupt that op's read. Keying by
-    // op index is safe: an op is resubmitted only after its previous
+    // still-in-flight run's slot would corrupt that run's transfer. Keying
+    // by run index is safe: a run is resubmitted only after its previous
     // submission completed.
     std::vector<iovec> iovecs(n);
-    const auto push_sqe = [&](unsigned op_idx) {
+    const auto push_sqe = [&](unsigned i) {
       const unsigned tail = std::atomic_ref<unsigned>(*ring.sq_tail)
                                 .load(std::memory_order_relaxed);
       const unsigned idx = tail & ring.sq_mask;
-      const BlockReadOp& op = ops[base + op_idx];
-      const std::size_t done = done_bytes[op_idx];
-      std::byte* dst = op.out.data() + done;
-      const std::size_t len = bb - done;
+      const Run& run = runs[base + i];
+      const std::size_t done = done_bytes[i];
+      const std::size_t len =
+          cap != 0 ? std::min(cap, run.bytes - done) : run.bytes - done;
+      std::byte* data = run.data + done;
       io_uring_sqe& sqe = ring.sqes[idx];
       std::memset(&sqe, 0, sizeof(sqe));
-      // Destinations inside the registered pool (staged reads leased a
-      // wave buffer) go zero-copy: READ_FIXED skips the per-op page pin.
-      const int buf = pool_buf_index(dst, len);
+      // Bytes inside the registered pool (a leased wave buffer) go
+      // zero-copy: the FIXED opcodes skip the per-op page pin.
+      const int buf = pool_buf_index(data, len);
       if (buf >= 0) {
-        sqe.opcode = IORING_OP_READ_FIXED;
-        sqe.addr = reinterpret_cast<std::uint64_t>(dst);
+        sqe.opcode = write ? IORING_OP_WRITE_FIXED : IORING_OP_READ_FIXED;
+        sqe.addr = reinterpret_cast<std::uint64_t>(data);
         sqe.len = static_cast<unsigned>(len);
         sqe.buf_index = static_cast<std::uint16_t>(buf);
       } else {
-        iovecs[op_idx] = {dst, len};
-        sqe.opcode = IORING_OP_READV;
-        sqe.addr = reinterpret_cast<std::uint64_t>(&iovecs[op_idx]);
+        iovecs[i] = {data, len};
+        sqe.opcode = write ? IORING_OP_WRITEV : IORING_OP_READV;
+        sqe.addr = reinterpret_cast<std::uint64_t>(&iovecs[i]);
         sqe.len = 1;
       }
       if (files_registered_) {
@@ -221,8 +234,8 @@ void AsyncFileBlockStorage::read_wave_uring(
       } else {
         sqe.fd = fd();
       }
-      sqe.off = static_cast<std::uint64_t>(op.block) * bb + done;
-      sqe.user_data = op_idx;
+      sqe.off = static_cast<std::uint64_t>(run.block) * bb + done;
+      sqe.user_data = i;
       ring.sq_array[idx] = idx;
       std::atomic_ref<unsigned>(*ring.sq_tail)
           .store(tail + 1, std::memory_order_release);
@@ -234,13 +247,14 @@ void AsyncFileBlockStorage::read_wave_uring(
     unsigned enter_failures = 0;
     // A fatal error — per-op OR from io_uring_enter itself — is deferred
     // until every in-flight op of the chunk has completed: the kernel may
-    // still be writing into the caller's buffers, so bailing out
-    // mid-flight would dangle them.
+    // still be using the caller's buffers, so bailing out mid-flight would
+    // dangle them. Errors name the failing BLOCK and byte even when the
+    // run coalesced several: the stall point is done bytes into the run.
     std::string error;
     std::vector<unsigned> resubmit;
     while (finished < n) {
       // Wait for every op already inside the kernel rather than one CQE
-      // at a time: each op keeps at most one SQE in flight, so the
+      // at a time: each run keeps at most one SQE in flight, so the
       // in-kernel count before this call is n - finished - to_submit.
       // Asking for exactly that many completions drains the chunk in
       // O(1) enters instead of one wakeup per completion (the first
@@ -260,7 +274,7 @@ void AsyncFileBlockStorage::read_wave_uring(
         // Unsubmitted SQEs will never complete: account them as finished
         // and keep reaping the in-flight ops. If the syscall keeps
         // failing we cannot drain — give up rather than spin forever
-        // (the in-flight ops may still land in soon-to-be-freed buffers,
+        // (the in-flight ops may still touch soon-to-be-freed buffers,
         // but there is nothing further we can do from here).
         finished += to_submit;
         to_submit = 0;
@@ -277,36 +291,41 @@ void AsyncFileBlockStorage::read_wave_uring(
       resubmit.clear();
       while (head != cq_tail) {
         const io_uring_cqe& cqe = ring.cqes[head & ring.cq_mask];
-        const auto op_idx = static_cast<unsigned>(cqe.user_data);
-        const BlockReadOp& op = ops[base + op_idx];
-        if (cqe.res < 0) {
-          // Transient kernel-side interruptions retry the remainder; a
-          // real I/O error names the failing block and poisons the wave.
-          if (cqe.res == -EINTR || cqe.res == -EAGAIN) {
-            resubmit.push_back(op_idx);
-          } else {
-            if (error.empty()) {
-              error = "AsyncFileBlockStorage: read of block " +
-                      std::to_string(op.block) +
+        const auto i = static_cast<unsigned>(cqe.user_data);
+        const Run& run = runs[base + i];
+        if (cqe.res == -EINTR || cqe.res == -EAGAIN) {
+          resubmit.push_back(i);  // transient: retry the remainder
+        } else if (cqe.res <= 0) {
+          // A real I/O error, or 0 bytes inside a block the geometry says
+          // exists (the backing file is shorter than num_blocks x
+          // block_bytes): poison the wave.
+          if (error.empty()) {
+            const std::size_t done = done_bytes[i];
+            const std::string at = "block " +
+                                   std::to_string(run.block + done / bb) +
+                                   " at byte " + std::to_string(done % bb);
+            if (cqe.res < 0) {
+              error = std::string("AsyncFileBlockStorage: ") +
+                      (write ? "write of " : "read of ") + at +
                       " failed: " + std::strerror(-cqe.res);
+            } else {
+              error = std::string("AsyncFileBlockStorage: ") +
+                      (write ? "no progress writing "
+                             : "unexpected EOF reading ") +
+                      at;
             }
-            ++finished;
-          }
-        } else if (cqe.res == 0) {
-          // EOF inside a block the geometry says exists: the backing file
-          // is shorter than num_blocks x block_bytes.
-          if (error.empty()) {
-            error = "AsyncFileBlockStorage: unexpected EOF reading block " +
-                    std::to_string(op.block) + " at byte " +
-                    std::to_string(done_bytes[op_idx]);
           }
           ++finished;
         } else {
-          done_bytes[op_idx] += static_cast<std::size_t>(cqe.res);
-          if (done_bytes[op_idx] >= bb) {
+          done_bytes[i] += static_cast<std::size_t>(cqe.res);
+          if (done_bytes[i] >= run.bytes) {
             ++finished;
           } else {
-            resubmit.push_back(op_idx);  // short read: fetch the rest
+            // Short completion: push the remaining [done, run bytes) again.
+            if (write) {
+              write_short_resubmits_.fetch_add(1, std::memory_order_relaxed);
+            }
+            resubmit.push_back(i);
           }
         }
         ++head;
@@ -314,179 +333,8 @@ void AsyncFileBlockStorage::read_wave_uring(
       std::atomic_ref<unsigned>(*ring.cq_head)
           .store(head, std::memory_order_release);
       if (error.empty()) {
-        for (const unsigned op_idx : resubmit) {
-          push_sqe(op_idx);
-          ++to_submit;
-        }
-      } else {
-        finished += static_cast<unsigned>(resubmit.size());
-      }
-    }
-    if (!error.empty()) throw std::runtime_error(error);
-  }
-}
-
-void AsyncFileBlockStorage::write_wave_uring(Ring& ring,
-                                             std::span<const BlockWriteOp> ops) {
-  const std::size_t bb = block_bytes();
-  // Test-only short-write injection: capping every SQE below block_bytes
-  // forces genuinely short completions through the resubmission path.
-  const std::size_t cap = options_.max_write_bytes_per_sqe;
-  // The mirror of read_wave_uring: waves larger than the ring are chunked,
-  // each chunk is one batched submission and a reap loop, and a partial
-  // completion resubmits the REMAINING byte range (offset and source
-  // pointer advanced past the landed bytes) so the wave stays fully
-  // overlapped. Source buffers inside the registered pool (producers lease
-  // a wave buffer to compose block images in) go out as WRITE_FIXED
-  // against the fixed fd — zero-copy, no per-op page pin.
-  //
-  // Adjacent ops whose blocks are consecutive ON DISK and whose source
-  // bytes are consecutive IN MEMORY coalesce into one run = one SQE: a
-  // trickle or publish wave composed in order into a leased wave buffer
-  // over a contiguously allocated replacement region collapses from one
-  // SQE per block to a handful of large writes, so the kernel-side write
-  // path runs once per run instead of once per block.
-  struct Run {
-    std::uint64_t block;     ///< first block of the run
-    const std::byte* src;    ///< start of its contiguous source bytes
-    std::size_t bytes;       ///< run length in bytes (multiple of bb)
-  };
-  std::vector<Run> runs;
-  runs.reserve(ops.size());
-  for (const BlockWriteOp& op : ops) {
-    if (!runs.empty()) {
-      Run& r = runs.back();
-      if (op.block == r.block + r.bytes / bb && op.in.data() == r.src + r.bytes) {
-        r.bytes += bb;
-        continue;
-      }
-    }
-    runs.push_back(Run{op.block, op.in.data(), bb});
-  }
-  for (std::size_t base = 0; base < runs.size(); base += ring.entries) {
-    const unsigned n = static_cast<unsigned>(
-        std::min<std::size_t>(ring.entries, runs.size() - base));
-    std::vector<std::size_t> done_bytes(n, 0);
-    // One iovec per RUN (not per SQ slot) for the same lifetime reason as
-    // the read path: the SQ tail cycles, a run is only resubmitted after
-    // its previous submission completed.
-    std::vector<iovec> iovecs(n);
-    const auto push_sqe = [&](unsigned op_idx) {
-      const unsigned tail = std::atomic_ref<unsigned>(*ring.sq_tail)
-                                .load(std::memory_order_relaxed);
-      const unsigned idx = tail & ring.sq_mask;
-      const Run& op = runs[base + op_idx];
-      const std::size_t done = done_bytes[op_idx];
-      const std::size_t len =
-          cap != 0 ? std::min(cap, op.bytes - done) : op.bytes - done;
-      const std::byte* src = op.src + done;
-      io_uring_sqe& sqe = ring.sqes[idx];
-      std::memset(&sqe, 0, sizeof(sqe));
-      const int buf = pool_buf_index(src, len);
-      if (buf >= 0) {
-        sqe.opcode = IORING_OP_WRITE_FIXED;
-        sqe.addr = reinterpret_cast<std::uint64_t>(src);
-        sqe.len = static_cast<unsigned>(len);
-        sqe.buf_index = static_cast<std::uint16_t>(buf);
-      } else {
-        iovecs[op_idx] = {const_cast<std::byte*>(src), len};
-        sqe.opcode = IORING_OP_WRITEV;
-        sqe.addr = reinterpret_cast<std::uint64_t>(&iovecs[op_idx]);
-        sqe.len = 1;
-      }
-      if (files_registered_) {
-        sqe.fd = 0;  // slot 0 of the registered file table
-        sqe.flags |= IOSQE_FIXED_FILE;
-      } else {
-        sqe.fd = fd();
-      }
-      sqe.off = static_cast<std::uint64_t>(op.block) * bb + done;
-      sqe.user_data = op_idx;
-      ring.sq_array[idx] = idx;
-      std::atomic_ref<unsigned>(*ring.sq_tail)
-          .store(tail + 1, std::memory_order_release);
-    };
-    for (unsigned i = 0; i < n; ++i) push_sqe(i);
-
-    unsigned to_submit = n;
-    unsigned finished = 0;
-    unsigned enter_failures = 0;
-    // Errors are deferred until every in-flight op of the chunk drains:
-    // the kernel may still be reading from the caller's buffers.
-    std::string error;
-    std::vector<unsigned> resubmit;
-    while (finished < n) {
-      // Same single-wakeup drain as the read path: wait for every op the
-      // kernel already holds (n - finished - to_submit; each op has at
-      // most one SQE in flight) instead of returning per completion.
-      const unsigned in_kernel = n - finished - to_submit;
-      const int ret = sys_io_uring_enter(ring.fd, to_submit,
-                                         std::max(1u, in_kernel),
-                                         IORING_ENTER_GETEVENTS);
-      if (ret < 0) {
-        if (errno == EINTR) continue;
-        if (error.empty()) {
-          error =
-              std::string("AsyncFileBlockStorage: io_uring_enter failed: ") +
-              std::strerror(errno);
-        }
-        finished += to_submit;
-        to_submit = 0;
-        if (++enter_failures > 8) {
-          throw std::runtime_error(error + " (in-flight drain abandoned)");
-        }
-      } else {
-        to_submit -= static_cast<unsigned>(ret);
-      }
-      unsigned head = std::atomic_ref<unsigned>(*ring.cq_head)
-                          .load(std::memory_order_relaxed);
-      const unsigned cq_tail = std::atomic_ref<unsigned>(*ring.cq_tail)
-                                   .load(std::memory_order_acquire);
-      resubmit.clear();
-      while (head != cq_tail) {
-        const io_uring_cqe& cqe = ring.cqes[head & ring.cq_mask];
-        const auto op_idx = static_cast<unsigned>(cqe.user_data);
-        const Run& op = runs[base + op_idx];
-        // Errors name the failing BLOCK and its byte offset even when the
-        // run coalesced several: the stall point is done bytes into the
-        // run, i.e. done/bb blocks past its first block.
-        const std::size_t done = done_bytes[op_idx];
-        if (cqe.res < 0) {
-          if (cqe.res == -EINTR || cqe.res == -EAGAIN) {
-            resubmit.push_back(op_idx);
-          } else {
-            if (error.empty()) {
-              error = "AsyncFileBlockStorage: write of block " +
-                      std::to_string(op.block + done / bb) +
-                      " failed at byte " + std::to_string(done % bb) + ": " +
-                      std::strerror(-cqe.res);
-            }
-            ++finished;
-          }
-        } else if (cqe.res == 0) {
-          if (error.empty()) {
-            error = "AsyncFileBlockStorage: no progress writing block " +
-                    std::to_string(op.block + done / bb) + " at byte " +
-                    std::to_string(done % bb);
-          }
-          ++finished;
-        } else {
-          done_bytes[op_idx] += static_cast<std::size_t>(cqe.res);
-          if (done_bytes[op_idx] >= op.bytes) {
-            ++finished;
-          } else {
-            // Short write: push the remaining [done, run bytes) back out.
-            write_short_resubmits_.fetch_add(1, std::memory_order_relaxed);
-            resubmit.push_back(op_idx);
-          }
-        }
-        ++head;
-      }
-      std::atomic_ref<unsigned>(*ring.cq_head)
-          .store(head, std::memory_order_release);
-      if (error.empty()) {
-        for (const unsigned op_idx : resubmit) {
-          push_sqe(op_idx);
+        for (const unsigned i : resubmit) {
+          push_sqe(i);
           ++to_submit;
         }
       } else {
@@ -502,10 +350,8 @@ void AsyncFileBlockStorage::write_wave_uring(Ring& ring,
 struct AsyncFileBlockStorage::Ring {};
 void AsyncFileBlockStorage::init_rings(const Options&) {}
 void AsyncFileBlockStorage::register_rings() {}
-void AsyncFileBlockStorage::read_wave_uring(
-    Ring&, std::span<const BlockReadOp>) const {}
-void AsyncFileBlockStorage::write_wave_uring(Ring&,
-                                             std::span<const BlockWriteOp>) {}
+void AsyncFileBlockStorage::transfer_uring(Ring&, std::span<const Run>,
+                                           bool) const {}
 
 #endif  // BANDANA_HAS_IO_URING
 
@@ -583,116 +429,112 @@ BlockStorageWriteStats AsyncFileBlockStorage::write_stats() const {
           buffers_registered_};
 }
 
-void AsyncFileBlockStorage::read_wave_threads(
-    std::span<const BlockReadOp> ops) const {
+namespace {
+std::byte* op_bytes(const BlockReadOp& op) { return op.out.data(); }
+// A write's bytes are only ever read through the non-const pointer a run
+// carries.
+std::byte* op_bytes(const BlockWriteOp& op) {
+  return const_cast<std::byte*>(op.in.data());
+}
+}  // namespace
+
+template <typename Op>
+std::vector<AsyncFileBlockStorage::Run> AsyncFileBlockStorage::runs_of(
+    std::span<const Op> ops) const {
+  const std::size_t bb = block_bytes();
+  std::vector<Run> runs;
+  runs.reserve(ops.size());
+  for (const Op& op : ops) {
+    std::byte* const data = op_bytes(op);
+    if (!runs.empty()) {
+      Run& r = runs.back();
+      if (op.block == r.block + r.bytes / bb && data == r.data + r.bytes) {
+        r.bytes += bb;
+        continue;
+      }
+    }
+    runs.push_back(Run{op.block, data, bb});
+  }
+  return runs;
+}
+
+void AsyncFileBlockStorage::transfer_threads(std::span<const Run> runs,
+                                             bool write) const {
   // Per-wave completion latch: concurrent waves share the pool's workers
   // but each returns as soon as ITS chunks finish (ThreadPool::wait_idle
-  // would couple every wave to global pool idleness).
-  const std::size_t chunks = std::min(ops.size(), fallback_pool_->size());
-  const std::size_t per = (ops.size() + chunks - 1) / chunks;
+  // would couple every wave to global pool idleness). The pread/pwrite
+  // loop absorbs short transfers natively. A chunk that throws records
+  // the error and still counts down — a pool task must not throw — and
+  // the wave's first error is rethrown once every chunk has drained, the
+  // same contract as the ring path.
+  const std::size_t chunks = std::min(runs.size(), fallback_pool_->size());
+  const std::size_t per = (runs.size() + chunks - 1) / chunks;
   std::mutex mu;
   std::condition_variable done_cv;
+  std::exception_ptr error;
   // Fully counted before any task runs: workers only ever decrement.
-  std::size_t remaining = (ops.size() + per - 1) / per;
-  for (std::size_t begin = 0; begin < ops.size(); begin += per) {
-    const std::size_t end = std::min(ops.size(), begin + per);
-    fallback_pool_->submit([this, ops, begin, end, &mu, &done_cv,
-                            &remaining] {
-      for (std::size_t i = begin; i < end; ++i) {
-        read_block(ops[i].block, ops[i].out);
+  std::size_t remaining = (runs.size() + per - 1) / per;
+  for (std::size_t begin = 0; begin < runs.size(); begin += per) {
+    const std::size_t end = std::min(runs.size(), begin + per);
+    fallback_pool_->submit([this, runs, begin, end, write, &mu, &done_cv,
+                            &error, &remaining] {
+      std::exception_ptr failed;
+      try {
+        for (std::size_t i = begin; i < end; ++i) {
+          transfer_blocks(runs[i].block, runs[i].data, runs[i].bytes, write);
+        }
+      } catch (...) {
+        failed = std::current_exception();
       }
       std::lock_guard lock(mu);
+      if (failed && !error) error = failed;
       if (--remaining == 0) done_cv.notify_all();
     });
   }
   std::unique_lock lock(mu);
   done_cv.wait(lock, [&remaining] { return remaining == 0; });
+  if (error) std::rethrow_exception(error);
 }
 
-void AsyncFileBlockStorage::read_blocks(
-    std::span<const BlockReadOp> ops) const {
-  if (ops.empty()) return;
-  if (ops.size() == 1) {
-    read_block(ops[0].block, ops[0].out);
+void AsyncFileBlockStorage::transfer_wave(std::span<const Run> runs,
+                                          bool write) const {
+  if (runs.empty()) return;
+  // A one-op wave has nothing to overlap: one synchronous pread/pwrite.
+  if (runs.size() == 1 && runs[0].bytes == block_bytes()) {
+    transfer_blocks(runs[0].block, runs[0].data, runs[0].bytes, write);
     return;
   }
   if (rings_.empty()) {
-    // Each wave waits on its own completion latch inside
-    // read_wave_threads, so concurrent waves share the pool's workers
-    // without waiting on each other's reads.
-    read_wave_threads(ops);
+    transfer_threads(runs, write);
     return;
   }
 #ifdef BANDANA_HAS_IO_URING
   // Grab the first free ring so concurrent request streams overlap their
   // waves; when every ring is busy, overflow streams spread round-robin
-  // across the pool instead of piling onto one ring.
-  for (auto& ring : rings_) {
-    std::unique_lock lock(ring->mu, std::try_to_lock);
-    if (lock.owns_lock()) {
-      read_wave_uring(*ring, ops);
-      return;
-    }
-  }
-  Ring& ring = *rings_[overflow_ring_.fetch_add(1, std::memory_order_relaxed) %
-                       rings_.size()];
-  std::lock_guard lock(ring.mu);
-  read_wave_uring(ring, ops);
-#endif
-}
-
-void AsyncFileBlockStorage::write_wave_threads(
-    std::span<const BlockWriteOp> ops) {
-  // Same per-wave completion latch as read_wave_threads: concurrent waves
-  // share the pool's workers but each returns as soon as ITS chunks
-  // finish. write_block's pwrite loop absorbs partial writes natively.
-  const std::size_t chunks = std::min(ops.size(), fallback_pool_->size());
-  const std::size_t per = (ops.size() + chunks - 1) / chunks;
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = (ops.size() + per - 1) / per;
-  for (std::size_t begin = 0; begin < ops.size(); begin += per) {
-    const std::size_t end = std::min(ops.size(), begin + per);
-    fallback_pool_->submit([this, ops, begin, end, &mu, &done_cv,
-                            &remaining] {
-      for (std::size_t i = begin; i < end; ++i) {
-        write_block(ops[i].block, ops[i].in);
-      }
-      std::lock_guard lock(mu);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock lock(mu);
-  done_cv.wait(lock, [&remaining] { return remaining == 0; });
-}
-
-void AsyncFileBlockStorage::write_blocks(std::span<const BlockWriteOp> ops) {
-  if (ops.empty()) return;
-  if (ops.size() == 1) {
-    write_block(ops[0].block, ops[0].in);
-    return;
-  }
-  if (rings_.empty()) {
-    write_wave_threads(ops);
-    return;
-  }
-#ifdef BANDANA_HAS_IO_URING
-  // Same ring-pool policy as the read path: first free ring via try-lock
-  // sweep, round-robin overflow when every ring is busy. Reads and writes
+  // across the pool instead of piling onto one ring. Reads and writes
   // share the pool, so a republish wave and a serving wave overlap on
   // different rings the way they overlap on different simulated channels.
   for (auto& ring : rings_) {
     std::unique_lock lock(ring->mu, std::try_to_lock);
     if (lock.owns_lock()) {
-      write_wave_uring(*ring, ops);
+      transfer_uring(*ring, runs, write);
       return;
     }
   }
   Ring& ring = *rings_[overflow_ring_.fetch_add(1, std::memory_order_relaxed) %
                        rings_.size()];
   std::lock_guard lock(ring.mu);
-  write_wave_uring(ring, ops);
+  transfer_uring(ring, runs, write);
 #endif
+}
+
+void AsyncFileBlockStorage::read_blocks(
+    std::span<const BlockReadOp> ops) const {
+  transfer_wave(runs_of(ops), /*write=*/false);
+}
+
+void AsyncFileBlockStorage::write_blocks(std::span<const BlockWriteOp> ops) {
+  transfer_wave(runs_of(ops), /*write=*/true);
 }
 
 BlockStorageFactory async_file_storage_factory(

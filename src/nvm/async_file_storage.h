@@ -3,21 +3,30 @@
 //
 // Same byte contract as FileBlockStorage (it *is* one: single-block
 // read_block/write_block, in-place growth preserve, inode-based
-// same_backing), plus overlapped read_blocks() / write_blocks():
+// same_backing), plus overlapped read_blocks() / write_blocks(). Both go
+// down one wave path; the direction picks only the opcode, the error
+// wording and whether a short completion counts in write_stats():
 //
-//  * io_uring path — the whole wave is written into the submission queue
-//    and submitted with one io_uring_enter(GETEVENTS) call; the kernel
-//    services the readv's/writev's concurrently and we reap every
-//    completion. The rings are built with raw syscalls (no liburing
-//    dependency; the original 5.1 op set, so any io_uring kernel works).
-//    A small pool of rings (Options::ring_count) lets concurrent request
-//    streams overlap their waves instead of serializing on one submitter.
+//  * runs — adjacent ops whose blocks are consecutive on disk and whose
+//    bytes are consecutive in memory coalesce into one run, one SQE. A
+//    trickle or publish wave composed in order into a leased wave buffer
+//    over a contiguous region collapses to a few large writes; staged
+//    reads rarely merge, but do when they can.
+//  * io_uring path — the wave's runs are written into the submission
+//    queue and submitted with one io_uring_enter(GETEVENTS) call per
+//    in-kernel batch (waves larger than the ring are chunked); the kernel
+//    services them concurrently and we reap every completion. The rings
+//    are built with raw syscalls (no liburing dependency; the original
+//    5.1 op set, so any io_uring kernel works). A small pool of rings
+//    (Options::ring_count) lets concurrent request streams overlap their
+//    waves: a wave takes the first free ring, or a round-robin one when
+//    every ring is busy.
 //  * thread-pool fallback — where the io_uring syscalls are unavailable
-//    (older kernels, seccomp-filtered sandboxes, non-Linux), the same wave
-//    fans out as preads/pwrites on a small owned ThreadPool behind the
-//    identical interface; each wave waits on its own completion latch, so
-//    concurrent waves share workers without waiting on each other's I/O.
-//    `Options::force_thread_pool` pins this path for tests.
+//    (older kernels, seccomp-filtered sandboxes, non-Linux), the same runs
+//    fan out as pread/pwrite loops on a small owned ThreadPool; each wave
+//    waits on its own completion latch, so concurrent waves share workers
+//    without waiting on each other's I/O. `Options::force_thread_pool`
+//    pins this path for tests.
 //
 // Zero-copy wave buffers: at construction the storage allocates a small
 // pool of wave-sized buffers (Options::wave_buffer_blocks x block_bytes,
@@ -26,24 +35,28 @@
 // IORING_REGISTER_FILES. Producers lease a pool buffer through
 // BlockStorage::lease_wave_buffer() — the staged-read path stages into
 // one, publish/republish/trickle waves compose block images into one —
-// and any op whose data lies inside a registered buffer is submitted as
+// and any run whose bytes lie inside a registered buffer is submitted as
 // READ_FIXED/WRITE_FIXED against the fixed fd: the kernel skips the
-// per-op get_user_pages pin and fd refcount on every submission. Ops
+// per-op get_user_pages pin and fd refcount on every submission. Runs
 // outside the pool (heap fallback, oversized waves) use plain
 // READV/WRITEV on the same ring; both kinds mix freely in one wave.
 // If registration is unavailable (old kernel, EPERM, no
 // __NR_io_uring_register) the pool still exists — leases still recycle
-// warm buffers — but ops fall back to the unregistered opcodes.
+// warm buffers — but runs fall back to the unregistered opcodes.
 //
 // The probe is at construction time: if io_uring_setup fails for any
 // reason the storage silently uses the fallback (io_uring_active() tells
-// which path is live). A partial io_uring completion resubmits the
-// remaining byte range of its block (offset advanced past the landed
-// bytes) so the wave stays overlapped — write_stats().short_resubmits
-// counts the write-side resubmissions; a per-op I/O error or unexpected
-// EOF raises an exception naming the failing block and byte offset once
-// the wave's in-flight ops have drained. Both paths are byte-equivalent
-// to FileBlockStorage.
+// which path is live). EINTR and EAGAIN are retried, and a short
+// completion resubmits the remaining byte range of its run (offset
+// advanced past the landed bytes) so the wave stays overlapped —
+// write_stats().short_resubmits counts the write-side resubmissions.
+// Errors: both paths let the whole wave drain before they throw, so no
+// kernel or worker still touches the caller's buffers, and then raise the
+// wave's first error as std::runtime_error naming the failing block and
+// byte (an unexpected EOF says "EOF"). A one-op wave is one synchronous
+// pread/pwrite. Both paths are byte-equivalent to FileBlockStorage.
+// Options::max_bytes_per_sqe, a test-only cap, makes ring completions
+// come back short so the resubmission path runs in both directions.
 //
 // bandana::Store stages each request's miss blocks through read_blocks()
 // and issues publish/republish/trickle waves through write_blocks() in
@@ -82,10 +95,10 @@ struct AsyncFileStorageOptions {
   /// Buffers in the registered pool; concurrent leases beyond this fall
   /// back to heap buffers (and plain READV/WRITEV).
   unsigned wave_buffer_count = 4;
-  /// Test-only: cap every write SQE at this many bytes (0 = whole
-  /// remainder) so completions come back short and the resubmission path
-  /// genuinely runs.
-  std::size_t max_write_bytes_per_sqe = 0;
+  /// Test-only: cap every read and write SQE at this many bytes (0 = the
+  /// whole remainder of its run) so completions come back short and the
+  /// resubmission path genuinely runs.
+  std::size_t max_bytes_per_sqe = 0;
 };
 
 class AsyncFileBlockStorage : public FileBlockStorage {
@@ -100,16 +113,15 @@ class AsyncFileBlockStorage : public FileBlockStorage {
   void read_blocks(std::span<const BlockReadOp> ops) const override;
   void write_blocks(std::span<const BlockWriteOp> ops) override;
   bool prefers_batched_reads() const override { return true; }
-  bool prefers_batched_writes() const override { return true; }
   BlockStorageWriteStats write_stats() const override;
   WaveBufferLease lease_wave_buffer(std::size_t bytes) const override;
 
-  // sync() is inherited from FileBlockStorage (fdatasync): both wave paths
-  // fully drain their in-flight writes before write_blocks returns, so by
+  // sync() is inherited from FileBlockStorage (fdatasync): the wave path
+  // fully drains its in-flight writes before write_blocks returns, so by
   // the time a caller reaches sync() every write already sits in the page
   // cache and fdatasync flushes exactly the right bytes.
 
-  /// True when the io_uring path is live (false = thread-pool preads).
+  /// True when the io_uring path is live (false = thread-pool pread/pwrite).
   bool io_uring_active() const { return !rings_.empty(); }
   /// True when the wave-buffer pool is registered on the rings
   /// (IORING_REGISTER_BUFFERS succeeded) and FIXED ops are in use.
@@ -120,6 +132,7 @@ class AsyncFileBlockStorage : public FileBlockStorage {
 
  private:
   struct Ring;  // mmap'd SQ/CQ geometry + its submitter lock (io_uring)
+  struct Run;   // ops that go out as one SQE / one pread-pwrite loop
 
   void init_rings(const Options& options);
   void init_wave_pool(const Options& options);
@@ -127,10 +140,13 @@ class AsyncFileBlockStorage : public FileBlockStorage {
   /// Pool buffer index containing [p, p+len), or -1 when the range is not
   /// inside a registered buffer (FIXED ops need the whole range in one).
   int pool_buf_index(const void* p, std::size_t len) const;
-  void read_wave_uring(Ring& ring, std::span<const BlockReadOp> ops) const;
-  void read_wave_threads(std::span<const BlockReadOp> ops) const;
-  void write_wave_uring(Ring& ring, std::span<const BlockWriteOp> ops);
-  void write_wave_threads(std::span<const BlockWriteOp> ops);
+  template <typename Op>
+  std::vector<Run> runs_of(std::span<const Op> ops) const;
+  /// The one wave path behind read_blocks and write_blocks.
+  void transfer_wave(std::span<const Run> runs, bool write) const;
+  void transfer_uring(Ring& ring, std::span<const Run> runs,
+                      bool write) const;
+  void transfer_threads(std::span<const Run> runs, bool write) const;
 
   Options options_;
   /// Registered wave-buffer pool. Declared before rings_ so the rings
@@ -148,13 +164,14 @@ class AsyncFileBlockStorage : public FileBlockStorage {
   mutable std::atomic<std::size_t> overflow_ring_{0};
   /// Built at construction when the io_uring probe fails (or is skipped).
   /// Waves share the workers but each waits on its own completion latch,
-  /// so one wave never blocks on another wave's reads.
+  /// so one wave never blocks on another wave's I/O.
   std::unique_ptr<ThreadPool> fallback_pool_;
 };
 
-/// Real-file storage at `path` whose batched reads overlap (io_uring or
-/// thread-pool preads). The same factory contract as file_storage_factory:
-/// fresh-vs-preserve on the first invocation is routed through
+/// Real-file storage at `path` whose batched reads and writes overlap
+/// (io_uring or thread-pool pread/pwrite). The same factory contract as
+/// file_storage_factory: fresh-vs-preserve on the first invocation is
+/// routed through
 /// `manifest_path` (valid manifest ⇒ preserve + verify geometry; none ⇒
 /// truncate); growth re-invocations resize in place, preserving published
 /// blocks.

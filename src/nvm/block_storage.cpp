@@ -85,11 +85,6 @@ void MemoryBlockStorage::write_block(BlockId b,
               block_bytes_);
 }
 
-std::span<const std::byte> MemoryBlockStorage::block_view(BlockId b) const {
-  assert(b < num_blocks_);
-  return {data_.data() + static_cast<std::size_t>(b) * block_bytes_, block_bytes_};
-}
-
 FileBlockStorage::FileBlockStorage(const std::string& path,
                                    std::uint64_t num_blocks,
                                    std::size_t block_bytes,
@@ -112,49 +107,43 @@ FileBlockStorage::~FileBlockStorage() {
 }
 
 void FileBlockStorage::read_block(BlockId b, std::span<std::byte> out) const {
-  assert(b < num_blocks_);
   assert(out.size() == block_bytes_);
-  const auto off = static_cast<off_t>(static_cast<std::uint64_t>(b) * block_bytes_);
-  std::size_t done = 0;
-  while (done < block_bytes_) {
-    const ssize_t r = ::pread(fd_, out.data() + done, block_bytes_ - done,
-                              off + static_cast<off_t>(done));
-    if (r < 0 && errno == EINTR) continue;  // interrupted, not failed
-    if (r == 0) {
-      throw std::runtime_error(
-          "FileBlockStorage: pread of block " + std::to_string(b) +
-          " hit EOF at byte " + std::to_string(done) +
-          " (file shorter than its block geometry)");
-    }
-    if (r < 0) {
-      throw std::runtime_error(
-          "FileBlockStorage: pread of block " + std::to_string(b) +
-          " failed at byte " + std::to_string(done) + ": " +
-          std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(r);
-  }
+  transfer_blocks(b, out.data(), block_bytes_, /*write=*/false);
 }
 
 void FileBlockStorage::write_block(BlockId b, std::span<const std::byte> in) {
-  assert(b < num_blocks_);
   assert(in.size() == block_bytes_);
-  const auto off = static_cast<off_t>(static_cast<std::uint64_t>(b) * block_bytes_);
+  transfer_blocks(b, const_cast<std::byte*>(in.data()), block_bytes_,
+                  /*write=*/true);
+}
+
+void FileBlockStorage::transfer_blocks(BlockId first, std::byte* data,
+                                       std::size_t bytes, bool write) const {
+  assert(first + bytes / block_bytes_ <= num_blocks_);
+  const auto off =
+      static_cast<off_t>(static_cast<std::uint64_t>(first) * block_bytes_);
   std::size_t done = 0;
-  while (done < block_bytes_) {
-    const ssize_t r = ::pwrite(fd_, in.data() + done, block_bytes_ - done,
-                               off + static_cast<off_t>(done));
+  while (done < bytes) {
+    const ssize_t r =
+        write ? ::pwrite(fd_, data + done, bytes - done,
+                         off + static_cast<off_t>(done))
+              : ::pread(fd_, data + done, bytes - done,
+                        off + static_cast<off_t>(done));
     if (r < 0 && errno == EINTR) continue;  // interrupted, not failed
-    if (r == 0) {
+    if (r <= 0) {
+      const int err = errno;
+      const std::string what =
+          std::string("FileBlockStorage: ") + (write ? "pwrite" : "pread") +
+          " of block " + std::to_string(first + done / block_bytes_);
+      const std::string at = " at byte " + std::to_string(done % block_bytes_);
+      if (r < 0) {
+        throw std::runtime_error(what + " failed" + at + ": " +
+                                 std::strerror(err));
+      }
       throw std::runtime_error(
-          "FileBlockStorage: pwrite of block " + std::to_string(b) +
-          " made no progress at byte " + std::to_string(done));
-    }
-    if (r < 0) {
-      throw std::runtime_error(
-          "FileBlockStorage: pwrite of block " + std::to_string(b) +
-          " failed at byte " + std::to_string(done) + ": " +
-          std::strerror(errno));
+          what + (write ? " made no progress" + at
+                        : " hit EOF" + at +
+                              " (file shorter than its block geometry)"));
     }
     done += static_cast<std::size_t>(r);
   }

@@ -8,10 +8,10 @@
 //    whole system can run against an actual SSD (the repro substitution for
 //    NVM hardware).
 //  * AsyncFileBlockStorage (nvm/async_file_storage.h) — the same file
-//    contract, but read_blocks() submits a whole admission wave as one
-//    batched io_uring submission (thread-pool preads where io_uring is
-//    unavailable), so real-file serving overlaps reads the way the
-//    simulated channels do.
+//    contract, but read_blocks() and write_blocks() submit a whole
+//    admission wave as one batched io_uring submission (thread-pool
+//    pread/pwrite where io_uring is unavailable), so real-file serving
+//    and republishing overlap I/O the way the simulated channels do.
 #pragma once
 
 #include <cstddef>
@@ -110,16 +110,19 @@ class BlockStorage {
   virtual void write_block(BlockId b, std::span<const std::byte> in) = 0;
 
   /// Read many blocks; returns when all of `ops` are filled. Backends may
-  /// overlap the reads (the async file backend batches them into one
-  /// io_uring submission). Duplicate block ids are allowed. The default is
-  /// a sequential read_block loop.
+  /// overlap the reads (the async file backend sends the wave down the
+  /// same submission path as write_blocks). Duplicate block ids are
+  /// allowed. A file backend that hits an I/O error throws
+  /// std::runtime_error naming the failing block, once no op of the wave
+  /// is still in flight. The default is a sequential read_block loop.
   virtual void read_blocks(std::span<const BlockReadOp> ops) const;
 
   /// Write many blocks; returns when all of `ops` are durable in the
   /// backend's view (same durability as write_block — page cache for
   /// files). Backends may overlap the writes (the async file backend
-  /// batches them into one io_uring submission), so duplicate block ids
-  /// are not allowed. The default is a sequential write_block loop, which
+  /// sends the wave down the same submission path as read_blocks), so
+  /// duplicate block ids are not allowed. Errors are reported as for
+  /// read_blocks. The default is a sequential write_block loop, which
   /// keeps single-method test shims and the two inline backends exact.
   virtual void write_blocks(std::span<const BlockWriteOp> ops);
 
@@ -127,10 +130,6 @@ class BlockStorage {
   /// stage a request's miss blocks through it in admission-sized waves
   /// rather than read one block per miss inline.
   virtual bool prefers_batched_reads() const { return false; }
-
-  /// True when write_blocks() genuinely overlaps I/O, i.e. publish and
-  /// republish waves get real batching out of one call per wave.
-  virtual bool prefers_batched_writes() const { return false; }
 
   /// Backend write-path counters; the default backend has none.
   virtual BlockStorageWriteStats write_stats() const { return {}; }
@@ -244,9 +243,6 @@ class MemoryBlockStorage final : public BlockStorage {
   void read_block(BlockId b, std::span<std::byte> out) const override;
   void write_block(BlockId b, std::span<const std::byte> in) override;
 
-  /// Zero-copy view of a block, for internal fast paths.
-  std::span<const std::byte> block_view(BlockId b) const;
-
  private:
   std::uint64_t num_blocks_;
   std::size_t block_bytes_;
@@ -277,6 +273,12 @@ class FileBlockStorage : public BlockStorage {
 
  protected:
   int fd() const { return fd_; }
+  /// The one pread/pwrite loop: moves `bytes` (a whole number of blocks)
+  /// between `data` and the file from block `first` on, retrying EINTR
+  /// and short transfers; throws std::runtime_error naming the failing
+  /// block and byte (an EOF says "hit EOF"). A write only reads `data`.
+  void transfer_blocks(BlockId first, std::byte* data, std::size_t bytes,
+                       bool write) const;
 
  private:
   std::uint64_t num_blocks_;

@@ -1,6 +1,7 @@
 #include "nvm/block_storage.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -48,16 +49,6 @@ TEST(MemoryBlockStorage, ZeroInitialized) {
   std::vector<std::byte> out(64, std::byte{0xFF});
   s.read_block(1, out);
   for (auto b : out) EXPECT_EQ(b, std::byte{0});
-}
-
-TEST(MemoryBlockStorage, BlockView) {
-  MemoryBlockStorage s(4, 128);
-  std::vector<std::byte> in(128);
-  fill_pattern(in, 9);
-  s.write_block(2, in);
-  auto view = s.block_view(2);
-  EXPECT_EQ(view.size(), 128u);
-  EXPECT_EQ(std::memcmp(view.data(), in.data(), 128), 0);
 }
 
 TEST(FileBlockStorage, Roundtrip) {
@@ -315,6 +306,97 @@ TEST(AsyncFileBlockStorage, RandomOpsByteEquivalentAcrossAllBackends) {
   std::remove(fallback_path.c_str());
 }
 
+TEST(AsyncFileBlockStorage, TruncatedFileWaveThrowsOnBothPaths) {
+  // A wave that reads past the end of a shrunken backing file reports the
+  // failing block to the caller on both paths — the thread-pool fallback
+  // must not let the error escape a pool task — and leaves the storage
+  // usable for the blocks that still exist.
+  for (const bool force_threads : {false, true}) {
+    SCOPED_TRACE(force_threads ? "thread pool" : "default path");
+    const std::string path = ::testing::TempDir() + "/bandana_truncated.bin";
+    AsyncFileBlockStorage::Options options;
+    options.force_thread_pool = force_threads;
+    AsyncFileBlockStorage s(path, 8, 512, /*preserve_contents=*/false,
+                            options);
+    std::vector<std::byte> in(512);
+    for (BlockId b = 0; b < 8; ++b) {
+      fill_pattern(in, static_cast<std::uint8_t>(b + 1));
+      s.write_block(b, in);
+    }
+    ASSERT_EQ(::truncate(path.c_str(), 2 * 512), 0);
+
+    std::vector<std::byte> out(4 * 512);
+    const BlockId ids[] = {0, 5, 1, 6};
+    std::vector<BlockReadOp> ops;
+    for (std::size_t i = 0; i < 4; ++i) {
+      ops.push_back({ids[i], std::span<std::byte>(out).subspan(i * 512, 512)});
+    }
+    try {
+      s.read_blocks(ops);
+      ADD_FAILURE() << "read past EOF did not throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("EOF"), std::string::npos) << what;
+      EXPECT_TRUE(what.find("block 5") != std::string::npos ||
+                  what.find("block 6") != std::string::npos)
+          << what;
+    }
+
+    ops = {{1, std::span<std::byte>(out).subspan(0, 512)},
+           {0, std::span<std::byte>(out).subspan(512, 512)}};
+    s.read_blocks(ops);
+    for (std::size_t i = 0; i < 2; ++i) {
+      fill_pattern(in, static_cast<std::uint8_t>(ops[i].block + 1));
+      EXPECT_EQ(std::memcmp(in.data(), out.data() + i * 512, 512), 0)
+          << "block " << ops[i].block;
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(AsyncFileBlockStorage, ShortReadInjectionReadsExactBytes) {
+  // The SQE cap applies to reads too: every 512-byte block comes back in
+  // 100-byte completions and its remainder is resubmitted, into a heap
+  // buffer (READV) and into a leased wave buffer (READ_FIXED when the pool
+  // is registered). Blocks 4..7 are consecutive on disk and in memory, so
+  // they also go out as one coalesced run.
+  const std::string path = ::testing::TempDir() + "/bandana_short_read.bin";
+  AsyncFileBlockStorage::Options options;
+  options.max_bytes_per_sqe = 100;
+  AsyncFileBlockStorage s(path, 16, 512, false, options);
+  if (!s.io_uring_active()) {
+    std::remove(path.c_str());
+    GTEST_SKIP() << "io_uring unavailable; the injection knob only caps "
+                    "ring SQEs";
+  }
+  std::vector<std::byte> in(512);
+  for (BlockId b = 0; b < 16; ++b) {
+    fill_pattern(in, static_cast<std::uint8_t>(5 * b + 9));
+    s.write_block(b, in);
+  }
+  const std::vector<BlockId> want = {9, 3, 14, 0, 4, 5, 6, 7, 11, 3};
+  const std::size_t bytes = want.size() * 512;
+  std::vector<std::byte> heap(bytes);
+  auto lease = s.lease_wave_buffer(bytes);
+  ASSERT_TRUE(lease);
+  for (const std::span<std::byte> out :
+       {std::span<std::byte>(heap), lease.bytes().first(bytes)}) {
+    std::vector<BlockReadOp> ops(want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ops[i] = {want[i], out.subspan(i * 512, 512)};
+    }
+    s.read_blocks(ops);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      fill_pattern(in, static_cast<std::uint8_t>(5 * want[i] + 9));
+      EXPECT_EQ(std::memcmp(in.data(), out.data() + i * 512, 512), 0)
+          << "op " << i << " (block " << want[i] << ")";
+    }
+  }
+  // Read-side resubmissions are not write-path counters.
+  EXPECT_EQ(s.write_stats().short_resubmits, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(AsyncFileBlockStorage, ConcurrentBatchedReadersAreSafe) {
   const std::string path = ::testing::TempDir() + "/bandana_async_mt.bin";
   AsyncFileBlockStorage s(path, 32, 256);
@@ -425,7 +507,6 @@ TEST(AsyncFileBlockStorage, StoreServesIdenticalBytesOnAsyncBackend) {
 
 TEST(WriteBlocks, DefaultLoopBackendsWriteExactBytes) {
   MemoryBlockStorage s(8, 256);
-  EXPECT_FALSE(s.prefers_batched_writes());
   EXPECT_EQ(s.write_stats().short_resubmits, 0u);
   EXPECT_FALSE(s.write_stats().registered_buffers_active);
   EXPECT_FALSE(s.lease_wave_buffer(256));
@@ -511,7 +592,6 @@ TEST(WriteBlocks, WavesLargerThanTheRingAreChunked) {
   AsyncFileBlockStorage::Options options;
   options.ring_entries = 4;  // force multiple chunks per write wave
   AsyncFileBlockStorage s(path, 64, 256, false, options);
-  EXPECT_TRUE(s.prefers_batched_writes());
   std::vector<std::byte> src(64 * 256), in(256), out(256);
   std::vector<BlockWriteOp> ops(64);
   for (BlockId b = 0; b < 64; ++b) {
@@ -535,7 +615,7 @@ TEST(WriteBlocks, WavesLargerThanTheRingAreChunked) {
 TEST(WriteBlocks, ShortWriteInjectionResubmitsRemainder) {
   const std::string path = ::testing::TempDir() + "/bandana_short.bin";
   AsyncFileBlockStorage::Options options;
-  options.max_write_bytes_per_sqe = 100;  // 512-byte blocks: >= 5 SQEs each
+  options.max_bytes_per_sqe = 100;  // 512-byte blocks: >= 5 SQEs each
   AsyncFileBlockStorage s(path, 16, 512, false, options);
   if (!s.io_uring_active()) {
     std::remove(path.c_str());
@@ -624,7 +704,7 @@ TEST(WriteBlocks, ContiguousRunsCoalesceIntoOneSqe) {
   AsyncFileBlockStorage::Options options;
   options.wave_buffer_blocks = 8;
   options.wave_buffer_count = 1;
-  options.max_write_bytes_per_sqe = 1024;
+  options.max_bytes_per_sqe = 1024;
   AsyncFileBlockStorage s(path, 16, 512, false, options);
   if (!s.io_uring_active()) {
     GTEST_SKIP() << "io_uring unavailable; cap applies to uring SQEs only";

@@ -119,6 +119,21 @@ TEST(CacheSim, ThresholdFiltersColdVectors) {
   EXPECT_EQ(r.nvm_block_reads, 2u);
 }
 
+TEST(CacheSim, ThresholdWithoutAccessCountsThrows) {
+  // Same contract as BandanaTable: kThreshold needs one count per vector,
+  // and a missing or short span is rejected before the replay indexes it.
+  const auto layout = BlockLayout::identity(64, 8);
+  Trace t;
+  const VectorId q0[] = {0};
+  t.add_query(q0);
+  CachePolicyConfig pc;
+  pc.policy = PrefetchPolicy::kThreshold;
+  EXPECT_THROW(simulate_cache(t, layout, pc), std::invalid_argument);
+  const std::vector<std::uint32_t> short_counts(63, 100);
+  EXPECT_THROW(simulate_cache(t, layout, pc, short_counts),
+               std::invalid_argument);
+}
+
 TEST(CacheSim, ShadowAdmitsOnlyPreviouslySeen) {
   const auto layout = BlockLayout::identity(64, 8);
   Trace t;

@@ -134,9 +134,6 @@ class FaultInjectedStorage final : public BlockStorage {
   bool prefers_batched_reads() const override {
     return inner_->prefers_batched_reads();
   }
-  bool prefers_batched_writes() const override {
-    return inner_->prefers_batched_writes();
-  }
   BlockStorageWriteStats write_stats() const override {
     return inner_->write_stats();
   }

@@ -4,13 +4,16 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "cache/cache_sim.h"
 #include "cache/lru_cache.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "core/store.h"
 #include "partition/layout.h"
+#include "partition/shp.h"
 #include "trace/trace_generator.h"
 
 namespace bandana {
@@ -182,6 +185,68 @@ TEST(ShardedStore, OneShardReproducesSeedHitMissAndEvictionTrace) {
   // Not just the same counts: the exact same residents in the exact same
   // MRU->LRU order, i.e. the eviction order matched step for step.
   EXPECT_EQ(store.table(t).cache_contents(), want.final_contents);
+}
+
+TEST(ShardedStore, OneShardStoreMatchesSimulatorUnderEveryPolicy) {
+  // The served table and simulate_cache implement the same six admission
+  // policies. On a trace without repeats inside a query, one shard must
+  // count exactly what the simulator counts — also below one block's
+  // worth of vectors (32), where a block's own prefetches can evict the
+  // vector that missed, which must then stay out.
+  TraceGenerator gen(workload_config(), 14);
+  const EmbeddingTable values = gen.make_embeddings();
+  const auto dedup = [](const Trace& raw) {
+    Trace t;
+    for (std::size_t q = 0; q < raw.num_queries(); ++q) {
+      std::vector<VectorId> ids;
+      std::set<VectorId> seen;
+      for (const VectorId v : raw.query(q)) {
+        if (seen.insert(v).second) ids.push_back(v);
+      }
+      t.add_query(ids);
+    }
+    return t;
+  };
+  const Trace train = dedup(gen.generate(1500));
+  const Trace trace = dedup(gen.generate(1500));
+  const ShpResult shp = run_shp(train, 4096, ShpConfig{});
+  const auto layout = BlockLayout::from_order(shp.order, 32);
+
+  for (const PrefetchPolicy p :
+       {PrefetchPolicy::kNone, PrefetchPolicy::kAll, PrefetchPolicy::kPosition,
+        PrefetchPolicy::kShadow, PrefetchPolicy::kShadowPosition,
+        PrefetchPolicy::kThreshold}) {
+    for (const std::uint64_t capacity : {1u, 16u, 31u, 64u, 400u}) {
+      SCOPED_TRACE(std::string(to_string(p)) + " capacity " +
+                   std::to_string(capacity));
+      Store store(sharded_config(/*shards=*/1));
+      TablePolicy policy;
+      policy.cache_vectors = capacity;
+      policy.policy = p;
+      policy.access_threshold = 5;
+      const TableId t =
+          store.add_table(values, layout, policy, shp.access_counts);
+      std::vector<std::byte> out(128 * 256);
+      for (std::size_t q = 0; q < trace.num_queries(); ++q) {
+        store.lookup_batch(t, trace.query(q), out);
+      }
+
+      CachePolicyConfig sim;
+      sim.capacity_vectors = capacity;
+      sim.policy = p;
+      sim.access_threshold = 5;
+      sim.insertion_position = policy.insertion_position;
+      sim.shadow_multiplier = policy.shadow_multiplier;
+      const CacheSimResult want =
+          simulate_cache(trace, layout, sim, shp.access_counts);
+      const TableMetrics got = store.table_metrics(t);
+      EXPECT_EQ(got.lookups, want.unique_lookups);
+      EXPECT_EQ(got.hits, want.hits);
+      EXPECT_EQ(got.nvm_block_reads, want.nvm_block_reads);
+      EXPECT_EQ(got.prefetch_inserted, want.prefetch_inserted);
+      EXPECT_EQ(got.prefetch_hits, want.prefetch_hits);
+    }
+  }
 }
 
 TEST(ShardedStore, ShardedHitRateStaysWithinToleranceOfSeed) {
