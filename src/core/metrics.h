@@ -64,13 +64,16 @@ struct AtomicTableMetrics {
 // ClusterMetrics; a 1-node cluster's rollup equals the bare store's.
 // Staged read pipeline: a healthy staged path stages every miss block up
 // front, so its deferred and truncated counters stay near 0 — they grow
-// only when concurrency evicts a peeked block before its lookup, or the
-// staging cap truncates.
+// when a lookup evicts a block a later lookup of the same request peeked
+// as cached, when a concurrent request or swap moves a peeked block, or
+// when the staging cap truncates.
 //   staged_blocks: fetched by the peek pass. stage_truncated_blocks:
 //   miss-block sightings past the staging cap (not staged, not deduplicated
-//   across sightings). deferred_lookups: lookups whose block was unstaged
-//   (evicted peek->lookup, or truncated) and went to a retry. retry_blocks,
-//   retry_waves: deduplicated blocks and batched fetches of the retries.
+//   across sightings). deferred_lookups: lookups that staging missed —
+//   they missed the cache and their block was not staged — each served
+//   by an inline read of its block, in request order. retry_blocks,
+//   retry_waves: those inline reads, one block each (the names predate
+//   the inline read; both equal deferred_lookups).
 // Write path:
 //   write_waves: add_table, push and install waves scheduled on the
 //   engine, zero-length no-op republish waves included; storage growth is
@@ -89,7 +92,9 @@ struct AtomicTableMetrics {
 //   training, and plan diff + session open. retrain_peak_training_bytes
 //   (max): the trainer's peak resident estimate over retrains.
 //   retrain_budget_overruns: retrains whose training wall time exceeded the
-//   RepublishConfig-derived push budget.
+//   push estimate (trickle_push_budget_us). write_budget_waits: trickle
+//   pumps whose wave the store-wide background budget cut below the
+//   session's own allowance (0 included).
 // Migration:
 //   migration_read_blocks: donor blocks read out by read_table_blocks
 //   waves. migration_write_blocks: blocks streamed in by TableInstall
@@ -117,6 +122,7 @@ struct AtomicTableMetrics {
   F(std::uint64_t, retrain_diff_us, sum)             \
   F(std::uint64_t, retrain_peak_training_bytes, max) \
   F(std::uint64_t, retrain_budget_overruns, sum)     \
+  F(std::uint64_t, write_budget_waits, sum)          \
   F(std::uint64_t, migration_read_blocks, sum)       \
   F(std::uint64_t, migration_write_blocks, sum)      \
   F(std::uint64_t, table_installs, sum)              \

@@ -11,14 +11,21 @@
 namespace bandana {
 
 double trickle_push_budget_us(std::span<const std::uint64_t> session_blocks,
-                              const RepublishConfig& cfg) {
+                              const RepublishConfig& cfg,
+                              const NvmDeviceConfig& device) {
   if (cfg.blocks_per_interval == 0) return 0.0;
+  const auto rounds = [](std::uint64_t blocks, std::uint64_t per_round) {
+    return (blocks + per_round - 1) / per_round;
+  };
   std::uint64_t intervals = 0;
+  std::uint64_t blocks_sum = 0;
   for (const std::uint64_t blocks : session_blocks) {
-    intervals = std::max<std::uint64_t>(
-        intervals,
-        (blocks + cfg.blocks_per_interval - 1) / cfg.blocks_per_interval);
+    intervals =
+        std::max(intervals, rounds(blocks, cfg.blocks_per_interval));
+    blocks_sum += blocks;
   }
+  intervals = std::max(intervals,
+                       rounds(blocks_sum, std::max(device.channels, 1u)));
   return static_cast<double>(intervals) * cfg.interval_us;
 }
 
@@ -220,19 +227,22 @@ std::size_t OnlineRetrainer::retrain_impl() {
     }
     const double diff_us = elapsed_us(t_diff);
 
-    // Latency budget: the rate-limited sessions push side by side, so
-    // this plan's push takes as long as its largest session. A training
+    // Latency budget: the rate-limited sessions push side by side, each
+    // under its own limit and all under the store's one background
+    // budget, so this plan's push takes about the longer of its largest
+    // session and the budget's one block per channel per round. A training
     // phase slower than that can never keep up with its own republish
     // cadence — warn, and count it where dashboards look
     // (StoreMetrics::retrain_budget_overruns).
-    const double push_us =
-        trickle_push_budget_us(session_blocks, cfg_.republish);
+    const double push_us = trickle_push_budget_us(
+        session_blocks, cfg_.republish, store_.config().device);
     const bool overrun = push_us > 0.0 && train_us > push_us;
     if (overrun) {
       std::fprintf(stderr,
                    "bandana: retrain training wall time %.0f us exceeds "
-                   "trickle push budget %.0f us (largest of %zu sessions at "
-                   "%llu blocks per %.0f us interval each)\n",
+                   "trickle push estimate %.0f us (%zu sessions at %llu "
+                   "blocks per %.0f us interval each, on one device "
+                   "budget)\n",
                    train_us, push_us, session_blocks.size(),
                    static_cast<unsigned long long>(
                        cfg_.republish.blocks_per_interval),

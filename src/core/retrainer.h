@@ -163,7 +163,7 @@ struct RetrainerStats {
                                        ///< the thread keep running).
   /// Retrain latency budget (also mirrored into StoreMetrics retrain_*):
   /// cumulative wall time per phase, the max training-memory estimate, and
-  /// how often training outran the RepublishConfig-derived push budget —
+  /// how often training outran the push estimate (trickle_push_budget_us) —
   /// a retrain slower than its own trickle push means stale plans queue up.
   std::uint64_t drain_us = 0;           ///< Phase 1: reservoir drain.
   std::uint64_t train_us = 0;           ///< Phase 2: Trainer::train.
@@ -173,12 +173,23 @@ struct RetrainerStats {
 };
 
 /// Simulated time a rate-limited push of one retrain takes, given each
-/// opened trickle session's block count. Every session carries its own
-/// rate limiter, so the sessions push side by side and the largest sets
-/// the time: the max over sessions of ceil(blocks / blocks_per_interval)
-/// x interval_us. 0 when the push is unlimited or there is nothing to push.
+/// opened trickle session's block count and the store's device, when the
+/// caller pumps every session once per `interval_us` (the cadence the rate
+/// limit is written in; a push pumped less often takes proportionally
+/// longer). Two caps, and the push takes the larger: every session carries
+/// its own rate limiter, so sessions push side by side and the largest
+/// takes ceil(blocks / blocks_per_interval) intervals; and every session
+/// draws on the store's one background budget, which grants about one
+/// block per channel per round of pumps — only channel time idle at the
+/// pump counts, idle time between pumps is gone — so all of them take
+/// about ceil(sum(blocks) / channels) rounds. An estimate, not a bound: a
+/// round can grant a few blocks more when short writes drain a channel
+/// within the horizon, and reads that keep channels busy grant fewer
+/// (test_write_budget pins both against measured pushes). 0 when the push
+/// is unlimited or there is nothing to push.
 double trickle_push_budget_us(std::span<const std::uint64_t> session_blocks,
-                              const RepublishConfig& cfg);
+                              const RepublishConfig& cfg,
+                              const NvmDeviceConfig& device);
 
 /// Ties a Store, a TrafficSampler and the Trainer into the live retraining
 /// loop. Construction attaches the sampler to the store's serving path;

@@ -45,6 +45,9 @@ struct TrickleState {
   std::uint64_t waves = 0;
   std::uint64_t peak_wave_bytes = 0;  ///< largest compose buffer filled
   double last_wave_us = 0.0;  ///< simulated latency of the latest wave
+  /// When the device completes every wave written so far (simulated). A
+  /// rate-limited session swaps only once the clock reaches it.
+  double waves_done_us = 0.0;
   bool swapped = false;
   bool installed_mapping = false;  ///< The push replaced the table's plan.
   mutable std::mutex mu;  ///< serializes pump/done/stat reads
@@ -77,8 +80,8 @@ constexpr std::uint64_t kGrowthChunkBlocks = 4096;
 /// Cap on blocks staged per batched-read fetch (16 MB of 4 KB blocks).
 /// The admission waves bound in-flight device I/O; this bounds the
 /// staging buffer itself. Misses beyond the cap are counted
-/// (StoreMetrics::stage_truncated_blocks) and their lookups defer to
-/// bounded retry waves — never to inline single-block reads.
+/// (StoreMetrics::stage_truncated_blocks) and their lookups read their
+/// blocks inline, in request order.
 constexpr std::size_t kMaxStagedBlocks = 4096;
 }  // namespace
 
@@ -92,6 +95,7 @@ Store::Store(StoreConfig config, BlockStorageFactory storage_factory,
       storage_mu_(std::make_unique<WriterPriorityMutex>()),
       manifest_mu_(std::make_unique<std::mutex>()),
       tap_(std::make_unique<std::atomic<AccessTap*>>(nullptr)),
+      budget_mu_(std::make_unique<std::mutex>()),
       timing_mu_(std::make_unique<std::mutex>()),
       engine_(config.device, seed),
       endurance_(config.device.capacity_blocks * config.device.block_bytes,
@@ -400,7 +404,8 @@ double Store::schedule_reads(std::uint64_t reads, LatencyHistogram& recorder,
   return latency;
 }
 
-double Store::schedule_writes(std::uint64_t writes, bool advance_clock) {
+Store::WaveTiming Store::schedule_writes(std::uint64_t writes,
+                                          bool advance_clock) {
   if (writes > 0) {
     // Wave counters track real write traffic whether or not the timing
     // model is on (the golden replay suite pins them per backend).
@@ -408,7 +413,7 @@ double Store::schedule_writes(std::uint64_t writes, bool advance_clock) {
     staging_metrics_->write_blocks.fetch_add(writes,
                                              std::memory_order_relaxed);
   }
-  if (!config_.simulate_timing || writes == 0) return 0.0;
+  if (!config_.simulate_timing || writes == 0) return {};
   std::lock_guard lock(*timing_mu_);
   // A write wave's block writes are one admission wave of IoKind::kWrite
   // events: they join the same per-channel FIFOs and hold the same
@@ -423,7 +428,28 @@ double Store::schedule_writes(std::uint64_t writes, bool advance_clock) {
   const double latency = max_done - start;
   write_latency_.add(latency);
   if (advance_clock) now_us_ = max_done;
-  return latency;
+  return {latency, max_done};
+}
+
+std::uint64_t Store::grant_background_writes(std::uint64_t wanted,
+                                             double now, double interval_us) {
+  if (!config_.simulate_timing || wanted == 0) return wanted;
+  // The horizon is the device's own mean write service: a channel that
+  // drains before now + horizon is idle for at least part of the next
+  // write's service time, so one write there fills time reads left free,
+  // and a read arriving behind it waits for about one write at most.
+  std::uint64_t n = 0;
+  {
+    std::lock_guard lock(*timing_mu_);
+    n = engine_.channels_draining_before(
+        now + config_.device.mean_write_service_us());
+  }
+  // Progress floor: the rule alone grants nothing for as long as reads
+  // keep every channel busy past the horizon, and a push would never swap.
+  if (n == 0 && now >= budget_floor_at_us_) n = 1;
+  n = std::min(n, wanted);
+  if (n > 0) budget_floor_at_us_ = now + interval_us;
+  return n;
 }
 
 void Store::stage_miss_blocks(const BandanaTable& table,
@@ -434,7 +460,7 @@ void Store::stage_miss_blocks(const BandanaTable& table,
     const BlockId b = table.global_block_of(v);
     if (staged.contains(b)) continue;
     if (staged.size() >= kMaxStagedBlocks) {
-      // Not staged: the lookup will defer to a retry wave. Counted per
+      // Not staged: the lookup will read its block inline. Counted per
       // sighting (not deduplicated among the truncated tail) — a visibility
       // signal, not an exact block count; retry_blocks is the exact one.
       staging_metrics_->stage_truncated_blocks.fetch_add(
@@ -442,54 +468,6 @@ void Store::stage_miss_blocks(const BandanaTable& table,
       continue;
     }
     staged.add(b);
-  }
-}
-
-void Store::fetch_retry_blocks(StagedBlockReads& retry,
-                               std::size_t lookups) const {
-  retry.fetch(*storage_, real_read_wave_blocks());
-  staging_metrics_->retry_waves.fetch_add(1, std::memory_order_relaxed);
-  staging_metrics_->retry_blocks.fetch_add(retry.size(),
-                                           std::memory_order_relaxed);
-  staging_metrics_->deferred_lookups.fetch_add(lookups,
-                                               std::memory_order_relaxed);
-}
-
-void Store::serve_deferred(std::vector<DeferredLookup>& deferred,
-                           std::vector<MultiGetResult::TableStats>& per_table) {
-  // Blocks evicted between the staging peek and their lookup (or truncated
-  // at the staging cap) are re-fetched through the same batched seam, in
-  // bounded waves. A retried lookup defers again only if a concurrent
-  // mapping swap retargeted its block between collecting the retry set and
-  // the lookup — it goes back on the queue and the next wave fetches the
-  // block under the new mapping (swaps are finite, so this terminates).
-  while (!deferred.empty()) {
-    StagedBlockReads retry;
-    std::size_t taken = 0;
-    while (taken < deferred.size()) {
-      const DeferredLookup& d = deferred[taken];
-      const BlockId b = d.table->global_block_of(d.id);
-      if (!retry.contains(b) && retry.size() >= kMaxStagedBlocks) break;
-      retry.add(b);
-      ++taken;
-    }
-    fetch_retry_blocks(retry, taken);
-    std::vector<DeferredLookup> again;
-    for (std::size_t k = 0; k < taken; ++k) {
-      const DeferredLookup& d = deferred[k];
-      const auto outcome = d.table->lookup(d.id, *storage_, d.out, d.epoch,
-                                           &retry, /*staged_only=*/true);
-      if (outcome.deferred) {
-        again.push_back(d);
-        continue;
-      }
-      auto& stats = per_table[d.get];
-      if (outcome.hit) ++stats.hits;
-      if (outcome.nvm_read) ++stats.block_reads;
-    }
-    deferred.erase(deferred.begin(),
-                   deferred.begin() + static_cast<std::ptrdiff_t>(taken));
-    deferred.insert(deferred.begin(), again.begin(), again.end());
   }
 }
 
@@ -502,9 +480,9 @@ std::uint64_t Store::real_write_wave_blocks() const {
   return wave == 0 ? kGrowthChunkBlocks : wave;
 }
 
-double Store::write_wave(std::span<const BlockId> targets,
-                         const WaveImages& images, bool closed_loop,
-                         double day) {
+Store::WaveTiming Store::write_wave(std::span<const BlockId> targets,
+                                    const WaveImages& images, bool closed_loop,
+                                    double day) {
   const std::size_t bb = config_.block_bytes;
   const std::uint64_t n = targets.size();
   const std::uint64_t chunk = std::min(n, real_write_wave_blocks());
@@ -623,8 +601,10 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
   // collects every block the lookups will miss on (deduplicated across
   // tables and repeated id lists) and fetches them as admission-sized
   // batched waves — the request's real I/O overlaps exactly like its
-  // simulated channel reads do. staged_only lookups never fall back to an
-  // inline read: an unstaged miss defers to the retry waves below.
+  // simulated channel reads do. A lookup whose block the peek left out
+  // (an earlier lookup of this request evicted it, the staging cap cut
+  // it, or a concurrent request or swap moved it) reads it inline, in
+  // request order, so every backend serves the same cache history.
   StagedBlockReads staged;
   const bool stage = storage_->prefers_batched_reads();
   if (stage) {
@@ -644,8 +624,8 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
   // re-counted. Lookups lock only the touched cache shard, so concurrent
   // requests to the same table interleave freely.
   std::vector<std::pair<TableId, std::uint64_t>> request_epochs;
-  std::vector<DeferredLookup> deferred;
   std::vector<BandanaTable::LookupOutcome> outcomes;
+  std::uint64_t unstaged = 0;
   for (std::size_t g = 0; g < request.gets.size(); ++g) {
     const auto& get = request.gets[g];
     BandanaTable& table = *tables_[get.table];
@@ -665,31 +645,26 @@ MultiGetResult Store::multi_get_impl(const MultiGetRequest& request,
     }
     outcomes.assign(get.ids.size(), {});
     table.lookup_get(get.ids, *storage_, bytes, epoch,
-                     stage ? &staged : nullptr, /*staged_only=*/stage,
-                     outcomes);
-    // Deferrals queue in id order, as per-id lookups would queue them: the
-    // retry waves' block grouping depends on that order.
-    for (std::size_t i = 0; i < get.ids.size(); ++i) {
-      const auto& outcome = outcomes[i];
-      if (outcome.deferred) {
-        deferred.push_back({&table, get.ids[i],
-                            std::span<std::byte>(bytes).subspan(i * vb, vb),
-                            epoch, g});
-        continue;
-      }
+                     stage ? &staged : nullptr, outcomes);
+    for (const auto& outcome : outcomes) {
       if (outcome.hit) ++stats.hits;
       if (outcome.nvm_read) ++stats.block_reads;
+      if (outcome.unstaged) ++unstaged;
     }
-  }
-  serve_deferred(deferred, result.per_table);
-  for (std::size_t g = 0; g < request.gets.size(); ++g) {
-    auto& stats = result.per_table[g];
-    stats.misses = request.gets[g].ids.size() - stats.hits;
+    stats.misses = get.ids.size() - stats.hits;
     result.block_reads += stats.block_reads;
   }
+  if (unstaged > 0) {
+    // Each unstaged lookup is one inline single-block read.
+    staging_metrics_->deferred_lookups.fetch_add(unstaged,
+                                                 std::memory_order_relaxed);
+    staging_metrics_->retry_blocks.fetch_add(unstaged,
+                                             std::memory_order_relaxed);
+    staging_metrics_->retry_waves.fetch_add(unstaged,
+                                            std::memory_order_relaxed);
+  }
   if (AccessTap* tap = tap_->load(std::memory_order_acquire)) {
-    // One tap call per table-get, after the whole request settled (the
-    // deferred retries above may still have flipped hits/misses).
+    // One tap call per table-get, after the whole request settled.
     for (std::size_t g = 0; g < request.gets.size(); ++g) {
       const auto& stats = result.per_table[g];
       tap->on_table_get(request.gets[g].table, request.gets[g].ids,
@@ -896,10 +871,27 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
   std::lock_guard session_lock(s.mu);
   if (s.swapped) return 0;
   const std::uint64_t total = s.targets.size();
+  // A rate-limited session draws on the store-wide background budget and
+  // swaps only once the device has completed its waves. An unlimited one
+  // (Store::republish) is the one-shot endpoint: all at once, swap at once.
+  const bool budgeted = !s.limiter.unlimited();
   std::uint64_t n = 0;
   if (s.written < total) {
+    // Held from the grant through the wave's engine submission, so two
+    // sessions pumped from two threads never spend the same idle channel.
+    std::unique_lock<std::mutex> grant(*budget_mu_, std::defer_lock);
+    if (budgeted) grant.lock();
     const double now = now_us();
-    n = std::min<std::uint64_t>(s.limiter.allowance(now), total - s.written);
+    const std::uint64_t allowed =
+        std::min<std::uint64_t>(s.limiter.allowance(now), total - s.written);
+    n = allowed;
+    if (budgeted) {
+      n = grant_background_writes(allowed, now, s.limiter.config().interval_us);
+      if (n < allowed) {
+        staging_metrics_->write_budget_waits.fetch_add(
+            1, std::memory_order_relaxed);
+      }
+    }
     if (n == 0) return 0;
     {
       // Shared lock: the wave writes only blocks no current mapping
@@ -911,10 +903,12 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
       const auto next = [&](const std::vector<BlockId>& v) {
         return std::span<const BlockId>(v).subspan(s.written, n);
       };
-      s.last_wave_us = write_wave(
+      const WaveTiming wave = write_wave(
           next(s.targets),
           WaveImages::composed(s.next->layout, *s.values, next(s.changed)),
           /*closed_loop=*/false, s.day);
+      s.last_wave_us = wave.latency_us;
+      s.waves_done_us = std::max(s.waves_done_us, wave.done_us);
     }
     s.limiter.consume(now, n);
     s.peak_wave_bytes = std::max(
@@ -923,7 +917,10 @@ std::size_t Store::pump_trickle(detail::TrickleState& s) {
     s.written += n;
     ++s.waves;
   }
-  if (s.written == total) finish_trickle(s);
+  // waves_done_us stays 0 with timing off, so the gate is open there.
+  if (s.written == total && (!budgeted || now_us() >= s.waves_done_us)) {
+    finish_trickle(s);
+  }
   return static_cast<std::size_t>(n);
 }
 
@@ -1304,6 +1301,12 @@ std::uint64_t TrickleRepublish::peak_wave_bytes() const {
   if (!state_) return 0;
   std::lock_guard lock(state_->mu);
   return state_->peak_wave_bytes;
+}
+
+double TrickleRepublish::waves_done_us() const {
+  if (!state_) return 0.0;
+  std::lock_guard lock(state_->mu);
+  return state_->waves_done_us;
 }
 
 TableInstall::TableInstall(std::unique_ptr<detail::InstallState> state)

@@ -35,6 +35,15 @@
 // *real* I/O: the request's miss blocks are staged through
 // BlockStorage::read_blocks in waves of at most queue_depth x channels
 // blocks, each wave one batched overlapped submission.
+//
+// Rate-limited trickle pushes share the channels with those reads, so
+// their waves draw on one store-wide device-time budget
+// (grant_background_writes): a wave goes only onto channels whose FIFO
+// drains within one mean write service of the pump's clock — channel time
+// reads left idle — with a floor of one block per limiter interval so a
+// push always finishes, in the spirit of Linux's Kyber I/O scheduler,
+// which throttles async writes to hold a read-latency target but never
+// below one in flight.
 #pragma once
 
 #include <cstdint>
@@ -230,15 +239,33 @@ class Store {
   /// store-wide free list, else freshly grown — old blocks are never
   /// overwritten — and held as a reservation that every manifest commit
   /// records until the session ends), and unchanged blocks are skipped
-  /// entirely. Each `TrickleRepublish::pump()` then writes at most the
-  /// rate limit's current allowance (`republish_cfg.blocks_per_interval`
-  /// per `interval_us` of simulated time) as one IoKind::kWrite wave on
-  /// the shared channel FIFOs, open loop, interleaved with serving reads.
-  /// When the last wave lands, the table's mapping is swapped atomically
-  /// (BandanaTable::swap_state): lookups are always served from a
-  /// consistent mapping — entirely old-plan until the swap, entirely
-  /// new-plan after — never a mix. A push that keeps the layout and policy
-  /// keeps the cache warm except for members of rewritten blocks.
+  /// entirely. Each `TrickleRepublish::pump()` then writes one
+  /// IoKind::kWrite wave on the shared channel FIFOs, open loop,
+  /// interleaved with serving reads. Its size is the smallest of the
+  /// session's rate limit (`republish_cfg.blocks_per_interval` per
+  /// `interval_us` of simulated time), the blocks left, and — with timing
+  /// on — the store-wide background budget: every rate-limited session of
+  /// the store draws on that one budget, which grants a block only on a
+  /// channel that drains before the pump's clock + the mean write service
+  /// (so a read queues behind about one background write per channel),
+  /// or, when it granted nothing for a whole limiter interval, one block on
+  /// the channel that drains first (the progress floor: under sustained
+  /// read saturation a push still writes one block per interval, store-
+  /// wide, and always finishes). A grant covers only the channel time idle
+  /// at that pump — idle time between pumps is gone — so a push writes
+  /// about one block per channel per round of pumps and its length follows
+  /// the caller's pump cadence (trickle_push_budget_us assumes one round
+  /// per interval). Once the last wave is written AND the simulated
+  /// clock has reached that wave's completion, the table's mapping is
+  /// swapped atomically (BandanaTable::swap_state): lookups are always
+  /// served from a consistent mapping — entirely old-plan until the swap,
+  /// entirely new-plan after — never a mix. A push that keeps the layout
+  /// and policy keeps the cache warm except for members of rewritten
+  /// blocks. A pump may therefore return 0 while the rate limit, the
+  /// budget or the completion gate holds; callers advance the clock
+  /// (serving paced requests does) and pump again. An unlimited session
+  /// (blocks_per_interval == 0) ignores the budget and the gate: its first
+  /// pump writes everything as one wave and swaps, like republish().
   ///
   /// The plan's cache_vectors is overridden to the table's current DRAM
   /// capacity (online retraining re-packs; it does not re-size DRAM). One
@@ -386,35 +413,12 @@ class Store {
   void ensure_capacity(std::uint64_t total_blocks);
   /// Peek table t's cache for `ids` (no LRU mutation) and stage every
   /// block the lookups would miss on, up to the staging cap. Miss blocks
-  /// seen past the cap are counted (stage_truncated_blocks), not staged —
-  /// their lookups defer to a retry wave. The peek is best-effort under
-  /// concurrency; the lookups' staged_only deferral makes the pipeline
-  /// airtight anyway.
+  /// seen past the cap are counted (stage_truncated_blocks), not staged.
+  /// The peek is best-effort: a lookup whose block it left out reads the
+  /// block inline.
   void stage_miss_blocks(const BandanaTable& table,
                          std::span<const VectorId> ids,
                          StagedBlockReads& staged) const;
-  /// Fetch a retry set of deferred lookups' blocks through
-  /// BlockStorage::read_blocks in admission-sized waves, counting the
-  /// wave, its blocks and the `lookups` it serves in the staging metrics.
-  void fetch_retry_blocks(StagedBlockReads& retry, std::size_t lookups) const;
-  /// One lookup the staged_only pipeline deferred (block unstaged at
-  /// lookup time), queued for a retry wave. `get` indexes the request's
-  /// gets, so the retry's hit and block read land on its TableStats.
-  struct DeferredLookup {
-    BandanaTable* table;
-    VectorId id;
-    std::span<std::byte> out;
-    std::uint64_t epoch;
-    std::size_t get;
-  };
-  /// Serve every deferred lookup through bounded retry waves — the single
-  /// place the airtight-pipeline invariant lives: at most kMaxStagedBlocks
-  /// distinct blocks per wave, blocks deduplicated across the whole set,
-  /// and a retried lookup cannot defer again (its block is in the retry
-  /// set, consumed under the shard lock). Counts each served lookup's hit
-  /// and block read into per_table[get].
-  void serve_deferred(std::vector<DeferredLookup>& deferred,
-                      std::vector<MultiGetResult::TableStats>& per_table);
   /// Blocks per real-I/O wave: the admission cap (queue_depth x channels),
   /// or 0 (single wave) when admission is unbounded.
   std::uint64_t real_read_wave_blocks() const;
@@ -440,15 +444,23 @@ class Store {
     std::span<const BlockId> local;
     std::span<const std::byte> bytes;
   };
+  /// Simulated timing of one engine write wave: latency from submission
+  /// to its slowest completion, and that completion's clock time (both 0
+  /// when timing is off or the wave is empty).
+  struct WaveTiming {
+    double latency_us = 0.0;
+    double done_us = 0.0;
+  };
   /// The one block-write path the device is charged for (add_table,
   /// trickle pumps, installs). Writes `images` to `targets` in chunks of
   /// real_write_wave_blocks(), one write_blocks() call and one
   /// write_batches bump per chunk; records targets.size() x block_bytes of
   /// endurance on `day`; then schedules the blocks as one engine wave
-  /// (schedule_writes). Returns that wave's simulated latency. Caller holds
-  /// storage_mu_ (shared suffices: targets are referenced by no mapping).
-  double write_wave(std::span<const BlockId> targets, const WaveImages& images,
-                    bool closed_loop, double day);
+  /// (schedule_writes) and returns its timing. Caller holds storage_mu_
+  /// (shared suffices: targets are referenced by no mapping).
+  WaveTiming write_wave(std::span<const BlockId> targets,
+                        const WaveImages& images, bool closed_loop,
+                        double day);
   const BandanaTable& checked_table(TableId t) const;
   BandanaTable& checked_table(TableId t) {
     return const_cast<BandanaTable&>(std::as_const(*this).checked_table(t));
@@ -466,7 +478,27 @@ class Store {
   /// completion, draining the backlog before serving resumes; open loop
   /// (pushes and installs: background traffic) leaves the clock at
   /// submission so the write backlog interferes with subsequent reads.
-  double schedule_writes(std::uint64_t writes, bool advance_clock);
+  WaveTiming schedule_writes(std::uint64_t writes, bool advance_clock);
+  /// The store-wide background write budget: how many of `wanted` blocks
+  /// a rate-limited wave may put on the channels at clock `now`. The rule
+  /// is one block per channel whose FIFO drains before now + the device's
+  /// mean write service (NvmIoEngine::channels_draining_before) — there is
+  /// no knob. The read bound it buys: while the device drains between
+  /// requests, a request's simulated latency exceeds what the same reads
+  /// take with no background wave by at most one horizon plus one write
+  /// service (test_write_budget checks every request of a paced 8-table
+  /// push against a read-only twin, with the write service at its 99.9th
+  /// percentile). The progress floor: when no channel drains within the
+  /// horizon and no block was granted for a whole `interval_us` (the
+  /// pumped session's limiter interval), one block is granted; the engine
+  /// routes it to the channel that drains first, where it delays the reads
+  /// queued behind it by one write service. So under sustained read
+  /// saturation a push still writes one block per interval, store-wide,
+  /// and each such block adds one write service to the read backlog.
+  /// Returns `wanted` when timing is off. Caller holds budget_mu_ through
+  /// the wave's engine submission.
+  std::uint64_t grant_background_writes(std::uint64_t wanted, double now,
+                                        double interval_us);
   /// The one serving loop (multi_get, multi_get_async, lookup_batch);
   /// the caller holds the shared storage lock. `arrival_us`: simulated
   /// arrival timestamp (negative = current clock) — multi_get_async
@@ -591,6 +623,16 @@ class Store {
   /// Serving-path access tap (behind a pointer so the Store stays movable).
   std::unique_ptr<std::atomic<AccessTap*>> tap_;
 
+  /// Background-write grants (grant_background_writes): held from a
+  /// rate-limited pump's grant through its wave's engine submission, so
+  /// two sessions pumped from two threads never spend the same idle
+  /// channel. Lock order: session mutex, then budget_mu_, then
+  /// storage_mu_, then timing_mu_; nothing holding storage_mu_ takes it.
+  std::unique_ptr<std::mutex> budget_mu_;
+  /// The progress floor's clock (guarded by budget_mu_): the last grant's
+  /// clock + its session's interval. A pump at or past it may write one
+  /// block even when no channel drains within the horizon.
+  double budget_floor_at_us_ = 0.0;
   std::unique_ptr<std::mutex> timing_mu_;  ///< Clock, engine, recorders.
   /// Event-driven per-channel device model; all of a request's reads form
   /// one admission wave, and write_wave's writes join the same channel
@@ -621,10 +663,15 @@ class TrickleRepublish {
   TrickleRepublish& operator=(TrickleRepublish&& other) noexcept;
   ~TrickleRepublish();
 
-  /// Write up to the rate limit's allowance at the store's current
-  /// simulated clock as one open-loop IoKind::kWrite wave; on the final
-  /// wave, swap the table's mapping. Returns blocks written by this call
-  /// (0 when the interval's allowance is exhausted or the session is done).
+  /// Write up to the rate limit's allowance, capped by the store-wide
+  /// background budget (Store::begin_trickle_republish), at the store's
+  /// current simulated clock as one open-loop IoKind::kWrite wave; once
+  /// every block is written and the clock has reached the last wave's
+  /// simulated completion, swap the table's mapping (an unlimited session
+  /// swaps on its only wave). Returns blocks written by this call: 0 while
+  /// the interval's allowance is spent, the budget has no idle channel and
+  /// its floor was spent within the interval, or the completion gate holds
+  /// — advance the clock and pump again — and once done.
   std::size_t pump();
 
   /// True once the mapping swap happened (or the plan was a no-op).
@@ -646,6 +693,10 @@ class TrickleRepublish {
   /// the session's peak DRAM overhead for block images. Bounded by
   /// real_write_wave_blocks x block_bytes regardless of push size.
   std::uint64_t peak_wave_bytes() const;
+  /// Simulated time at which the device completes every wave written so
+  /// far (0 when timing is off): a rate-limited session swaps at the first
+  /// pump that finds every block written and the clock at or past it.
+  double waves_done_us() const;
 
  private:
   friend class Store;

@@ -285,8 +285,8 @@ void BandanaTable::admit_prefetches(State& st, std::uint32_t shard_idx,
 bool BandanaTable::is_cached(VectorId v) const {
   assert(v < num_vectors_);
   // Read-only peek: a state retired between the load and the lock is never
-  // mutated again, so its answer is merely stale (the staged_only lookup
-  // pipeline re-checks under the lock and defers on any disagreement).
+  // mutated again, so its answer is merely stale (a lookup whose block the
+  // stale answer left unstaged reads it inline).
   // The guard keeps a just-retired state alive across the deref.
   const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
@@ -296,17 +296,16 @@ bool BandanaTable::is_cached(VectorId v) const {
 
 BandanaTable::LookupOutcome BandanaTable::lookup(
     VectorId v, BlockStorage& storage, std::span<std::byte> out,
-    std::uint64_t epoch, const StagedBlockReads* staged, bool staged_only) {
+    std::uint64_t epoch, const StagedBlockReads* staged) {
   LookupOutcome outcome;
-  lookup_get({&v, 1}, storage, out, epoch, staged, staged_only,
-             {&outcome, 1});
+  lookup_get({&v, 1}, storage, out, epoch, staged, {&outcome, 1});
   return outcome;
 }
 
 void BandanaTable::lookup_get(std::span<const VectorId> ids,
                               BlockStorage& storage, std::span<std::byte> out,
                               std::uint64_t epoch,
-                              const StagedBlockReads* staged, bool staged_only,
+                              const StagedBlockReads* staged,
                               std::span<LookupOutcome> outcomes) {
   assert(out.size() >= ids.size() * vector_bytes_);
   assert(outcomes.size() >= ids.size());
@@ -317,7 +316,7 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
     assert(ids[i] < num_vectors_);
     outcomes[i] = lookup_locked(st, s, ids[i], storage,
                                 out.subspan(i * vector_bytes_, vector_bytes_),
-                                epoch, staged, staged_only, counts);
+                                epoch, staged, counts);
   };
   // The guard spans the whole get: every state pointer loaded below stays
   // alive until we return, even if a concurrent swap retires it and a
@@ -381,22 +380,11 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
 BandanaTable::LookupOutcome BandanaTable::lookup_locked(
     State& st, std::uint32_t shard_idx, VectorId v, BlockStorage& storage,
     std::span<std::byte> out, std::uint64_t epoch,
-    const StagedBlockReads* staged, bool staged_only, TableMetrics& counts) {
+    const StagedBlockReads* staged, TableMetrics& counts) {
   LookupOutcome outcome;
   Shard& shard = *shards_[shard_idx];
-  // Airtight staged mode: if this lookup would miss and its block was not
-  // staged (evicted between the request's peek and now, truncated at the
-  // staging cap, or retargeted by a mapping swap since the peek), defer it
-  // before mutating ANY state — same shard lock, so the contains() peek
-  // and the access() below cannot disagree. The caller re-runs the lookup
-  // after a batched retry fetch.
   const BlockId local_b = st.layout.block_of(v);
   const BlockId global_b = st.block_map[local_b];
-  if (staged_only && staged != nullptr && !st.cache.contains(v) &&
-      staged->find(global_b).empty()) {
-    outcome.deferred = true;
-    return outcome;
-  }
   ++counts.lookups;
   counts.app_bytes_served += vector_bytes_;
 
@@ -421,13 +409,13 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
   // read coalesces with it instead of being re-counted (and re-admitted).
   counts.miss_bytes += vector_bytes_;
   const bool already_read = st.block_epochs[local_b] >= epoch;
-  // The request's staging pass may already hold this block's bytes (one
-  // batched overlapped read for the whole request). Store's staged_only
-  // pipeline guarantees the block is staged by the time we get here; the
-  // inline fallback below only serves callers running without staging.
+  // The request's staging pass usually holds this block's bytes (one
+  // batched overlapped read for the whole request). A block it missed is
+  // read inline, here, so the cache sees this lookup in request order.
   std::span<const std::byte> block_bytes;
   if (staged != nullptr) {
     block_bytes = staged->find(global_b);
+    outcome.unstaged = block_bytes.empty();
   }
   if (block_bytes.empty()) {
     storage.read_block(global_b, shard.block_buf);

@@ -76,10 +76,9 @@ class BandanaTable {
     bool hit = false;
     BlockId block_read = 0;   ///< Valid when nvm_read is true.
     bool nvm_read = false;    ///< True if a block read was issued.
-    bool deferred = false;    ///< True if the lookup was not served because
-                              ///< its block was not staged (staged_only
-                              ///< mode); nothing was counted or mutated —
-                              ///< re-run it with the block staged.
+    bool unstaged = false;    ///< True if the lookup missed, the caller
+                              ///< passed staged bytes, and its block was
+                              ///< not among them: it was read inline.
   };
 
   /// Open a block-read dedup scope (one batched query, or one table's id
@@ -97,21 +96,15 @@ class BandanaTable {
   /// concurrent swap_state makes it retry against the new mapping). On
   /// miss, consumes the block's bytes from `staged` when the request
   /// pre-fetched them (Store's batched read pipeline), otherwise reads the
-  /// block from `storage` inline; either way the caller accounts device
-  /// timing. Admits prefetches per policy and caches the vector.
-  ///
-  /// With `staged_only` (Store's airtight batched pipeline) an unstaged
-  /// miss never falls back to an inline read: the lookup returns
-  /// `deferred = true` BEFORE touching any state (metrics, LRU, shadow),
-  /// so the caller can fetch the block through a batched retry wave and
-  /// re-run the lookup as if this call never happened. The deferral check
-  /// and the subsequent cache access run under one shard lock, so a block
-  /// evicted between the request's staging peek and this lookup — or a
-  /// mapping swapped under the request's feet — is always caught.
+  /// block from `storage` inline, under the shard lock and in request
+  /// order (a block evicted between the request's staging peek and this
+  /// lookup, truncated at the staging cap, or retargeted by a swap);
+  /// either way the caller accounts device timing. Admits prefetches per
+  /// policy and caches the vector. The cache sees the same sequence of
+  /// accesses whether or not, and however much, the request staged.
   LookupOutcome lookup(VectorId v, BlockStorage& storage,
                        std::span<std::byte> out, std::uint64_t epoch,
-                       const StagedBlockReads* staged = nullptr,
-                       bool staged_only = false);
+                       const StagedBlockReads* staged = nullptr);
 
   /// Serve one table-get: ids[i]'s bytes go to out[i * vector_bytes, ...)
   /// and its outcome to outcomes[i], exactly as a lookup() of each id in
@@ -125,7 +118,7 @@ class BandanaTable {
   /// snapshot taken mid-get can lag the get's lookups.
   void lookup_get(std::span<const VectorId> ids, BlockStorage& storage,
                   std::span<std::byte> out, std::uint64_t epoch,
-                  const StagedBlockReads* staged, bool staged_only,
+                  const StagedBlockReads* staged,
                   std::span<LookupOutcome> outcomes);
 
   /// True if v is currently cached. Takes the shard lock but never mutates
@@ -135,8 +128,8 @@ class BandanaTable {
 
   /// Store-wide block id that serves vector v under the current mapping.
   /// Lock-free snapshot: a concurrent swap may retarget v immediately
-  /// after — the staged_only lookup pipeline re-checks under the shard
-  /// lock and defers on any disagreement.
+  /// after — the lookup then finds the new block unstaged and reads it
+  /// inline.
   BlockId global_block_of(VectorId v) const {
     const auto guard = epochs_.enter();
     const State* st = state_.load(std::memory_order_seq_cst);
@@ -278,7 +271,7 @@ class BandanaTable {
   LookupOutcome lookup_locked(State& st, std::uint32_t shard_idx, VectorId v,
                               BlockStorage& storage, std::span<std::byte> out,
                               std::uint64_t epoch,
-                              const StagedBlockReads* staged, bool staged_only,
+                              const StagedBlockReads* staged,
                               TableMetrics& counts);
   std::span<std::byte> slot_bytes(std::uint32_t slot);
   void cache_vector(State& st, std::uint32_t shard_idx, VectorId v,

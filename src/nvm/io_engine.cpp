@@ -101,6 +101,11 @@ double NvmIoEngine::submit_wave(double arrival_us, std::uint64_t count,
   return max_done;
 }
 
+unsigned NvmIoEngine::channels_draining_before(double t_us) const {
+  return static_cast<unsigned>(std::ranges::count_if(
+      channels_, [t_us](const Channel& ch) { return ch.tail_free_us < t_us; }));
+}
+
 IoChannelStats NvmIoEngine::channel_stats(unsigned c) const {
   const Channel& ch = channels_.at(c);
   return {ch.ios, ch.busy_us, ch.tail_free_us, ch.writes, ch.write_busy_us};

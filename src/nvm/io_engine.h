@@ -163,6 +163,10 @@ class NvmIoEngine {
   /// Completion events queued but not yet delivered.
   std::size_t pending_completions() const { return pending_.size(); }
   IoChannelStats channel_stats(unsigned c) const;
+  /// Channels whose FIFO drains before `t_us` (tail_free_us < t_us): how
+  /// many IOs submitted now can each start before t_us on a channel of
+  /// their own. Store's background-write budget asks this.
+  unsigned channels_draining_before(double t_us) const;
   const AdmissionController& admission() const { return admission_; }
 
  private:

@@ -66,21 +66,33 @@ struct NvmDeviceConfig {
   double peak_bandwidth_bytes_per_s() const;
 };
 
-/// Rate limit of a trickle republish (Store::begin_trickle_republish): the
-/// §2.2 retraining push is modeled as a background process that writes at
-/// most `blocks_per_interval` blocks per `interval_us` of simulated time,
+/// Rate limit of a trickle republish (Store::begin_trickle_republish) or a
+/// migration (StoreCluster::begin_rebalance): the §2.2 retraining push is
+/// modeled as a background process that writes at most
+/// `blocks_per_interval` blocks per `interval_us` of simulated time,
 /// instead of dumping the whole retrained table onto the channel queues as
-/// one open-loop wave. Tightening the rate trades republish duration for
-/// read tail latency (bench_fig05's trickle sweep).
+/// one open-loop wave.
 ///
-/// The limit is per table session: every TrickleRepublish carries its own
-/// limiter, so a retrain that pushes N tables at once writes up to N x
-/// blocks_per_interval blocks per interval, and takes as long as its
-/// largest table's push (OnlineRetrainer's budget check uses that).
+/// The limit is a per-session upper bound under a store-wide budget:
+/// every trickle session carries its own limiter, and every rate-limited
+/// trickle session of a store (with timing on) also draws on that store's
+/// one device-time budget, which grants a wave one block per channel whose
+/// FIFO drains within one mean write service of the pump's clock — or,
+/// when it has granted nothing for a whole interval, one block (so a push
+/// always finishes, even under read saturation). A grant covers the
+/// channel time idle at that pump, not the time idle since the last one,
+/// so a retrain that pushes N tables at once writes about one block per
+/// channel per round of pumps, and its push length follows the caller's
+/// pump cadence (trickle_push_budget_us estimates it at one round per
+/// interval). A rate above the budget therefore changes nothing
+/// (bench_fig05's trickle sweep: such rows converge); a rate below it
+/// trades push duration for read tail latency. A rate-limited session
+/// swaps only once the device completed its last wave. Migrations
+/// (StoreCluster::begin_rebalance) use the limit alone.
 struct RepublishConfig {
-  /// Blocks admitted per interval per table session; 0 = unlimited (the
-  /// one-shot endpoint: the entire plan diff goes out as a single write
-  /// wave).
+  /// Blocks admitted per interval per session; 0 = unlimited (the one-shot
+  /// endpoint: the entire plan diff goes out as a single write wave,
+  /// outside the budget, and the mapping swaps on that wave).
   std::uint32_t blocks_per_interval = 0;
 
   /// Length of one rate-limit interval in simulated microseconds. Must be

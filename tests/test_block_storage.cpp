@@ -487,18 +487,13 @@ TEST(AsyncFileBlockStorage, StoreServesIdenticalBytesOnAsyncBackend) {
       serve(async_file_storage_factory(pool_path, thread_pool_options()));
   EXPECT_EQ(uring.first, memory.first);
   EXPECT_EQ(pool.first, memory.first);
-  // Both staged backends run the identical deterministic pipeline.
+  // Both staged backends run the identical deterministic pipeline, and it
+  // reads exactly the blocks the unstaged memory backend reads: a lookup
+  // whose block an earlier lookup of the same request evicted (cached at
+  // peek time, gone at lookup time) reads it inline at its own position,
+  // so the LRU sees the same access order.
   EXPECT_EQ(uring.second, pool.second);
-  // Against the unstaged memory backend the counts may drift by a hair:
-  // a lookup whose block was evicted *by an earlier lookup of the same
-  // request* (cached at peek time, gone at lookup time) is served through
-  // an end-of-request retry wave instead of an inline read at its
-  // original position, which perturbs the LRU insertion order slightly.
-  // The bytes never change, and the drift is bounded.
-  const auto diff = uring.second > memory.second
-                        ? uring.second - memory.second
-                        : memory.second - uring.second;
-  EXPECT_LE(diff, memory.second / 100);
+  EXPECT_EQ(uring.second, memory.second);
   std::remove(uring_path.c_str());
   std::remove(pool_path.c_str());
 }

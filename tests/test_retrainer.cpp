@@ -186,23 +186,46 @@ TEST(TrickleRateLimiter, IdleGapCannotBankACatchUpBurst) {
 
 TEST(TricklePushBudget, LargestSessionSetsTheBudget) {
   // Each trickle session runs its own rate limiter, so sessions push side
-  // by side: the budget is the slowest session's, not the sum's.
+  // by side: the per-session cap is the slowest session's, not the sum's.
+  // On a device with channels enough to take every session's allowance in
+  // one round, that cap is the estimate.
   RepublishConfig cfg;
   cfg.blocks_per_interval = 256;
   cfg.interval_us = 100.0;
+  NvmDeviceConfig wide;
+  wide.channels = 4096;
   const std::vector<std::uint64_t> eight(8, 256);
-  EXPECT_DOUBLE_EQ(trickle_push_budget_us(eight, cfg), 100.0);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(eight, cfg, wide), 100.0);
   const std::vector<std::uint64_t> mixed = {10, 257, 512, 1};
-  EXPECT_DOUBLE_EQ(trickle_push_budget_us(mixed, cfg), 200.0);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(mixed, cfg, wide), 200.0);
   const std::vector<std::uint64_t> one_over = {513};
-  EXPECT_DOUBLE_EQ(trickle_push_budget_us(one_over, cfg), 300.0);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(one_over, cfg, wide), 300.0);
   // Nothing opened, or nothing to push: no budget to overrun.
-  EXPECT_DOUBLE_EQ(trickle_push_budget_us({}, cfg), 0.0);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us({}, cfg, wide), 0.0);
   const std::vector<std::uint64_t> empty_sessions = {0, 0};
-  EXPECT_DOUBLE_EQ(trickle_push_budget_us(empty_sessions, cfg), 0.0);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(empty_sessions, cfg, wide), 0.0);
+
+  // Every session draws on the store's one background budget, about one
+  // block per channel per round of pumps: on the default 4-channel device
+  // the 8 x 256 blocks take 2,048 / 4 = 512 rounds of 100 us, far above
+  // the per-session 100 us — the budget's cap dominates.
+  const NvmDeviceConfig device;
+  ASSERT_EQ(device.channels, 4u);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(eight, cfg, device), 51200.0);
+  // One session of 1,024 blocks: at 16 per 100 us its limit takes 64
+  // intervals and the budget 1,024 / 4 = 256 rounds, so the budget
+  // dominates; at 2 per 100 us the limit's 512 intervals do.
+  const std::vector<std::uint64_t> one = {1024};
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(one, RepublishConfig{16, 100.0},
+                                          device),
+                   25600.0);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(one, RepublishConfig{2, 100.0},
+                                          device),
+                   51200.0);
+
   // Unlimited rate: the push is one wave, there is no budget.
   cfg.blocks_per_interval = 0;
-  EXPECT_DOUBLE_EQ(trickle_push_budget_us(eight, cfg), 0.0);
+  EXPECT_DOUBLE_EQ(trickle_push_budget_us(eight, cfg, device), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
-// Airtight staged-read pipeline regression suite.
+// Staged-read pipeline regression suite.
 //
-// PR 3's staged pipeline peeked caches best-effort: a block evicted
-// between the stage_miss_blocks peek and the lookup silently fell back to
-// an inline single-block read, defeating the admission gate the pipeline
-// was built to enforce. These tests pin the fix: on a batched backend,
-// EVERY miss is served from bytes fetched through BlockStorage::
-// read_blocks (staging pass or retry wave) — a CountingBlockStorage shim
-// asserts that zero inline read_block calls reach the backend, under a
-// deterministic single-threaded eviction race, under staging-cap
-// truncation, and under a concurrent eviction-churn stress load.
+// On a batched backend the store stages every block a request's staging
+// peek predicts it will miss on, and fetches them through
+// BlockStorage::read_blocks in admission-sized waves. A lookup whose
+// block the peek left out — an earlier lookup of the same request evicted
+// it, the staging cap cut it, or a concurrent request or swap moved it —
+// reads the block inline, under its shard lock, in request order. That
+// order is the contract pinned here: the cache sees exactly the access
+// sequence the unstaged memory backend sees, so both serve the same cache
+// history and the same counters. A CountingBlockStorage shim counts how
+// every byte was fetched (batched waves vs inline read_block calls) under
+// a deterministic single-threaded eviction, under staging-cap truncation,
+// and under a concurrent eviction-churn stress load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,67 +97,78 @@ bool bytes_match(const EmbeddingTable& values, VectorId v,
   return std::memcmp(got.data(), want.data(), want.size()) == 0;
 }
 
-TEST(StagedPipeline, PeekToLookupEvictionServesThroughRetryWaveNotInline) {
-  // Deterministic single-threaded repro of the race: with a 1-entry cache,
-  // the staging peek sees `v` cached (so its block is NOT staged), then the
-  // preceding miss on `u` evicts `v` — by lookup time v's block is gone
-  // from both cache and staging. The old pipeline fell back to an inline
-  // read; now the lookup defers and a retry wave fetches the block through
-  // read_blocks.
-  auto counters = std::make_shared<CountingBlockStorage::Counters>();
+/// A one-shard kNone table of `values` under the identity layout with a
+/// `cache_vectors`-entry cache, on `factory`'s storage (memory when null).
+Store one_table_store(const EmbeddingTable& values,
+                      std::uint64_t cache_vectors,
+                      BlockStorageFactory factory = nullptr) {
   StoreConfig cfg;
   cfg.simulate_timing = false;
   cfg.cache_shards = 1;
   StoreBuilder builder(cfg);
-  builder.storage(counting_factory(counters));
-  const EmbeddingTable values = patterned_table(2048, 32);
+  if (factory) builder.storage(std::move(factory));
   TablePolicy policy;
-  policy.cache_vectors = 1;
+  policy.cache_vectors = cache_vectors;
   policy.policy = PrefetchPolicy::kNone;
   builder.add_table(values,
-                    TablePlan{BlockLayout::identity(2048, 32), {}, policy, 0.0});
-  Store store = builder.build();
+                    TablePlan{BlockLayout::identity(values.num_vectors(), 32),
+                              {},
+                              policy,
+                              0.0});
+  return builder.build();
+}
+
+TEST(StagedPipeline, PeekToLookupEvictionReadsInlineInRequestOrder) {
+  // Deterministic single-threaded repro: with a 1-entry cache, the staging
+  // peek sees `v` cached (so its block is NOT staged), then the preceding
+  // miss on `u` evicts `v` — by lookup time v's block is in neither cache
+  // nor staging. The lookup reads it inline, in its place in the request,
+  // so the cache ends exactly where the unstaged memory backend's does.
+  auto counters = std::make_shared<CountingBlockStorage::Counters>();
+  const EmbeddingTable values = patterned_table(2048, 32);
+  Store store = one_table_store(values, 1, counting_factory(counters));
+  Store memory = one_table_store(values, 1);
 
   // Warm the cache with v = 100 (block 3).
   std::vector<std::byte> out(128);
   store.lookup(0, 100, out);
+  memory.lookup(0, 100, out);
+  const std::uint64_t batched_before = counters->batched_calls.load();
 
   // u = 0 (block 0) misses and evicts v; v = 100 then misses unstaged.
   MultiGetRequest req;
   req.add(0, std::vector<VectorId>{0, 100});
   const MultiGetResult res = store.multi_get(req);
+  const MultiGetResult want = memory.multi_get(req);
   ASSERT_TRUE(bytes_match(values, 0, {res.vectors[0].data(), 128}));
   ASSERT_TRUE(bytes_match(values, 100, {res.vectors[0].data() + 128, 128}));
+  EXPECT_EQ(res.vectors, want.vectors);
+  EXPECT_EQ(res.block_reads, want.block_reads);
 
   const StoreMetrics m = store.store_metrics();
   EXPECT_EQ(m.deferred_lookups, 1u);
-  EXPECT_EQ(m.retry_waves, 1u);
   EXPECT_EQ(m.retry_blocks, 1u);
+  EXPECT_EQ(m.retry_waves, 1u);
   EXPECT_EQ(m.stage_truncated_blocks, 0u);
-  EXPECT_EQ(counters->inline_reads.load(), 0u);
-  EXPECT_GE(counters->batched_calls.load(), 2u);  // staging + retry
+  EXPECT_EQ(counters->inline_reads.load(), 1u);
+  EXPECT_EQ(counters->batched_calls.load(), batched_before + 1);  // staging
+
+  // Same cache history as the memory backend: LRU order and counters.
+  EXPECT_EQ(store.table(0).cache_contents(), memory.table(0).cache_contents());
+  EXPECT_EQ(store.table(0).cache_contents(), std::vector<VectorId>{100});
+  EXPECT_EQ(store.table_metrics(0), memory.table_metrics(0));
 }
 
-TEST(StagedPipeline, TruncatedStagingIsCountedAndServedByRetryWaves) {
+TEST(StagedPipeline, TruncatedStagingIsCountedAndReadInline) {
   // A request whose distinct miss blocks exceed the staging cap (4096
-  // blocks) must not silently truncate: the overflow lookups defer and are
-  // served by bounded retry waves, and the truncation is visible in the
-  // metrics.
+  // blocks) stages the first 4096; the overflow lookups read their blocks
+  // inline, and the truncation is visible in the metrics.
   constexpr std::uint32_t kBlocks = 4200;  // > kMaxStagedBlocks = 4096
   constexpr std::uint32_t kVectors = kBlocks * 32;
+  constexpr std::uint64_t kOverflow = kBlocks - 4096u;  // 104
   auto counters = std::make_shared<CountingBlockStorage::Counters>();
-  StoreConfig cfg;
-  cfg.simulate_timing = false;
-  cfg.cache_shards = 1;
-  StoreBuilder builder(cfg);
-  builder.storage(counting_factory(counters));
   const EmbeddingTable values = patterned_table(kVectors, 32);
-  TablePolicy policy;
-  policy.cache_vectors = 1;
-  policy.policy = PrefetchPolicy::kNone;
-  builder.add_table(
-      values, TablePlan{BlockLayout::identity(kVectors, 32), {}, policy, 0.0});
-  Store store = builder.build();
+  Store store = one_table_store(values, 1, counting_factory(counters));
 
   std::vector<VectorId> ids;
   ids.reserve(kBlocks);
@@ -171,20 +185,20 @@ TEST(StagedPipeline, TruncatedStagingIsCountedAndServedByRetryWaves) {
 
   const StoreMetrics m = store.store_metrics();
   EXPECT_EQ(m.staged_blocks, 4096u);
-  EXPECT_EQ(m.stage_truncated_blocks, kBlocks - 4096u);
-  EXPECT_EQ(m.deferred_lookups, kBlocks - 4096u);
-  EXPECT_EQ(m.retry_blocks, kBlocks - 4096u);
-  EXPECT_GE(m.retry_waves, 1u);
-  EXPECT_EQ(counters->inline_reads.load(), 0u);
-  EXPECT_EQ(counters->batched_blocks.load(), kBlocks);
+  EXPECT_EQ(m.stage_truncated_blocks, kOverflow);
+  EXPECT_EQ(m.deferred_lookups, kOverflow);
+  EXPECT_EQ(m.retry_blocks, kOverflow);
+  EXPECT_EQ(m.retry_waves, kOverflow);
+  EXPECT_EQ(counters->inline_reads.load(), kOverflow);
+  EXPECT_EQ(counters->batched_blocks.load(), 4096u);
 }
 
-TEST(StagedPipeline, ConcurrentEvictionChurnNeverFallsBackToInlineReads) {
-  // The acceptance-criterion stress: many async requests against a small,
-  // eviction-heavy sharded cache, so blocks are constantly evicted between
-  // one request's staging peek and its lookups (and between concurrent
-  // requests). The counting shim must observe ZERO inline single-block
-  // reads — every miss is served through a batched staging or retry fetch.
+TEST(StagedPipeline, ConcurrentEvictionChurnServesCorrectBytes) {
+  // Many async requests against a small, eviction-heavy sharded cache, so
+  // blocks are constantly evicted between one request's staging peek and
+  // its lookups (and between concurrent requests). Every vector must come
+  // back byte-exact, and every inline read must be one the store counted
+  // as a lookup staging missed.
   auto counters = std::make_shared<CountingBlockStorage::Counters>();
   TableWorkloadConfig wl;
   wl.num_vectors = 8192;
@@ -229,14 +243,13 @@ TEST(StagedPipeline, ConcurrentEvictionChurnNeverFallsBackToInlineReads) {
   }
   EXPECT_EQ(served, store.total_metrics().lookups);
 
-  // The airtight-pipeline acceptance criterion.
-  EXPECT_EQ(counters->inline_reads.load(), 0u);
   EXPECT_GT(counters->batched_blocks.load(), 0u);
-  // Retry bookkeeping is internally consistent whether or not this run's
-  // interleaving produced deferrals.
+  // Inline-read bookkeeping is exact whether or not this run's
+  // interleaving left blocks unstaged.
   const StoreMetrics m = store.store_metrics();
-  EXPECT_LE(m.retry_blocks, m.deferred_lookups);
-  EXPECT_LE(m.retry_waves, m.retry_blocks + 1);
+  EXPECT_EQ(counters->inline_reads.load(), m.deferred_lookups);
+  EXPECT_EQ(m.retry_blocks, m.deferred_lookups);
+  EXPECT_EQ(m.retry_waves, m.deferred_lookups);
 }
 
 }  // namespace

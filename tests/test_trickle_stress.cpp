@@ -9,8 +9,9 @@
 // keep the unchanged blocks' cached members and drop the rewritten ones.
 //
 // Runs on the plain memory backend (inline reads under the shard locks)
-// and on a batched-read backend (the staged_only pipeline, where a swap
-// between the staging peek and the lookup forces deferred retry waves).
+// and on a batched-read backend (the staged pipeline, where a swap
+// between the staging peek and the lookup leaves the new block unstaged
+// and the lookup reads it inline).
 // A file-backed case finishes two tables' pushes from two threads at once:
 // both swaps update the store-wide free list and commit the manifest.
 // The suite is in the `concurrency` + `retraining` ctest labels and must
@@ -61,7 +62,7 @@ bool equals_value(const EmbeddingTable& values, VectorId v,
 }
 
 /// Memory storage that advertises batched reads, so the store runs the
-/// staged_only pipeline (deferral + retry waves) against it.
+/// staged pipeline (staging peek + batched fetch) against it.
 class BatchedMemoryStorage final : public BlockStorage {
  public:
   BatchedMemoryStorage(std::uint64_t num_blocks, std::size_t block_bytes)
@@ -255,9 +256,9 @@ void run_swap_stress(BlockStorageFactory factory, std::uint64_t seed) {
   EXPECT_EQ(store.table_metrics(t).hits, hits_before + kept.size());
   expect_serves(store, t, values_c);
 
-  // Pipeline hygiene under the swap: the staged path may defer (and the
-  // metric proves the stress exercised it), but truncation never happens
-  // at these sizes.
+  // Pipeline hygiene under the swap: the staged path may leave blocks
+  // unstaged and read them inline, but truncation never happens at these
+  // sizes.
   EXPECT_EQ(store.store_metrics().stage_truncated_blocks, 0u);
 }
 
