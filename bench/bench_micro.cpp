@@ -1,14 +1,15 @@
 // Micro-benchmarks (google-benchmark) for Bandana's hot kernels: the
 // insertion-position LRU, Zipf sampling, stack-distance updates, the NVM
-// event loop, SHP end-to-end on a small table, cache replay throughput,
-// the store's serving loop, the per-request recording cost (latency
-// recorder vs fixed-size histogram, one metrics publish), and one
-// admission wave through the async file backend.
+// event loop, SHP end-to-end on a small table (with and without a pool),
+// cache replay throughput, the store's serving loop, the per-request
+// recording cost (latency recorder vs fixed-size histogram, one metrics
+// publish), and one admission wave through the async file backend.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "core/bandana.h"
@@ -106,17 +107,29 @@ Trace make_bench_trace(std::uint32_t vectors, std::size_t queries) {
   return gen.generate(queries);
 }
 
+// threads 0 runs SHP without a pool; otherwise each level's buckets are
+// refined as pool tasks. Real time, since the calling thread only waits
+// while the pool works.
 void BM_ShpPartition(benchmark::State& state) {
   const auto vectors = static_cast<std::uint32_t>(state.range(0));
   const Trace train = make_bench_trace(vectors, vectors / 4);
   ShpConfig sc;
   sc.vectors_per_block = 32;
+  std::optional<ThreadPool> pool;
+  if (state.range(1) > 0) {
+    pool.emplace(static_cast<std::size_t>(state.range(1)));
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_shp(train, vectors, sc));
+    benchmark::DoNotOptimize(
+        run_shp(train, vectors, sc, pool ? &*pool : nullptr));
   }
   state.SetItemsProcessed(state.iterations() * vectors);
 }
-BENCHMARK(BM_ShpPartition)->Arg(8192)->Arg(32768)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShpPartition)
+    ->ArgNames({"vectors", "threads"})
+    ->ArgsProduct({{8192, 32768}, {0, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CacheReplay(benchmark::State& state) {
   const std::uint32_t vectors = 50'000;

@@ -39,12 +39,10 @@ void ThreadPool::wait_idle() {
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t chunks = std::min(n, workers_.size());
-  const std::size_t per = (n + chunks - 1) / chunks;
+  const std::size_t chunks = std::min(n, kChunksPerWorker * workers_.size());
   for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per;
-    const std::size_t end = std::min(n, begin + per);
-    if (begin >= end) break;
+    const std::size_t begin = n * c / chunks;
+    const std::size_t end = n * (c + 1) / chunks;
     submit([&fn, begin, end] { fn(begin, end); });
   }
   wait_idle();

@@ -1,9 +1,10 @@
 // Minimal fixed-size thread pool with a blocking parallel_for.
 //
-// The partitioners (K-means assignment, SHP gain computation) are
-// embarrassingly parallel over vectors/buckets; this pool gives them
-// deterministic work decomposition (static chunking) so results do not
-// depend on scheduling.
+// SHP refines each level's buckets through parallel_for; K-means submits
+// its own fixed assignment chunks and waits. Either way the work is cut
+// into chunks whose boundaries depend only on the input size and the pool
+// size, never on scheduling, so results do not depend on which worker ran
+// which chunk.
 #pragma once
 
 #include <condition_variable>
@@ -35,9 +36,15 @@ class ThreadPool {
   /// Block until all submitted tasks have finished.
   void wait_idle();
 
-  /// Run fn(begin, end) over [0, n) split into one static chunk per worker.
-  /// Blocks until complete. Chunk boundaries depend only on n and the pool
-  /// size, so any reduction the caller does per-chunk is reproducible.
+  /// Chunks parallel_for cuts its range into per worker.
+  static constexpr std::size_t kChunksPerWorker = 4;
+
+  /// Run fn(begin, end) over [0, n) cut into min(n, kChunksPerWorker *
+  /// size()) chunks whose sizes differ by at most one, queued in index
+  /// order; each idle worker takes the next one, so a slow chunk holds up
+  /// only its own worker. Blocks until complete. Chunk boundaries depend
+  /// only on n and the pool size, so any reduction the caller does per
+  /// chunk is reproducible.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -91,8 +91,10 @@ struct AtomicTableMetrics {
 //   retrain_train_us, retrain_diff_us: cumulative wall us of sample drain,
 //   training, and plan diff + session open. retrain_peak_training_bytes
 //   (max): the trainer's peak resident estimate over retrains.
-//   retrain_budget_overruns: retrains whose training wall time exceeded the
-//   push estimate (trickle_push_budget_us). write_budget_waits: trickle
+//   retrain_budget_overruns: retrains whose training phase (values lookup
+//   plus Trainer::train) spanned more simulated time (Store::now_us) than
+//   the push estimate (trickle_push_budget_us), which is simulated time
+//   too; retrain_train_us stays wall time. write_budget_waits: trickle
 //   pumps whose wave the store-wide background budget cut below the
 //   session's own allowance (0 included).
 // Migration:

@@ -189,7 +189,10 @@ std::size_t OnlineRetrainer::retrain_impl() {
         std::max<std::uint64_t>(1, capacity_sum);
     Trainer trainer(store_.config(), trainer_cfg);
     // Value-based backends (K-means) need the embedding values the push
-    // will carry; trace-based backends ignore them.
+    // will carry; trace-based backends ignore them. The budget check below
+    // reads the store's simulated clock across this whole phase, the clock
+    // the push estimate is written in; train_us stays wall time.
+    const double sim_start_us = store_.now_us();
     std::vector<const EmbeddingTable*> vals;
     vals.reserve(chosen.size());
     for (const TableId t : chosen) vals.push_back(&values_(t));
@@ -197,6 +200,7 @@ std::size_t OnlineRetrainer::retrain_impl() {
     const auto t_train = std::chrono::steady_clock::now();
     StorePlan plan = trainer.train(traces, sizes, nullptr, vals, &tstats);
     const double train_us = elapsed_us(t_train);
+    const double train_sim_us = store_.now_us() - sim_start_us;
 
     // Phase 3 (under mu_): open the trickle sessions. The chosen tables
     // cannot have grown a session meanwhile (only retrains open sessions
@@ -231,19 +235,19 @@ std::size_t OnlineRetrainer::retrain_impl() {
     // under its own limit and all under the store's one background
     // budget, so this plan's push takes about the longer of its largest
     // session and the budget's one block per channel per round. A training
-    // phase slower than that can never keep up with its own republish
-    // cadence — warn, and count it where dashboards look
-    // (StoreMetrics::retrain_budget_overruns).
+    // phase that spans more simulated time than that can never keep up
+    // with its own republish cadence — warn, and count it where dashboards
+    // look (StoreMetrics::retrain_budget_overruns).
     const double push_us = trickle_push_budget_us(
         session_blocks, cfg_.republish, store_.config().device);
-    const bool overrun = push_us > 0.0 && train_us > push_us;
+    const bool overrun = push_us > 0.0 && train_sim_us > push_us;
     if (overrun) {
       std::fprintf(stderr,
-                   "bandana: retrain training wall time %.0f us exceeds "
-                   "trickle push estimate %.0f us (%zu sessions at %llu "
-                   "blocks per %.0f us interval each, on one device "
-                   "budget)\n",
-                   train_us, push_us, session_blocks.size(),
+                   "bandana: retrain training spanned %.0f us of simulated "
+                   "time, more than the trickle push estimate %.0f us (%zu "
+                   "sessions at %llu blocks per %.0f us interval each, on "
+                   "one device budget)\n",
+                   train_sim_us, push_us, session_blocks.size(),
                    static_cast<unsigned long long>(
                        cfg_.republish.blocks_per_interval),
                    cfg_.republish.interval_us);

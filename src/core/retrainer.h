@@ -163,13 +163,16 @@ struct RetrainerStats {
                                        ///< the thread keep running).
   /// Retrain latency budget (also mirrored into StoreMetrics retrain_*):
   /// cumulative wall time per phase, the max training-memory estimate, and
-  /// how often training outran the push estimate (trickle_push_budget_us) —
-  /// a retrain slower than its own trickle push means stale plans queue up.
+  /// how often training outran the push estimate (trickle_push_budget_us)
+  /// — a retrain slower than its own trickle push means stale plans queue
+  /// up. The estimate is simulated time, so the overrun check reads the
+  /// store's simulated clock across phase 2 (values lookup plus training),
+  /// not train_us.
   std::uint64_t drain_us = 0;           ///< Phase 1: reservoir drain.
   std::uint64_t train_us = 0;           ///< Phase 2: Trainer::train.
   std::uint64_t diff_us = 0;            ///< Phase 3: plan diff/session open.
   std::uint64_t peak_training_bytes = 0;  ///< Max over retrains.
-  std::uint64_t budget_overruns = 0;    ///< train_us > push budget events.
+  std::uint64_t budget_overruns = 0;    ///< Simulated phase 2 > estimate.
 };
 
 /// Simulated time a rate-limited push of one retrain takes, given each

@@ -99,24 +99,37 @@ class StoreBuilder {
   }
 
   /// Queue one table: its values plus the Trainer's plan entry for it.
+  /// The builder keeps a pointer to `values`, not a copy: the table must
+  /// outlive build(). A temporary does not compile (the overload below).
   StoreBuilder& add_table(const EmbeddingTable& values, TablePlan plan);
+  StoreBuilder& add_table(EmbeddingTable&& values, TablePlan plan) = delete;
 
   /// Queue every table of a StorePlan; `tables[i]` holds the values for
-  /// `plan.tables[i]`.
+  /// `plan.tables[i]`. Like add_table, the values must outlive build(), so
+  /// a temporary vector does not compile.
   StoreBuilder& add_plan(const StorePlan& plan,
                          std::span<const EmbeddingTable> tables);
+  StoreBuilder& add_plan(const StorePlan& plan,
+                         std::vector<EmbeddingTable>&& tables) = delete;
 
   /// Run the whole offline pipeline and queue the result: constructs a
   /// Trainer against this builder's StoreConfig (so vectors_per_block and
   /// the partitioner backend agree with the store), trains on
   /// `train_traces`, and queues every table of the plan with `tables` as
   /// its values. Value-based partitioner backends see `tables`
-  /// automatically. `stats` (optional) receives training telemetry.
+  /// automatically. `stats` (optional) receives training telemetry. The
+  /// traces are read before this returns; `tables` must outlive build(),
+  /// so a temporary vector does not compile.
   StoreBuilder& train_and_add(const TrainerConfig& trainer_cfg,
                               std::span<const Trace> train_traces,
                               std::span<const EmbeddingTable> tables,
                               ThreadPool* pool = nullptr,
                               TrainerStats* stats = nullptr);
+  StoreBuilder& train_and_add(const TrainerConfig& trainer_cfg,
+                              std::span<const Trace> train_traces,
+                              std::vector<EmbeddingTable>&& tables,
+                              ThreadPool* pool = nullptr,
+                              TrainerStats* stats = nullptr) = delete;
 
   /// Number of NVM blocks the built store will occupy.
   std::uint64_t total_blocks() const;

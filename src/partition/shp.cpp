@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,7 +13,9 @@ namespace bandana {
 
 namespace {
 
-/// Per-bucket-pair scratch, reused across iterations within one range.
+/// Refinement scratch of one running chunk, reused across its buckets and
+/// across levels. Side counts are bucket-local: q_epoch marks the queries
+/// the current bucket counted, so nothing is cleared between buckets.
 struct Scratch {
   explicit Scratch(std::uint32_t num_queries)
       : cnt_a(num_queries, 0), cnt_b(num_queries, 0), q_epoch(num_queries, 0) {}
@@ -24,52 +27,14 @@ struct Scratch {
   std::vector<std::pair<std::int32_t, VectorId>> cand_b;
 };
 
-/// Per-worker counting scratch of the wide (within-range) parallel path.
-/// Each worker accumulates bucket-local per-query side counts over its own
-/// static chunk of the range; the owner merges the chunks in worker order.
-/// Counts are integer sums, so the merged values — and everything computed
-/// from them — are independent of the chunk decomposition, which is what
-/// makes the parallel plan byte-identical to the sequential one.
-struct WideScratch {
-  explicit WideScratch(std::uint32_t num_queries)
-      : cnt_a(num_queries, 0), cnt_b(num_queries, 0), q_epoch(num_queries, 0) {}
-  std::vector<std::uint32_t> cnt_a;
-  std::vector<std::uint32_t> cnt_b;
-  std::vector<std::uint32_t> q_epoch;
-  std::uint32_t epoch = 0;
-  std::vector<std::uint32_t> touched;  ///< Queries first-touched this pass.
-};
-
-/// Within-range parallel context: the pool plus lazily-built per-worker
-/// scratch. Used when a level has fewer active ranges than workers (the
-/// top levels, where each range is large).
-struct WideCtx {
-  ThreadPool* pool = nullptr;
-  std::vector<std::unique_ptr<WideScratch>> workers;
-  std::vector<std::int32_t> gains;  ///< Position-indexed move gains.
-};
-
-/// Ranges below this size refine sequentially even when a WideCtx is
-/// available: fork/join overhead dominates at small n, and the result is
-/// identical either way (the wide path is value-exact).
-constexpr std::size_t kMinWideVerts = 1024;
-
-struct RangeResult {
-  std::uint64_t swaps = 0;
-};
-
-/// Refine one bucket (verts[begin, end)) into two halves of sizes
-/// (half, n - half). `half` is block-aligned by the caller so that final
-/// buckets coincide with physical blocks. `wide` (optional) parallelizes
-/// the counting and gain phases across the pool; the swap phase and the
-/// physical partition stay sequential, so the refined order is the same
-/// bytes whatever the thread count.
-RangeResult process_range(std::span<VectorId> verts, std::size_t half,
-                          const CoAccessGraph& h,
-                          std::vector<std::uint8_t>& side, Scratch& scratch,
-                          std::uint32_t iters, double max_swap_fraction,
-                          std::uint64_t seed, WideCtx* wide) {
-  RangeResult result;
+/// Refine one bucket, `verts`, into two halves of sizes (half, n - half)
+/// and return the swaps made. `half` is block-aligned by
+/// the caller so that final buckets coincide with physical blocks.
+std::uint64_t refine_bucket(std::span<VectorId> verts, std::size_t half,
+                            const CoAccessGraph& h,
+                            std::vector<std::uint8_t>& side, Scratch& scratch,
+                            std::uint32_t iters, double max_swap_fraction,
+                            std::uint64_t seed) {
   const std::size_t n = verts.size();
   // Deterministic shuffle, then first `half` -> side 0, rest -> side 1.
   Rng rng(seed);
@@ -78,148 +43,82 @@ RangeResult process_range(std::span<VectorId> verts, std::size_t half,
   }
   for (std::size_t i = 0; i < n; ++i) side[verts[i]] = i >= half;
 
-  const bool parallel = wide && wide->pool && wide->pool->size() > 1 &&
-                        n >= kMinWideVerts;
-  const std::size_t chunks =
-      parallel ? std::min(n, wide->pool->size()) : 1;
-  if (parallel) {
-    const std::uint32_t nq =
-        static_cast<std::uint32_t>(scratch.cnt_a.size());
-    while (wide->workers.size() < chunks) {
-      wide->workers.push_back(std::make_unique<WideScratch>(nq));
+  // Bucket-local per-query side counts: counted once here, then kept
+  // current as each pair swaps.
+  ++scratch.epoch;
+  for (VectorId v : verts) {
+    const std::uint8_t s = side[v];
+    for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
+      const std::uint32_t q = h.v_queries[i];
+      if (scratch.q_epoch[q] != scratch.epoch) {
+        scratch.q_epoch[q] = scratch.epoch;
+        scratch.cnt_a[q] = 0;
+        scratch.cnt_b[q] = 0;
+      }
+      ++(s == 0 ? scratch.cnt_a[q] : scratch.cnt_b[q]);
     }
   }
-
-  for (std::uint32_t iter = 0; iter < iters; ++iter) {
-    // Bucket-local per-query side counts.
-    ++scratch.epoch;
-    if (parallel) {
-      // Phase 1: per-worker partial counts over static chunks.
-      const std::size_t per = (n + chunks - 1) / chunks;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * per;
-        const std::size_t end = std::min(n, begin + per);
-        if (begin >= end) break;
-        WideScratch* w = wide->workers[c].get();
-        wide->pool->submit([&, w, begin, end] {
-          ++w->epoch;
-          w->touched.clear();
-          for (std::size_t i = begin; i < end; ++i) {
-            const VectorId v = verts[i];
-            const std::uint8_t s = side[v];
-            for (std::uint64_t j = h.v_offsets[v]; j < h.v_offsets[v + 1];
-                 ++j) {
-              const std::uint32_t q = h.v_queries[j];
-              if (w->q_epoch[q] != w->epoch) {
-                w->q_epoch[q] = w->epoch;
-                w->cnt_a[q] = 0;
-                w->cnt_b[q] = 0;
-                w->touched.push_back(q);
-              }
-              if (s == 0) {
-                ++w->cnt_a[q];
-              } else {
-                ++w->cnt_b[q];
-              }
-            }
-          }
-        });
-      }
-      wide->pool->wait_idle();
-      // Phase 2: deterministic merge, workers in index order. The merged
-      // count of each query is a plain sum, so it does not depend on the
-      // chunking (and therefore not on the thread count).
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const WideScratch& w = *wide->workers[c];
-        for (const std::uint32_t q : w.touched) {
-          if (scratch.q_epoch[q] != scratch.epoch) {
-            scratch.q_epoch[q] = scratch.epoch;
-            scratch.cnt_a[q] = 0;
-            scratch.cnt_b[q] = 0;
-          }
-          scratch.cnt_a[q] += w.cnt_a[q];
-          scratch.cnt_b[q] += w.cnt_b[q];
-        }
-      }
-    } else {
-      for (VectorId v : verts) {
-        const std::uint8_t s = side[v];
-        for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
-          const std::uint32_t q = h.v_queries[i];
-          if (scratch.q_epoch[q] != scratch.epoch) {
-            scratch.q_epoch[q] = scratch.epoch;
-            scratch.cnt_a[q] = 0;
-            scratch.cnt_b[q] = 0;
-          }
-          if (s == 0) {
-            ++scratch.cnt_a[q];
-          } else {
-            ++scratch.cnt_b[q];
-          }
-        }
-      }
+  auto flip_side = [&](VectorId v) {
+    const bool to_b = side[v] == 0;
+    side[v] = to_b;
+    for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
+      const std::uint32_t q = h.v_queries[i];
+      --(to_b ? scratch.cnt_a[q] : scratch.cnt_b[q]);
+      ++(to_b ? scratch.cnt_b[q] : scratch.cnt_a[q]);
     }
-    // Move gains. The gain of a vertex depends only on the merged counts
-    // and its own side — read-only inputs — so the parallel path computes
-    // them into a position-indexed array and the candidate lists are built
-    // sequentially in the same vertex order as the sequential path.
-    auto gain_of = [&](VectorId v) {
-      std::int32_t gain = 0;
-      const std::uint8_t s = side[v];
-      for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
-        const std::uint32_t q = h.v_queries[i];
-        if (scratch.q_epoch[q] != scratch.epoch) continue;  // unreachable
-        const std::uint32_t here = s == 0 ? scratch.cnt_a[q] : scratch.cnt_b[q];
-        const std::uint32_t there = s == 0 ? scratch.cnt_b[q] : scratch.cnt_a[q];
-        if (here == 1) ++gain;   // this side stops touching q
-        if (there == 0) --gain;  // other side starts touching q
-      }
-      return gain;
-    };
+  };
+  auto gain_of = [&](VectorId v) {
+    std::int32_t gain = 0;
+    const std::uint8_t s = side[v];
+    for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
+      const std::uint32_t q = h.v_queries[i];
+      const std::uint32_t here = s == 0 ? scratch.cnt_a[q] : scratch.cnt_b[q];
+      const std::uint32_t there = s == 0 ? scratch.cnt_b[q] : scratch.cnt_a[q];
+      if (here == 1) ++gain;   // this side stops touching q
+      if (there == 0) --gain;  // other side starts touching q
+    }
+    return gain;
+  };
+  // The first k of a candidate list in descending order. (gain, id) pairs
+  // are distinct, so these are exactly the first k of a full sort.
+  auto desc = [](const auto& x, const auto& y) { return x > y; };
+  auto top = [&](auto& cand, std::size_t k) {
+    std::nth_element(cand.begin(), cand.begin() + k, cand.end(), desc);
+    std::sort(cand.begin(), cand.begin() + k, desc);
+  };
+  const std::size_t cap = std::max<std::size_t>(
+      1, static_cast<std::size_t>(max_swap_fraction *
+                                  static_cast<double>(n / 2)));
+
+  std::uint64_t swaps = 0;
+  for (std::uint32_t iter = 0; iter < iters; ++iter) {
+    // Gains come from the counts at the start of the pass.
     scratch.cand_a.clear();
     scratch.cand_b.clear();
-    if (parallel) {
-      wide->gains.resize(n);
-      wide->pool->parallel_for(n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          wide->gains[i] = gain_of(verts[i]);
-        }
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        const VectorId v = verts[i];
-        (side[v] == 0 ? scratch.cand_a : scratch.cand_b)
-            .emplace_back(wide->gains[i], v);
-      }
-    } else {
-      for (VectorId v : verts) {
-        (side[v] == 0 ? scratch.cand_a : scratch.cand_b)
-            .emplace_back(gain_of(v), v);
-      }
+    for (VectorId v : verts) {
+      (side[v] == 0 ? scratch.cand_a : scratch.cand_b)
+          .emplace_back(gain_of(v), v);
     }
     // Pairwise swap of the highest-gain vertices from each side.
-    auto desc = [](const auto& x, const auto& y) { return x > y; };
-    std::sort(scratch.cand_a.begin(), scratch.cand_a.end(), desc);
-    std::sort(scratch.cand_b.begin(), scratch.cand_b.end(), desc);
-    const std::size_t cap = std::max<std::size_t>(
-        1, static_cast<std::size_t>(max_swap_fraction *
-                                    static_cast<double>(verts.size() / 2)));
     const std::size_t pairs =
         std::min({scratch.cand_a.size(), scratch.cand_b.size(), cap});
+    top(scratch.cand_a, pairs);
+    top(scratch.cand_b, pairs);
     std::uint64_t swapped = 0;
     for (std::size_t i = 0; i < pairs; ++i) {
       if (scratch.cand_a[i].first + scratch.cand_b[i].first <= 0) break;
-      side[scratch.cand_a[i].second] = 1;
-      side[scratch.cand_b[i].second] = 0;
+      flip_side(scratch.cand_a[i].second);
+      flip_side(scratch.cand_b[i].second);
       ++swapped;
     }
-    result.swaps += swapped;
+    swaps += swapped;
     if (swapped == 0) break;
   }
 
   // Physically partition the range by side (stable for determinism).
   std::stable_partition(verts.begin(), verts.end(),
                         [&](VectorId v) { return side[v] == 0; });
-  return result;
+  return swaps;
 }
 
 }  // namespace
@@ -279,20 +178,6 @@ ShpResult run_shp(const Trace& train, std::uint32_t num_vectors,
         (num_vectors + config.vectors_per_block - 1) / config.vectors_per_block);
   }
 
-  const std::size_t workers = pool && pool->size() > 1 ? pool->size() : 1;
-  {
-    // Peak training memory, estimated at known allocation sites: CSR both
-    // directions, order/side/counts/block_of arrays, one counting scratch
-    // per concurrently-refining range (or per wide worker), candidate
-    // lists, and the wide gain array. The input trace is the caller's.
-    const std::uint64_t per_scratch = std::uint64_t{h.num_queries} * 12;
-    result.peak_memory_bytes =
-        h.byte_size() + std::uint64_t{num_vectors} * (4 + 1 + 4 + 4) +
-        per_scratch * workers + std::uint64_t{num_vectors} * 16 +
-        (workers > 1 ? per_scratch * workers + std::uint64_t{num_vectors} * 4
-                     : 0);
-  }
-
   std::vector<std::uint8_t> side(num_vectors, 0);
   struct Range {
     std::uint32_t begin, end;
@@ -306,51 +191,49 @@ ShpResult run_shp(const Trace& train, std::uint32_t num_vectors,
   };
   std::vector<Range> active{{0, num_vectors}};
   std::vector<std::uint64_t> swap_counts;
-  WideCtx wide_ctx;
-  wide_ctx.pool = pool;
+  const bool parallel = pool && pool->size() > 1;
+  // One counting scratch per running chunk: a chunk borrows one for its
+  // buckets and hands it back. They are built here, on the calling thread,
+  // before a level needs them: at most one per bucket of the widest level
+  // so far, and at most one per worker. Between levels all are idle.
+  std::vector<std::unique_ptr<Scratch>> idle_scratch;
+  std::mutex scratch_mu;
 
   while (!active.empty()) {
     ++result.levels;
     swap_counts.assign(active.size(), 0);
-    auto range_seed = [&](const Range& range) {
-      return splitmix64(config.seed ^ (std::uint64_t{result.levels} << 32) ^
-                        range.begin);
-    };
-    auto process_chunk = [&](std::size_t rb, std::size_t re) {
-      Scratch scratch(h.num_queries);
+    const std::size_t running =
+        std::min(active.size(), parallel ? pool->size() : 1);
+    while (idle_scratch.size() < running) {
+      idle_scratch.push_back(std::make_unique<Scratch>(h.num_queries));
+    }
+    auto refine_chunk = [&](std::size_t rb, std::size_t re) {
+      std::unique_ptr<Scratch> scratch;
+      {
+        std::lock_guard lock(scratch_mu);
+        scratch = std::move(idle_scratch.back());
+        idle_scratch.pop_back();
+      }
       for (std::size_t r = rb; r < re; ++r) {
         const Range range = active[r];
         std::span<VectorId> verts(result.order.data() + range.begin,
                                   range.end - range.begin);
-        swap_counts[r] =
-            process_range(verts, aligned_half(range.end - range.begin), h,
-                          side, scratch, config.iters_per_level,
-                          config.max_swap_fraction, range_seed(range),
-                          /*wide=*/nullptr)
-                .swaps;
+        swap_counts[r] = refine_bucket(
+            verts, aligned_half(range.end - range.begin), h, side, *scratch,
+            config.iters_per_level, config.max_swap_fraction,
+            splitmix64(config.seed ^ (std::uint64_t{result.levels} << 32) ^
+                       range.begin));
       }
+      std::lock_guard lock(scratch_mu);
+      idle_scratch.push_back(std::move(scratch));
     };
-    if (workers > 1 && active.size() >= workers) {
-      // Deep levels: more ranges than workers — one task per range chunk,
-      // each refining its (disjoint) vertex slices sequentially.
-      pool->parallel_for(active.size(), process_chunk);
-    } else if (workers > 1) {
-      // Wide levels: fewer ranges than workers — refine ranges one at a
-      // time, parallelizing the counting + gain phases inside each.
-      Scratch scratch(h.num_queries);
-      for (std::size_t r = 0; r < active.size(); ++r) {
-        const Range range = active[r];
-        std::span<VectorId> verts(result.order.data() + range.begin,
-                                  range.end - range.begin);
-        swap_counts[r] =
-            process_range(verts, aligned_half(range.end - range.begin), h,
-                          side, scratch, config.iters_per_level,
-                          config.max_swap_fraction, range_seed(range),
-                          &wide_ctx)
-                .swaps;
-      }
+    // Buckets are disjoint vertex slices, so chunks of them refine
+    // concurrently; each bucket's refinement is sequential, so the plan is
+    // the same bytes at every thread count.
+    if (parallel) {
+      pool->parallel_for(active.size(), refine_chunk);
     } else {
-      process_chunk(0, active.size());
+      refine_chunk(0, active.size());
     }
     for (std::uint64_t s : swap_counts) result.total_swaps += s;
 
@@ -372,6 +255,14 @@ ShpResult run_shp(const Trace& train, std::uint32_t num_vectors,
   result.final_avg_fanout = coaccess_fanout(
       h, block_of_order(config.vectors_per_block),
       (num_vectors + config.vectors_per_block - 1) / config.vectors_per_block);
+  // Peak training memory, estimated at known allocation sites: CSR both
+  // directions, order/side/counts/block_of arrays, the counting scratch of
+  // each chunk that ran at once, and candidate lists. The input trace is
+  // the caller's.
+  result.peak_memory_bytes =
+      h.byte_size() + std::uint64_t{num_vectors} * (4 + 1 + 4 + 4) +
+      std::uint64_t{h.num_queries} * 12 * idle_scratch.size() +
+      std::uint64_t{num_vectors} * 16;
   return result;
 }
 

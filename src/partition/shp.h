@@ -15,14 +15,21 @@
 //     preserving balance exactly.
 //   * Recursion stops when buckets reach vectors_per_block.
 //
-// Parallelism: with a ThreadPool, deep levels parallelize across buckets
-// (disjoint vertex ranges) and wide levels parallelize *inside* a bucket's
-// refinement — per-query side counts are accumulated into per-worker
-// scratch and merged by a deterministic partitioned reduction, and move
-// gains are computed into a position-indexed array. Both decompositions
-// are value-exact (integer sums, read-only gain evaluation), so the
-// resulting plan is byte-identical for ANY thread count, including the
-// sequential seed path (pinned by tests/test_partitioner.cpp).
+// Parallelism: every level refines its buckets (disjoint vertex ranges)
+// through one ThreadPool::parallel_for call; idle workers take the next
+// chunk of buckets, each with its own counting scratch. Without a pool, or
+// with a one-thread pool, the same loop runs on the calling thread. A
+// bucket's refinement is sequential and seeded by its level and position,
+// so the plan is byte-identical for ANY thread count (pinned against
+// recorded bytes by tests/test_shp.cpp, and across thread counts by
+// tests/test_partitioner.cpp). The top levels hold fewer buckets than
+// workers and leave some idle: a bucket's refinement is too short for
+// fork/join inside it to pay.
+//
+// Per pass, each side's candidates are cut to the swap cap with
+// nth_element and only those are sorted, and side counts are counted once
+// per bucket and updated as each pair swaps — the same values a full sort
+// and a recount give.
 //
 // Unlike K-means, SHP depends only on vector *identities*, so retraining
 // the embedding values does not invalidate the layout (paper §4.2.2).
@@ -69,10 +76,11 @@ struct ShpResult {
   std::uint64_t total_swaps = 0;
   double initial_avg_fanout = 0.0;  ///< Fanout of the random initial order.
   double final_avg_fanout = 0.0;    ///< Fanout after refinement (train set).
-  /// Estimated peak resident bytes of the training run: the co-access CSR
-  /// plus refinement scratch (per-worker partitioned-reduction arrays
-  /// included). Excludes the input trace itself, which the caller owns —
-  /// the Partitioner seam adds it (PartitionStats::peak_training_bytes).
+  /// Estimated peak resident bytes of the training run: the co-access CSR,
+  /// the per-vector arrays, candidate lists, and one counting scratch per
+  /// chunk that ran at once (at most one per worker). Excludes the input
+  /// trace itself, which the caller owns — the Partitioner seam adds it
+  /// (PartitionStats::peak_training_bytes).
   std::uint64_t peak_memory_bytes = 0;
 };
 

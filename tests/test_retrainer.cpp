@@ -726,5 +726,51 @@ TEST(OnlineRetrainer, RetrainNowRepacksFromSampledTrafficAndPushes) {
   }
 }
 
+// The overrun check compares phase 2 in simulated time with the push
+// estimate, which is simulated time too: a retrain on a frozen clock never
+// overruns, however long training takes in wall time, and one whose values
+// lookup moves the clock past the estimate overruns exactly once.
+TEST(OnlineRetrainer, BudgetOverrunReadsTheSimulatedClock) {
+  TableWorkloadConfig wl;
+  wl.num_vectors = kVectors;
+  wl.dim = 32;
+  wl.mean_lookups_per_query = 12;
+  wl.num_profiles = 64;
+  TraceGenerator gen(wl, 21);
+  const EmbeddingTable values = gen.make_embeddings();
+  const Trace trace = gen.generate(400);
+
+  for (const double values_advance_us : {0.0, 1e9}) {
+    Store store(store_config());
+    const TableId t = store.add_table(
+        values, BlockLayout::identity(kVectors, kVpb), plain_policy(256));
+    RetrainerConfig rc;
+    rc.sampler.reservoir_queries = 512;
+    rc.republish.blocks_per_interval = 16;
+    rc.republish.interval_us = 50.0;
+    rc.trainer.partitioner.shp.iters_per_level = 4;
+    OnlineRetrainer retrainer(store, rc,
+                              [&](TableId) -> const EmbeddingTable& {
+                                store.advance_time_us(values_advance_us);
+                                return values;
+                              });
+    std::vector<std::byte> out(kVecBytes * 256);
+    for (std::size_t q = 0; q < trace.num_queries(); ++q) {
+      const auto ids = trace.query(q);
+      store.lookup_batch(t, ids, {out.data(), ids.size() * kVecBytes});
+    }
+    ASSERT_EQ(retrainer.retrain_now(), 1u);
+    while (retrainer.republishing()) {
+      if (retrainer.pump() == 0) store.advance_time_us(50.0);
+    }
+    const std::uint64_t want = values_advance_us > 0.0 ? 1 : 0;
+    const RetrainerStats stats = retrainer.stats();
+    EXPECT_EQ(stats.budget_overruns, want) << values_advance_us;
+    EXPECT_EQ(store.store_metrics().retrain_budget_overruns, want)
+        << values_advance_us;
+    EXPECT_GT(stats.train_us, 0u);  // still wall time
+  }
+}
+
 }  // namespace
 }  // namespace bandana

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "partition/fanout.h"
 #include "partition/layout.h"
@@ -154,6 +157,107 @@ TEST(Shp, PerfectlySeparableWorkload) {
   cfg.iters_per_level = 32;
   const auto r = run_shp(t, groups * vpb, cfg);
   EXPECT_LT(r.final_avg_fanout, 1.35);
+}
+
+// ------------------------------------------------------------- pinned plans
+
+/// Everything run_shp returns except the memory estimate, reduced to
+/// values a test can pin: FNV-1a digests of the two arrays, and the
+/// fanouts' exact bit patterns.
+struct ShpPin {
+  std::uint64_t order_digest;
+  std::uint64_t counts_digest;
+  std::uint64_t total_swaps;
+  std::uint32_t levels;
+  std::uint64_t initial_fanout_bits;
+  std::uint64_t final_fanout_bits;
+  bool operator==(const ShpPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ShpPin& p) {
+  return os << std::hex << "{0x" << p.order_digest << "ULL, 0x"
+            << p.counts_digest << "ULL, " << std::dec << p.total_swaps
+            << ", " << p.levels << ", 0x" << std::hex
+            << p.initial_fanout_bits << "ULL, 0x" << p.final_fanout_bits
+            << "ULL}" << std::dec;
+}
+
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+ShpPin pin_of(const ShpResult& r) {
+  return {fnv1a(r.order),
+          fnv1a(r.access_counts),
+          r.total_swaps,
+          r.levels,
+          std::bit_cast<std::uint64_t>(r.initial_avg_fanout),
+          std::bit_cast<std::uint64_t>(r.final_avg_fanout)};
+}
+
+struct PinnedCase {
+  std::uint32_t vectors_per_block;
+  double max_swap_fraction;
+  std::uint32_t iters_per_level;
+  std::uint32_t max_query_size;
+  ShpPin want;
+};
+
+// Plans recorded from the sequential refinement that recounted every side
+// count each pass and sorted both whole candidate lists. Refinement must
+// stay value-exact, so every thread count reproduces these bytes. 5,000
+// vectors leave a partial last block and uneven halves; the widest level
+// holds 64 buckets at 32 vectors per block and 128 at 16, more than the 32
+// chunks an 8-thread pool cuts a level into. A swap fraction of 1.0 lets
+// the swap cap reach the shorter candidate list.
+TEST(Shp, PlansMatchPinnedBytesAtEveryThreadCount) {
+  constexpr std::uint32_t kVectors = 5000;
+  const Trace t = structured_trace(kVectors, 3000, 41);
+  const PinnedCase cases[] = {
+      {32, 0.15, 16, 0,
+       {0x2c2c71a79b17cef9ULL, 0x9141f5d731b2a31dULL, 13886, 8,
+        0x402af1d5acb6f465ULL, 0x401c82bb0cf87d9cULL}},
+      {16, 0.15, 16, 0,
+       {0x340c1656caffab95ULL, 0x9141f5d731b2a31dULL, 16466, 9,
+        0x402b83c131d5acb7ULL, 0x4020624dd2f1a9fcULL}},
+      {32, 1.0, 16, 0,
+       {0x9e9c13786e7b90d5ULL, 0x9141f5d731b2a31dULL, 23828, 8,
+        0x402af1d5acb6f465ULL, 0x401ddacb6f46508eULL}},
+      {16, 1.0, 1, 0,
+       {0xd3aa63abaf1cd8e1ULL, 0x9141f5d731b2a31dULL, 5080, 9,
+        0x402b83c131d5acb7ULL, 0x4029162fc962fc96ULL}},
+      {32, 0.15, 1, 8,
+       {0xba67b1d0adfb0215ULL, 0xa52e5810ee3f660cULL, 504, 8,
+        0x401c50239e0d5b45ULL, 0x40178c3e54975fb9ULL}},
+      {16, 0.15, 16, 8,
+       {0xbf64a36a252b4931ULL, 0xa52e5810ee3f660cULL, 3423, 9,
+        0x401cbafdc61f2a4cULL, 0x4014de9bd37a6f4eULL}},
+  };
+  for (const PinnedCase& c : cases) {
+    ShpConfig cfg;
+    cfg.vectors_per_block = c.vectors_per_block;
+    cfg.max_swap_fraction = c.max_swap_fraction;
+    cfg.iters_per_level = c.iters_per_level;
+    cfg.max_query_size = c.max_query_size;
+    const std::string name =
+        "vpb " + std::to_string(c.vectors_per_block) + ", fraction " +
+        std::to_string(c.max_swap_fraction) + ", iters " +
+        std::to_string(c.iters_per_level) + ", max_query_size " +
+        std::to_string(c.max_query_size);
+    EXPECT_EQ(pin_of(run_shp(t, kVectors, cfg)), c.want)
+        << name << ", no pool";
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(pin_of(run_shp(t, kVectors, cfg, &pool)), c.want)
+          << name << ", " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "trace/trace_generator.h"
@@ -26,6 +29,34 @@ bool bytes_match(const EmbeddingTable& values, VectorId v,
   const auto want = values.vector_bytes_view(v);
   return std::memcmp(got.data(), want.data(), want.size()) == 0;
 }
+
+// The builder keeps pointers to the values it queues until build(), so
+// passing a temporary must not compile; lvalues still do. (declval<T>() is
+// an rvalue for a non-reference T.)
+template <typename Values>
+concept AddTableAccepts = requires(StoreBuilder& b, TablePlan plan) {
+  b.add_table(std::declval<Values>(), std::move(plan));
+};
+template <typename Tables>
+concept AddPlanAccepts = requires(StoreBuilder& b, const StorePlan& plan) {
+  b.add_plan(plan, std::declval<Tables>());
+};
+template <typename Tables>
+concept TrainAndAddAccepts =
+    requires(StoreBuilder& b, const TrainerConfig& cfg,
+             std::span<const Trace> traces) {
+      b.train_and_add(cfg, traces, std::declval<Tables>());
+    };
+static_assert(AddTableAccepts<EmbeddingTable&>);
+static_assert(AddTableAccepts<const EmbeddingTable&>);
+static_assert(!AddTableAccepts<EmbeddingTable>);
+static_assert(AddPlanAccepts<std::vector<EmbeddingTable>&>);
+static_assert(AddPlanAccepts<const std::vector<EmbeddingTable>&>);
+static_assert(AddPlanAccepts<std::span<const EmbeddingTable>>);
+static_assert(!AddPlanAccepts<std::vector<EmbeddingTable>>);
+static_assert(TrainAndAddAccepts<std::vector<EmbeddingTable>&>);
+static_assert(TrainAndAddAccepts<const std::vector<EmbeddingTable>&>);
+static_assert(!TrainAndAddAccepts<std::vector<EmbeddingTable>>);
 
 /// Every vector of every table, served one by one, must round-trip.
 void expect_full_roundtrip(Store& store,
@@ -191,7 +222,9 @@ StorePlan one_entry_plan() {
 
 TEST(StoreBuilder, AddPlanRejectsMismatchedValueCount) {
   StoreBuilder builder;
-  EXPECT_THROW(builder.add_plan(one_entry_plan(), {}), std::invalid_argument);
+  const std::vector<EmbeddingTable> none;
+  EXPECT_THROW(builder.add_plan(one_entry_plan(), none),
+               std::invalid_argument);
 }
 
 TEST(StoreBuilder, FromPlanRejectsMismatchedValueCount) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace bandana {
@@ -71,6 +76,48 @@ TEST(ThreadPool, ChunkBoundariesDeterministic) {
   };
   ThreadPool pool(4);
   EXPECT_EQ(boundaries(pool), boundaries(pool));
+}
+
+TEST(ThreadPool, ParallelForCutsSeveralBalancedChunksPerWorker) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  pool.parallel_for(30, [&](std::size_t b, std::size_t e) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(b, e);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  ASSERT_EQ(chunks.size(), ThreadPool::kChunksPerWorker * 2);
+  std::size_t next = 0;
+  for (const auto& [b, e] : chunks) {
+    EXPECT_EQ(b, next);
+    EXPECT_TRUE(e - b == 3 || e - b == 4) << b << ".." << e;
+    next = e;
+  }
+  EXPECT_EQ(next, 30u);
+}
+
+// Idle workers take queued chunks: while one worker is held on the first
+// chunk, the other runs every remaining chunk.
+TEST(ThreadPool, IdleWorkersTakeTheRemainingChunks) {
+  ThreadPool pool(2);
+  const std::size_t chunks = ThreadPool::kChunksPerWorker * 2;
+  std::atomic<std::size_t> done{0};
+  bool saw_all_others = false;
+  pool.parallel_for(chunks, [&](std::size_t b, std::size_t) {
+    if (b == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (done.load() < chunks - 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      saw_all_others = done.load() == chunks - 1;
+    }
+    done.fetch_add(1);
+  });
+  EXPECT_TRUE(saw_all_others);
+  EXPECT_EQ(done.load(), chunks);
 }
 
 }  // namespace
