@@ -171,28 +171,39 @@ void BM_StoreLookupBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreLookupBatch);
 
+// Two tables on random layouts. Arg threshold=0 prefetches every member of
+// a freshly read block (kAll); threshold=1 serves kThreshold, the policy
+// every Trainer plan emits, with access counts from a separate training
+// trace.
 void BM_StoreMultiGet(benchmark::State& state) {
+  const bool threshold = state.range(0) != 0;
   TableWorkloadConfig cfg;
   cfg.num_vectors = 32'768;
   cfg.mean_lookups_per_query = 16;
   TraceGenerator gen_a(cfg, 5), gen_b(cfg, 6);
   const EmbeddingTable values_a = gen_a.make_embeddings();
   const EmbeddingTable values_b = gen_b.make_embeddings();
+  const Trace trace_a = gen_a.generate(4000);
+  const Trace trace_b = gen_b.generate(4000);
   StoreConfig store_cfg;
   store_cfg.simulate_timing = true;
   TablePolicy policy;
   policy.cache_vectors = 4096;
-  policy.policy = PrefetchPolicy::kAll;
+  policy.policy = threshold ? PrefetchPolicy::kThreshold : PrefetchPolicy::kAll;
+  policy.access_threshold = 3;
+  std::vector<std::uint32_t> counts_a, counts_b;
+  if (threshold) {
+    counts_a = access_counts(gen_a.generate(4000), cfg.num_vectors);
+    counts_b = access_counts(gen_b.generate(4000), cfg.num_vectors);
+  }
   StoreBuilder builder(store_cfg);
   builder.add_table(values_a,
                     TablePlan{BlockLayout::random(cfg.num_vectors, 32, 3),
-                              {}, policy, 0.0});
+                              std::move(counts_a), policy, 0.0});
   builder.add_table(values_b,
                     TablePlan{BlockLayout::random(cfg.num_vectors, 32, 4),
-                              {}, policy, 0.0});
+                              std::move(counts_b), policy, 0.0});
   Store store = builder.build();
-  const Trace trace_a = gen_a.generate(4000);
-  const Trace trace_b = gen_b.generate(4000);
   std::size_t q = 0;
   for (auto _ : state) {
     MultiGetRequest req;
@@ -202,7 +213,7 @@ void BM_StoreMultiGet(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_StoreMultiGet);
+BENCHMARK(BM_StoreMultiGet)->ArgName("threshold")->Arg(0)->Arg(1);
 
 /// Lognormal latencies (µs) with some zeros, generated at run time.
 std::vector<double> latency_samples() {

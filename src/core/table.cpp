@@ -65,6 +65,15 @@ std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
                                     std::move(access_counts), policy,
                                     std::move(cache));
   st->low_point = st->cache.num_insertion_points() - 1;
+  if (policy.policy == PrefetchPolicy::kThreshold) {
+    const std::vector<VectorId>& order = st->layout.order();
+    st->admit_bits.assign((order.size() + 63) / 64, 0);
+    for (std::size_t p = 0; p < order.size(); ++p) {
+      if (st->access_counts[order[p]] > policy.access_threshold) {
+        st->admit_bits[p / 64] |= std::uint64_t{1} << (p % 64);
+      }
+    }
+  }
   st->slot_of.assign(num_vectors_, 0);
   st->prefetched.assign(num_vectors_, 0);
   st->block_epochs.assign(st->layout.num_blocks(), 0);
@@ -246,39 +255,31 @@ void BandanaTable::admit_prefetches(State& st, std::uint32_t shard_idx,
                                     std::span<const std::byte> block,
                                     TableMetrics& counts) {
   const auto members = st.layout.block_members(local_block);
+  const PrefetchPolicy policy = st.policy.policy;
+  // Under kThreshold the block covers admit-bit positions from `first`.
+  const std::size_t first = std::size_t{local_block} * vectors_per_block_;
   for (std::size_t i = 0; i < members.size(); ++i) {
+    // The policy's test comes first, so a member kThreshold rejects costs
+    // one bit test and no load into the universe-sized cache arrays. The
+    // caller never prefetches under kNone.
+    if (policy == PrefetchPolicy::kThreshold) {
+      const std::size_t p = first + i;
+      if (((st.admit_bits[p / 64] >> (p % 64)) & 1) == 0) continue;
+    } else if (policy == PrefetchPolicy::kShadow &&
+               !st.shadow->contains(members[i])) {
+      continue;
+    }
     const VectorId u = members[i];
     // The requested vector was just cached as a demand read; if the
     // block's own prefetches evicted it, it stays out (as in
     // simulate_cache) rather than coming back as a prefetch.
     if (u == requested || st.cache.contains(u)) continue;
-    const std::span<const std::byte> bytes{block.data() + i * vector_bytes_,
-                                           vector_bytes_};
-    switch (st.policy.policy) {
-      case PrefetchPolicy::kNone:
-        return;
-      case PrefetchPolicy::kAll:
-        cache_vector(st, shard_idx, u, bytes, 0, /*is_prefetch=*/true,
-                     counts);
-        break;
-      case PrefetchPolicy::kPosition:
-        cache_vector(st, shard_idx, u, bytes, st.low_point, true, counts);
-        break;
-      case PrefetchPolicy::kShadow:
-        if (st.shadow->contains(u)) {
-          cache_vector(st, shard_idx, u, bytes, 0, true, counts);
-        }
-        break;
-      case PrefetchPolicy::kShadowPosition:
-        cache_vector(st, shard_idx, u, bytes,
-                     st.shadow->contains(u) ? 0 : st.low_point, true, counts);
-        break;
-      case PrefetchPolicy::kThreshold:
-        if (st.access_counts[u] > st.policy.access_threshold) {
-          cache_vector(st, shard_idx, u, bytes, 0, true, counts);
-        }
-        break;
-    }
+    const bool cold = policy == PrefetchPolicy::kPosition ||
+                      (policy == PrefetchPolicy::kShadowPosition &&
+                       !st.shadow->contains(u));
+    cache_vector(st, shard_idx, u,
+                 block.subspan(i * vector_bytes_, vector_bytes_),
+                 cold ? st.low_point : 0, /*is_prefetch=*/true, counts);
   }
 }
 
@@ -411,15 +412,17 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
   const bool already_read = st.block_epochs[local_b] >= epoch;
   // The request's staging pass usually holds this block's bytes (one
   // batched overlapped read for the whole request). A block it missed is
-  // read inline, here, so the cache sees this lookup in request order.
+  // read inline, here, so the cache sees this lookup in request order. The
+  // view lives only until this lookup returns: the caller's storage lock
+  // excludes growth, and the shard lock excludes the swap that could free
+  // the block for reuse.
   std::span<const std::byte> block_bytes;
   if (staged != nullptr) {
     block_bytes = staged->find(global_b);
     outcome.unstaged = block_bytes.empty();
   }
   if (block_bytes.empty()) {
-    storage.read_block(global_b, shard.block_buf);
-    block_bytes = shard.block_buf;
+    block_bytes = storage.view_block(global_b, shard.block_buf);
   }
   if (!already_read) {
     st.block_epochs[local_b] = epoch;

@@ -11,6 +11,18 @@
 // published once per table-get; block-read dedup epochs are per-block and
 // therefore shard-local too.
 //
+// The miss path costs what the paper says a miss costs: one block's bytes.
+// A miss takes the block from the request's staged bytes when the store
+// staged it, and otherwise from BlockStorage::view_block, so the memory
+// backend lends the block in place and only the file backends copy it (into
+// the shard's scratch). The vector and the admitted members are copied out
+// of those bytes into their slab slots; nothing else is. Under kThreshold,
+// the policy Trainer emits, admission is decided once per state: make_state
+// sets one admit bit per layout position whose vector's access count clears
+// the threshold, and a freshly read block tests each member's bit before it
+// touches the cache, so a member the threshold rejects costs one bit test.
+// The other policies look every member of the block up in the cache.
+//
 // Online retraining (§2.2) swaps the whole layout-dependent state — the
 // block layout, the local-block -> global-block map, the cache/shadow
 // structures and the shard striping derived from the layout — as one unit:
@@ -96,10 +108,12 @@ class BandanaTable {
   /// concurrent swap_state makes it retry against the new mapping). On
   /// miss, consumes the block's bytes from `staged` when the request
   /// pre-fetched them (Store's batched read pipeline), otherwise reads the
-  /// block from `storage` inline, under the shard lock and in request
-  /// order (a block evicted between the request's staging peek and this
-  /// lookup, truncated at the staging cap, or retargeted by a swap);
-  /// either way the caller accounts device timing. Admits prefetches per
+  /// block from `storage` inline through view_block, under the shard lock
+  /// and in request order (a block evicted between the request's staging
+  /// peek and this lookup, truncated at the staging cap, or retargeted by
+  /// a swap); either way the caller accounts device timing, and it keeps
+  /// `storage` alive and unresized across the call (Store's shared storage
+  /// lock). Admits prefetches per
   /// policy and caches the vector. The cache sees the same sequence of
   /// accesses whether or not, and however much, the request staged.
   LookupOutcome lookup(VectorId v, BlockStorage& storage,
@@ -238,6 +252,10 @@ class BandanaTable {
     std::vector<BlockId> block_map;   ///< local block -> storage block
     std::vector<std::uint32_t> access_counts;
     TablePolicy policy;
+    /// kThreshold only: bit p is set iff layout position p's vector has an
+    /// access count above the threshold. Derived from this state's counts
+    /// and policy, never inherited from the state it replaces.
+    std::vector<std::uint64_t> admit_bits;
     ShardedInsertionLru cache;
     std::unique_ptr<ShardedInsertionLru> shadow;
     std::size_t low_point = 0;  ///< Insertion point for cold prefetches.
@@ -260,7 +278,7 @@ class BandanaTable {
   /// lifetime (states swap underneath it).
   struct Shard {
     std::mutex mu;
-    std::vector<std::byte> block_buf;  ///< scratch for block reads
+    std::vector<std::byte> block_buf;  ///< view_block scratch (file backends)
   };
 
   std::unique_ptr<State> make_state(TablePolicy policy, BlockLayout layout,

@@ -77,6 +77,13 @@ void MemoryBlockStorage::read_block(BlockId b, std::span<std::byte> out) const {
               block_bytes_);
 }
 
+std::span<const std::byte> MemoryBlockStorage::view_block(
+    BlockId b, std::span<std::byte> /*scratch*/) const {
+  assert(b < num_blocks_);
+  return {data_.data() + static_cast<std::size_t>(b) * block_bytes_,
+          block_bytes_};
+}
+
 void MemoryBlockStorage::write_block(BlockId b,
                                      std::span<const std::byte> in) {
   assert(b < num_blocks_);

@@ -3,7 +3,8 @@
 // The timing model (nvm_device.h, nvm/io_engine.h) answers "when does this
 // read complete"; BlockStorage answers "what bytes live in block b".
 // bandana::Store composes the two. Three backends:
-//  * MemoryBlockStorage — heap-backed, used by simulations and tests.
+//  * MemoryBlockStorage — heap-backed, used by simulations and tests; its
+//    view_block() lends the block in place instead of copying it.
 //  * FileBlockStorage  — a real file accessed with pread/pwrite, so the
 //    whole system can run against an actual SSD (the repro substitution for
 //    NVM hardware).
@@ -105,6 +106,22 @@ class BlockStorage {
 
   /// Copy block `b` into `out` (out.size() == block_bytes()).
   virtual void read_block(BlockId b, std::span<std::byte> out) const = 0;
+
+  /// Block `b`'s bytes (block_bytes() long), for a reader that only needs
+  /// to look at them. MemoryBlockStorage returns a span of its own array
+  /// and leaves `scratch` untouched; every other backend (and any shim
+  /// that overrides only read_block) runs read_block(b, scratch) and
+  /// returns `scratch`. Lifetime: a view into the storage shows later
+  /// write_block calls to `b` and dangles once the storage is destroyed,
+  /// so the caller must exclude both for as long as it reads the view
+  /// (BandanaTable holds it only inside one lookup, under the store's
+  /// shared storage lock, which excludes growth, and the shard lock,
+  /// which excludes the swap that could free and reuse the block).
+  virtual std::span<const std::byte> view_block(
+      BlockId b, std::span<std::byte> scratch) const {
+    read_block(b, scratch);
+    return scratch;
+  }
 
   /// Overwrite block `b` from `in` (in.size() == block_bytes()).
   virtual void write_block(BlockId b, std::span<const std::byte> in) = 0;
@@ -242,6 +259,9 @@ class MemoryBlockStorage final : public BlockStorage {
   std::uint64_t num_blocks() const override { return num_blocks_; }
   void read_block(BlockId b, std::span<std::byte> out) const override;
   void write_block(BlockId b, std::span<const std::byte> in) override;
+  /// A span of the block inside the storage's own array: no copy.
+  std::span<const std::byte> view_block(
+      BlockId b, std::span<std::byte> scratch) const override;
 
  private:
   std::uint64_t num_blocks_;

@@ -32,7 +32,7 @@ void NvmIoEngine::reset() {
   }
 }
 
-std::uint64_t NvmIoEngine::submit(double arrival_us, IoKind kind) {
+IoCompletion NvmIoEngine::place(double arrival_us, IoKind kind) {
   // Submission boundary: the admission gate releases the IO at its
   // arrival, or at the earliest outstanding completion when the
   // queue_depth x channels cap is full (the IO takes that slot). Reads
@@ -78,6 +78,11 @@ std::uint64_t NvmIoEngine::submit(double arrival_us, IoKind kind) {
   done.submit_us = submit_us;
   done.start_us = start_us;
   done.complete_us = complete_us;
+  return done;
+}
+
+std::uint64_t NvmIoEngine::submit(double arrival_us, IoKind kind) {
+  const IoCompletion done = place(arrival_us, kind);
   pending_.push(done);
   return done.id;
 }
@@ -92,8 +97,16 @@ std::optional<IoCompletion> NvmIoEngine::next_completion() {
 
 double NvmIoEngine::submit_wave(double arrival_us, std::uint64_t count,
                                 std::vector<IoCompletion>* sink, IoKind kind) {
-  for (std::uint64_t i = 0; i < count; ++i) submit(arrival_us, kind);
+  // The wave's IOs are delivered as they are placed; none goes through
+  // the completion heap.
   double max_done = arrival_us;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const IoCompletion done = place(arrival_us, kind);
+    max_done = std::max(max_done, done.complete_us);
+    if (sink != nullptr) sink->push_back(done);
+  }
+  delivered_ += count;
+  // Events queued by earlier submit() calls are delivered with the wave.
   while (auto done = next_completion()) {
     max_done = std::max(max_done, done->complete_us);
     if (sink != nullptr) sink->push_back(*done);

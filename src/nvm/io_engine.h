@@ -146,8 +146,10 @@ class NvmIoEngine {
   /// Submit `count` IOs of `kind` arriving together at `arrival_us` (one
   /// admission wave) and deliver every pending completion. Returns the
   /// latest completion time (`arrival_us` when the engine is idle and
-  /// count is 0). If `sink` is non-null the delivered completions are
-  /// appended to it.
+  /// count is 0). The wave's IOs are delivered as they are placed, never
+  /// queued as events. If `sink` is non-null it gets the wave's
+  /// completions in placement order, then the events earlier submit()
+  /// calls left queued, in delivery order.
   double submit_wave(double arrival_us, std::uint64_t count,
                      std::vector<IoCompletion>* sink = nullptr,
                      IoKind kind = IoKind::kRead);
@@ -179,6 +181,11 @@ class NvmIoEngine {
     std::uint64_t writes = 0;
     double write_busy_us = 0.0;
   };
+
+  /// The one placement step behind submit and submit_wave: admission
+  /// gate, channel routing, service draw and channel accounting. Assigns
+  /// the IO's id; queues nothing.
+  IoCompletion place(double arrival_us, IoKind kind);
 
   struct LaterCompletion {
     bool operator()(const IoCompletion& a, const IoCompletion& b) const {

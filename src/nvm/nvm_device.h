@@ -32,18 +32,20 @@ namespace bandana {
 /// Draws per-IO service times. Separated from the device so tests can pin it.
 class NvmLatencyModel {
  public:
-  explicit NvmLatencyModel(const NvmDeviceConfig& cfg) : cfg_(cfg) {}
+  explicit NvmLatencyModel(const NvmDeviceConfig& cfg)
+      : cfg_(cfg),
+        log_service_median_(std::log(cfg.service_median_us)),
+        log_write_service_median_(std::log(cfg.write_service_median_us)) {}
 
   /// One 4 KB read's channel-service time, microseconds.
   double sample_service_us(Rng& rng) const {
-    return rng.next_lognormal(std::log(cfg_.service_median_us),
-                              cfg_.service_sigma);
+    return rng.next_lognormal(log_service_median_, cfg_.service_sigma);
   }
 
   /// One 4 KB write's channel-service time, microseconds. Drawn from its
   /// own stream so interleaved writes never perturb the read draws.
   double sample_write_service_us(Rng& rng) const {
-    return rng.next_lognormal(std::log(cfg_.write_service_median_us),
+    return rng.next_lognormal(log_write_service_median_,
                               cfg_.write_service_sigma);
   }
 
@@ -51,6 +53,8 @@ class NvmLatencyModel {
 
  private:
   NvmDeviceConfig cfg_;
+  double log_service_median_;        ///< The lognormal mu of a read.
+  double log_write_service_median_;  ///< The lognormal mu of a write.
 };
 
 struct DeviceRunResult {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "common/rng.h"
@@ -496,6 +498,135 @@ TEST(AsyncFileBlockStorage, StoreServesIdenticalBytesOnAsyncBackend) {
   EXPECT_EQ(uring.second, memory.second);
   std::remove(uring_path.c_str());
   std::remove(pool_path.c_str());
+}
+
+// ---- view_block: a block's bytes without a copy where the backend can. ----
+
+TEST(ViewBlock, ShowsReadBlockBytesOnEveryBackend) {
+  // On random blocks, view_block shows exactly the bytes read_block
+  // copies. The memory view points into the storage and leaves the
+  // scratch alone; the file backends fill and return the caller's scratch.
+  const std::string file_path = ::testing::TempDir() + "/bandana_view_f.bin";
+  const std::string uring_path = ::testing::TempDir() + "/bandana_view_u.bin";
+  const std::string pool_path = ::testing::TempDir() + "/bandana_view_p.bin";
+  constexpr std::size_t kBlock = 512;
+  constexpr std::uint64_t kBlocks = 24;
+  const std::pair<const char*, BlockStorageFactory> backends[] = {
+      {"memory", memory_storage_factory()},
+      {"file", file_storage_factory(file_path)},
+      {"async io_uring", async_file_storage_factory(uring_path)},
+      {"async thread pool",
+       async_file_storage_factory(pool_path, thread_pool_options())}};
+
+  for (const auto& [name, factory] : backends) {
+    SCOPED_TRACE(name);
+    const auto storage = factory(kBlocks, kBlock);
+    const bool in_place =
+        dynamic_cast<const MemoryBlockStorage*>(storage.get()) != nullptr;
+    Rng rng(31);
+    std::vector<std::byte> buf(kBlock), want(kBlock), scratch(kBlock);
+    for (BlockId b = 0; b < kBlocks; ++b) {
+      fill_pattern(buf, static_cast<std::uint8_t>(rng.next_below(256)));
+      storage->write_block(b, buf);
+    }
+    for (int i = 0; i < 100; ++i) {
+      const auto b = static_cast<BlockId>(rng.next_below(kBlocks));
+      storage->read_block(b, want);
+      std::ranges::fill(scratch, std::byte{0xA5});
+      const std::span<const std::byte> view = storage->view_block(b, scratch);
+      ASSERT_EQ(view.size(), kBlock);
+      ASSERT_TRUE(std::ranges::equal(view, want)) << "block " << b;
+      if (in_place) {
+        EXPECT_NE(view.data(), scratch.data());
+        EXPECT_EQ(std::ranges::count(scratch, std::byte{0xA5}),
+                  static_cast<std::ptrdiff_t>(kBlock));
+      } else {
+        EXPECT_EQ(view.data(), scratch.data());
+      }
+    }
+  }
+  std::remove(file_path.c_str());
+  std::remove(uring_path.c_str());
+  std::remove(pool_path.c_str());
+}
+
+TEST(ViewBlock, MemoryViewAliasesTheStorage) {
+  MemoryBlockStorage s(4, 256);
+  std::vector<std::byte> a(256), b(256), scratch(256);
+  fill_pattern(a, 1);
+  fill_pattern(b, 200);
+  s.write_block(2, a);
+  const std::span<const std::byte> before = s.view_block(2, scratch);
+  ASSERT_TRUE(std::ranges::equal(before, a));
+  // A later write shows through a fresh view, at the same address: the
+  // view is the storage, not a copy of it.
+  s.write_block(2, b);
+  const std::span<const std::byte> after = s.view_block(2, scratch);
+  EXPECT_TRUE(std::ranges::equal(after, b));
+  EXPECT_EQ(after.data(), before.data());
+}
+
+/// Memory storage seen only through read_block and write_block: the
+/// default view_block must route every inline read through read_block.
+class ReadCountingStorage final : public BlockStorage {
+ public:
+  ReadCountingStorage(std::uint64_t blocks, std::size_t bytes,
+                      std::shared_ptr<std::atomic<std::uint64_t>> reads)
+      : inner_(blocks, bytes), reads_(std::move(reads)) {}
+
+  std::size_t block_bytes() const override { return inner_.block_bytes(); }
+  std::uint64_t num_blocks() const override { return inner_.num_blocks(); }
+  void read_block(BlockId b, std::span<std::byte> out) const override {
+    reads_->fetch_add(1, std::memory_order_relaxed);
+    inner_.read_block(b, out);
+  }
+  void write_block(BlockId b, std::span<const std::byte> in) override {
+    inner_.write_block(b, in);
+  }
+
+ private:
+  MemoryBlockStorage inner_;
+  std::shared_ptr<std::atomic<std::uint64_t>> reads_;
+};
+
+TEST(ViewBlock, ReadBlockShimSeesEveryInlineRead) {
+  TableWorkloadConfig wl;
+  wl.num_vectors = 2048;
+  wl.dim = 32;
+  TraceGenerator gen(wl, 92);
+  const EmbeddingTable values = gen.make_embeddings();
+  const Trace trace = gen.generate(200);
+  TablePolicy policy;
+  policy.cache_vectors = 128;
+  policy.policy = PrefetchPolicy::kAll;
+  StoreConfig cfg;
+  cfg.simulate_timing = false;
+  auto reads = std::make_shared<std::atomic<std::uint64_t>>(0);
+  StoreBuilder builder(cfg);
+  builder.storage([reads](std::uint64_t blocks, std::size_t bytes) {
+    return std::make_unique<ReadCountingStorage>(blocks, bytes, reads);
+  });
+  builder.add_table(values, TablePlan{BlockLayout::random(2048, 32, 8), {},
+                                      policy, 0.0});
+  Store store = builder.build();
+
+  const std::uint64_t before = reads->load();
+  for (std::size_t q = 0; q < trace.num_queries(); ++q) {
+    MultiGetRequest req;
+    req.add(0, trace.query(q));
+    const MultiGetResult res = store.multi_get(req);
+    for (std::size_t i = 0; i < trace.query(q).size(); ++i) {
+      const auto want = values.vector_bytes_view(trace.query(q)[i]);
+      ASSERT_EQ(std::memcmp(res.vectors[0].data() + i * 128, want.data(), 128),
+                0)
+          << "query " << q << " id " << i;
+    }
+  }
+  // Unstaged backend: every miss reads its block inline, once, and the
+  // shim counts it.
+  const TableMetrics m = store.table_metrics(0);
+  ASSERT_GT(m.lookups, m.hits);
+  EXPECT_EQ(reads->load() - before, m.lookups - m.hits);
 }
 
 // ---- Batched write path: write_blocks equivalence + zero-copy leases. ----

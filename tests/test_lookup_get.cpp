@@ -12,6 +12,7 @@
 // new bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -171,6 +172,46 @@ TEST(LookupGet, EmptyGetTouchesNothing) {
   EXPECT_TRUE(table.cache_contents().empty());
 }
 
+TEST(LookupGet, WarmSwapAdmitsByTheNewCounts) {
+  // A swap with the same order and policy keeps the cache warm, but its
+  // access counts can differ, and kThreshold admission must follow the new
+  // ones: the next fresh read of a block admits a member whose count rose
+  // past the threshold and skips one whose count fell below it.
+  const EmbeddingTable values =
+      TraceGenerator(table_config(), 6).make_embeddings();
+  const BlockLayout layout = BlockLayout::random(kVectors, kVpb, 7);
+  MemoryBlockStorage storage(kBlocks, kBlockBytes);
+  const std::vector<BlockId> map = write_table(layout, values, storage);
+  const TablePolicy policy = policy_of(PrefetchPolicy::kThreshold);
+  const auto warm = layout.block_members(0);
+  const auto fresh = layout.block_members(1);
+  const VectorId requested = fresh[0];
+  const VectorId rising = fresh[1];
+  const VectorId falling = fresh[2];
+  std::vector<std::uint32_t> old_counts(kVectors, 0);
+  std::vector<std::uint32_t> new_counts(kVectors, 0);
+  old_counts[falling] = policy.access_threshold + 5;
+  new_counts[rising] = policy.access_threshold + 5;
+
+  BandanaTable table(store_config(1), policy, layout, old_counts, map);
+  std::vector<std::byte> out(kVecBytes);
+  table.lookup(warm[0], storage, out, table.begin_batch());
+  table.swap_state({layout, map, new_counts, policy});
+  const auto cached = [&](VectorId v) {
+    return std::ranges::count(table.cache_contents(), v) == 1;
+  };
+  ASSERT_TRUE(cached(warm[0])) << "the swap kept the cache warm";
+  ASSERT_FALSE(cached(requested));
+
+  table.lookup(requested, storage, out, table.begin_batch());
+  ASSERT_EQ(std::memcmp(out.data(), values.vector_bytes_view(requested).data(),
+                        kVecBytes),
+            0);
+  EXPECT_TRUE(cached(rising));
+  EXPECT_FALSE(cached(falling));
+  EXPECT_EQ(table.metrics().prefetch_inserted, 1u);
+}
+
 TEST(LookupGet, SwapMidGetServesWhollyOldOrNewBytes) {
   // Blocks [0, kBlocks) hold values A under layout LA; blocks
   // [kBlocks, 2 kBlocks) hold values B under layout LB. The main thread
@@ -223,6 +264,11 @@ TEST(LookupGet, SwapMidGetServesWhollyOldOrNewBytes) {
     });
   }
 
+  // Swap only once the readers are serving: on a loaded host the 200 swaps
+  // could otherwise finish before any reader thread ran.
+  while (served.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   for (int cycle = 0; cycle < 200; ++cycle) {
     const bool to_b = cycle % 2 == 0;
     table.swap_state({to_b ? lb : la, to_b ? map_b : map_a, {}, policy});

@@ -191,10 +191,11 @@ TEST(ShardedStore, OneShardStoreMatchesSimulatorUnderEveryPolicy) {
   // The served table and simulate_cache implement the same six admission
   // policies. On a trace without repeats inside a query, one shard must
   // count exactly what the simulator counts — also below one block's
-  // worth of vectors (32), where a block's own prefetches can evict the
-  // vector that missed, which must then stay out.
-  TraceGenerator gen(workload_config(), 14);
-  const EmbeddingTable values = gen.make_embeddings();
+  // worth of vectors, where a block's own prefetches can evict the vector
+  // that missed, which must then stay out. Block shapes vary too: 32, 8
+  // and 128 vectors per block (a 128-vector block spans two 64-bit words
+  // of kThreshold admit bits); the 4,090-vector universe leaves a partial
+  // last block, which ends inside a word.
   const auto dedup = [](const Trace& raw) {
     Trace t;
     for (std::size_t q = 0; q < raw.num_queries(); ++q) {
@@ -207,44 +208,62 @@ TEST(ShardedStore, OneShardStoreMatchesSimulatorUnderEveryPolicy) {
     }
     return t;
   };
-  const Trace train = dedup(gen.generate(1500));
-  const Trace trace = dedup(gen.generate(1500));
-  const ShpResult shp = run_shp(train, 4096, ShpConfig{});
-  const auto layout = BlockLayout::from_order(shp.order, 32);
+  struct BlockShape {
+    std::uint32_t num_vectors;
+    std::uint32_t vectors_per_block;
+  };
+  for (const BlockShape shape :
+       {BlockShape{4096, 32}, BlockShape{4090, 8}, BlockShape{4090, 128}}) {
+    TableWorkloadConfig wl = workload_config();
+    wl.num_vectors = shape.num_vectors;
+    TraceGenerator gen(wl, 14);
+    const EmbeddingTable values = gen.make_embeddings();
+    const Trace train = dedup(gen.generate(1500));
+    const Trace trace = dedup(gen.generate(1500));
+    ShpConfig shp_cfg;
+    shp_cfg.vectors_per_block = shape.vectors_per_block;
+    const ShpResult shp = run_shp(train, shape.num_vectors, shp_cfg);
+    const auto layout =
+        BlockLayout::from_order(shp.order, shape.vectors_per_block);
+    StoreConfig cfg = sharded_config(/*shards=*/1);
+    cfg.block_bytes = std::size_t{shape.vectors_per_block} * cfg.vector_bytes;
 
-  for (const PrefetchPolicy p :
-       {PrefetchPolicy::kNone, PrefetchPolicy::kAll, PrefetchPolicy::kPosition,
-        PrefetchPolicy::kShadow, PrefetchPolicy::kShadowPosition,
-        PrefetchPolicy::kThreshold}) {
-    for (const std::uint64_t capacity : {1u, 16u, 31u, 64u, 400u}) {
-      SCOPED_TRACE(std::string(to_string(p)) + " capacity " +
-                   std::to_string(capacity));
-      Store store(sharded_config(/*shards=*/1));
-      TablePolicy policy;
-      policy.cache_vectors = capacity;
-      policy.policy = p;
-      policy.access_threshold = 5;
-      const TableId t =
-          store.add_table(values, layout, policy, shp.access_counts);
-      std::vector<std::byte> out(128 * 256);
-      for (std::size_t q = 0; q < trace.num_queries(); ++q) {
-        store.lookup_batch(t, trace.query(q), out);
+    for (const PrefetchPolicy p :
+         {PrefetchPolicy::kNone, PrefetchPolicy::kAll,
+          PrefetchPolicy::kPosition, PrefetchPolicy::kShadow,
+          PrefetchPolicy::kShadowPosition, PrefetchPolicy::kThreshold}) {
+      for (const std::uint64_t capacity : {1u, 16u, 31u, 64u, 400u}) {
+        SCOPED_TRACE(std::to_string(shape.num_vectors) + " vectors, " +
+                     std::to_string(shape.vectors_per_block) +
+                     " per block, " + to_string(p) + " capacity " +
+                     std::to_string(capacity));
+        Store store(cfg);
+        TablePolicy policy;
+        policy.cache_vectors = capacity;
+        policy.policy = p;
+        policy.access_threshold = 5;
+        const TableId t =
+            store.add_table(values, layout, policy, shp.access_counts);
+        std::vector<std::byte> out(128 * 256);
+        for (std::size_t q = 0; q < trace.num_queries(); ++q) {
+          store.lookup_batch(t, trace.query(q), out);
+        }
+
+        CachePolicyConfig sim;
+        sim.capacity_vectors = capacity;
+        sim.policy = p;
+        sim.access_threshold = 5;
+        sim.insertion_position = policy.insertion_position;
+        sim.shadow_multiplier = policy.shadow_multiplier;
+        const CacheSimResult want =
+            simulate_cache(trace, layout, sim, shp.access_counts);
+        const TableMetrics got = store.table_metrics(t);
+        EXPECT_EQ(got.lookups, want.unique_lookups);
+        EXPECT_EQ(got.hits, want.hits);
+        EXPECT_EQ(got.nvm_block_reads, want.nvm_block_reads);
+        EXPECT_EQ(got.prefetch_inserted, want.prefetch_inserted);
+        EXPECT_EQ(got.prefetch_hits, want.prefetch_hits);
       }
-
-      CachePolicyConfig sim;
-      sim.capacity_vectors = capacity;
-      sim.policy = p;
-      sim.access_threshold = 5;
-      sim.insertion_position = policy.insertion_position;
-      sim.shadow_multiplier = policy.shadow_multiplier;
-      const CacheSimResult want =
-          simulate_cache(trace, layout, sim, shp.access_counts);
-      const TableMetrics got = store.table_metrics(t);
-      EXPECT_EQ(got.lookups, want.unique_lookups);
-      EXPECT_EQ(got.hits, want.hits);
-      EXPECT_EQ(got.nvm_block_reads, want.nvm_block_reads);
-      EXPECT_EQ(got.prefetch_inserted, want.prefetch_inserted);
-      EXPECT_EQ(got.prefetch_hits, want.prefetch_hits);
     }
   }
 }
