@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_sim.h"
@@ -12,8 +14,11 @@
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "core/store.h"
+#include "core/table.h"
+#include "nvm/block_storage.h"
 #include "partition/layout.h"
 #include "partition/shp.h"
+#include "trace/characterizer.h"
 #include "trace/trace_generator.h"
 
 namespace bandana {
@@ -265,6 +270,113 @@ TEST(ShardedStore, OneShardStoreMatchesSimulatorUnderEveryPolicy) {
         EXPECT_EQ(got.prefetch_hits, want.prefetch_hits);
       }
     }
+  }
+}
+
+/// FNV-1a over the bytes of `n` trivially copyable values, continuing `h`.
+template <typename T>
+void fnv1a_mix(std::uint64_t& h, const T* data, std::size_t n) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n * sizeof(T); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+}
+
+TEST(ShardedStore, FourShardCacheDecisionsMatchPinnedDigests) {
+  // A 4-shard table's cache decisions under each of the six policies,
+  // pinned as FNV-1a digests recorded from the implementation with
+  // per-vector shard, local-id, slot and prefetched arrays: the cached ids
+  // shard by shard in MRU->LRU order, and every shard's counters. The
+  // trace runs in two halves around a warm swap_state (same order and
+  // policy, new access counts), in which every seventh block moves to a
+  // new storage block, so the swap drops those blocks' cached members and
+  // the second half refills the freed entries. Digests are taken after
+  // the first half, after the swap and at the end.
+  constexpr std::uint32_t kVectors = 4096;
+  constexpr std::uint32_t kVpb = 32;
+  constexpr std::uint32_t kBlocks = kVectors / kVpb;
+  constexpr std::size_t kVecBytes = 128;
+  TraceGenerator gen(workload_config(), 21);
+  const EmbeddingTable values = gen.make_embeddings();
+  const Trace trace = gen.generate(1200);
+  const std::vector<std::uint32_t> old_counts =
+      access_counts(gen.generate(600), kVectors);
+  const std::vector<std::uint32_t> new_counts =
+      access_counts(gen.generate(600), kVectors);
+  const BlockLayout layout = BlockLayout::random(kVectors, kVpb, 22);
+  MemoryBlockStorage storage(2 * kBlocks, kVpb * kVecBytes);
+  std::vector<BlockId> old_map(kBlocks), new_map(kBlocks);
+  std::vector<std::byte> block(kVpb * kVecBytes);
+  for (BlockId b = 0; b < kBlocks; ++b) {
+    compose_block_bytes(layout, values, b, kVecBytes, block);
+    old_map[b] = b;
+    new_map[b] = b % 7 == 0 ? kBlocks + b : b;
+    storage.write_block(old_map[b], block);
+    storage.write_block(new_map[b], block);
+  }
+  StoreConfig cfg = sharded_config(/*shards=*/4);
+  cfg.block_bytes = kVpb * kVecBytes;
+  cfg.vector_bytes = kVecBytes;
+
+  struct Pin {
+    std::uint64_t contents;
+    std::uint64_t stats;
+  };
+  const std::pair<PrefetchPolicy, Pin> pinned[] = {
+      {PrefetchPolicy::kNone,
+       {0xeb66cfb22b3fd615ULL, 0xe10c767a92d5127aULL}},
+      {PrefetchPolicy::kAll,
+       {0x1904cc6601bd5e12ULL, 0x909169dc68d4a0c0ULL}},
+      {PrefetchPolicy::kPosition,
+       {0xf9192f35a644513bULL, 0xc4eeab1ceec1325bULL}},
+      {PrefetchPolicy::kShadow,
+       {0x1c458864781beb3fULL, 0x25bbd2fa469dd13cULL}},
+      {PrefetchPolicy::kShadowPosition,
+       {0xd3f4d9ad76ee8a1eULL, 0x110e92e508481751ULL}},
+      {PrefetchPolicy::kThreshold,
+       {0x1f2bb20141d190a3ULL, 0x1bcef69480669238ULL}},
+  };
+  for (const auto& [p, want] : pinned) {
+    SCOPED_TRACE(to_string(p));
+    TablePolicy policy;
+    policy.cache_vectors = 400;
+    policy.policy = p;
+    policy.access_threshold = 3;
+    BandanaTable table(cfg, policy, layout, old_counts, old_map);
+    ASSERT_EQ(table.num_shards(), 4u);
+    Pin got{0xcbf29ce484222325ULL, 0xcbf29ce484222325ULL};
+    const auto mix = [&] {
+      const std::vector<VectorId> contents = table.cache_contents();
+      fnv1a_mix(got.contents, contents.data(), contents.size());
+      for (std::uint32_t s = 0; s < table.num_shards(); ++s) {
+        const CacheShardStats st = table.shard_stats(s);
+        const std::uint64_t fields[] = {st.size,   st.capacity,
+                                        st.accesses, st.hits,
+                                        st.inserts,  st.evictions};
+        fnv1a_mix(got.stats, fields, std::size(fields));
+      }
+    };
+    std::vector<std::byte> out;
+    std::vector<BandanaTable::LookupOutcome> outcomes;
+    const auto serve = [&](std::size_t from, std::size_t to) {
+      for (std::size_t q = from; q < to; ++q) {
+        const auto ids = trace.query(q);
+        out.resize(ids.size() * kVecBytes);
+        outcomes.resize(ids.size());
+        table.lookup_get(ids, storage, out, table.begin_batch(), nullptr,
+                         outcomes);
+      }
+    };
+    const std::size_t half = trace.num_queries() / 2;
+    serve(0, half);
+    mix();
+    table.swap_state({layout, new_map, new_counts, policy});
+    mix();
+    serve(half, trace.num_queries());
+    mix();
+    EXPECT_EQ(got.contents, want.contents)
+        << std::hex << "contents 0x" << got.contents;
+    EXPECT_EQ(got.stats, want.stats) << std::hex << "stats 0x" << got.stats;
   }
 }
 
