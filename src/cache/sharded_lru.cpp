@@ -1,6 +1,8 @@
 #include "cache/sharded_lru.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -54,76 +56,175 @@ std::vector<std::uint64_t> split_capacity(
 ShardedInsertionLru::ShardedInsertionLru(std::uint32_t universe,
                                          std::uint64_t capacity,
                                          std::vector<double> insertion_points,
-                                         std::vector<std::uint32_t> shard_of,
-                                         std::uint32_t num_shards)
-    : shard_of_(std::move(shard_of)) {
-  if (num_shards == 0) {
-    throw std::invalid_argument("ShardedInsertionLru: zero shards");
-  }
+                                         std::vector<std::uint32_t> shard_sizes)
+    : num_segments_(insertion_points.size()), node_of_(universe, kNil) {
   if (capacity == 0) {
     throw std::invalid_argument("ShardedInsertionLru: capacity 0");
   }
-  if (shard_of_.empty()) {
-    if (num_shards != 1) {
-      throw std::invalid_argument(
-          "ShardedInsertionLru: shard assignment required for >1 shard");
-    }
-    shard_of_.assign(universe, 0);
-  }
-  if (shard_of_.size() != universe) {
+  if (insertion_points.empty() || insertion_points.front() != 0.0) {
     throw std::invalid_argument(
-        "ShardedInsertionLru: shard assignment size mismatch");
+        "ShardedInsertionLru: first insertion point must be 0");
   }
-
-  std::vector<std::uint32_t> count(num_shards, 0);
-  local_id_.resize(universe);
-  for (VectorId v = 0; v < universe; ++v) {
-    if (shard_of_[v] >= num_shards) {
-      throw std::invalid_argument("ShardedInsertionLru: shard out of range");
+  for (std::size_t i = 1; i < insertion_points.size(); ++i) {
+    if (insertion_points[i] <= insertion_points[i - 1] ||
+        insertion_points[i] >= 1.0) {
+      throw std::invalid_argument(
+          "ShardedInsertionLru: points must be ascending in [0,1)");
     }
-    local_id_[v] = count[shard_of_[v]]++;
+  }
+  if (shard_sizes.empty()) shard_sizes.push_back(universe);
+  if (std::accumulate(shard_sizes.begin(), shard_sizes.end(),
+                      std::uint64_t{0}) != universe) {
+    throw std::invalid_argument(
+        "ShardedInsertionLru: shard sizes must sum to the universe");
   }
 
-  const std::vector<std::uint64_t> caps = split_capacity(capacity, count);
-  shards_.reserve(num_shards);
-  global_of_.resize(num_shards);
-  stats_.resize(num_shards);
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    shards_.emplace_back(count[s], caps[s], insertion_points);
-    global_of_[s].resize(count[s]);
-    stats_[s].capacity = caps[s];
-    total_capacity_ += caps[s];
+  const std::vector<std::uint64_t> caps = split_capacity(capacity, shard_sizes);
+  const std::uint64_t entries =
+      std::accumulate(caps.begin(), caps.end(), std::uint64_t{0});
+  const std::uint64_t markers = shard_sizes.size() * (num_segments_ + 1);
+  if (entries + markers >= kNil || num_segments_ > 0xFFFF) {
+    throw std::invalid_argument("ShardedInsertionLru: too many entries");
   }
-  for (VectorId v = 0; v < universe; ++v) {
-    global_of_[shard_of_[v]][local_id_[v]] = v;
+  entries_ = static_cast<NodeIdx>(entries);
+  nodes_.resize(entries + markers);
+  segments_.resize(shard_sizes.size() * num_segments_);
+  shards_.resize(shard_sizes.size());
+  NodeIdx first = 0;
+  for (std::uint32_t s = 0; s < num_shards(); ++s) {
+    Shard& sh = shards_[s];
+    sh.first = first;
+    sh.stats.capacity = caps[s];
+    first += static_cast<NodeIdx>(caps[s]);
+    // Segment k spans depths [floor(f_k*C), floor(f_{k+1}*C)) of the
+    // shard's capacity C, exactly as in InsertionLru.
+    for (std::size_t k = 0; k < num_segments_; ++k) {
+      const auto lo = static_cast<std::uint64_t>(
+          std::floor(insertion_points[k] * static_cast<double>(caps[s])));
+      const std::uint64_t hi =
+          k + 1 < num_segments_
+              ? static_cast<std::uint64_t>(std::floor(
+                    insertion_points[k + 1] * static_cast<double>(caps[s])))
+              : caps[s];
+      segment(s, k).target = hi - lo;
+    }
+    // Head markers, then the end sentinel, chained in order.
+    for (std::size_t k = 0; k <= num_segments_; ++k) {
+      Node& m = nodes_[marker(s, k)];
+      m.prev = k == 0 ? kNil : marker(s, k - 1);
+      m.next = k == num_segments_ ? kNil : marker(s, k + 1);
+    }
   }
 }
 
-bool ShardedInsertionLru::access(VectorId v) {
-  const std::uint32_t s = shard_of_[v];
-  ++stats_[s].accesses;
-  if (!shards_[s].access(local_id_[v])) return false;
-  ++stats_[s].hits;
+void ShardedInsertionLru::link_after(NodeIdx pos, NodeIdx node) {
+  Node& p = nodes_[pos];
+  Node& n = nodes_[node];
+  n.prev = pos;
+  n.next = p.next;
+  if (p.next != kNil) nodes_[p.next].prev = node;
+  p.next = node;
+}
+
+void ShardedInsertionLru::unlink(NodeIdx node) {
+  Node& n = nodes_[node];
+  if (n.prev != kNil) nodes_[n.prev].next = n.next;
+  if (n.next != kNil) nodes_[n.next].prev = n.prev;
+  n.prev = n.next = kNil;
+}
+
+void ShardedInsertionLru::cascade(std::uint32_t s, std::size_t k) {
+  // Shift one node at a time from an over-full segment to the head of the
+  // next; amortized O(K) because each insert adds a single node.
+  for (; k + 1 < num_segments_; ++k) {
+    if (segment(s, k).size <= segment(s, k).target) return;
+    // Last real node of segment k is the one before marker k+1.
+    const NodeIdx head = marker(s, k + 1);
+    const NodeIdx victim = nodes_[head].prev;
+    assert(!is_marker(victim));
+    unlink(victim);
+    link_after(head, victim);
+    nodes_[victim].segment = static_cast<std::uint16_t>(k + 1);
+    --segment(s, k).size;
+    ++segment(s, k + 1).size;
+  }
+}
+
+bool ShardedInsertionLru::access(std::uint32_t s, VectorId v) {
+  Shard& sh = shards_[s];
+  ++sh.stats.accesses;
+  const NodeIdx node = node_of_[v];
+  if (node == kNil) return false;
+  assert(node >= sh.first && node - sh.first < sh.stats.capacity);
+  ++sh.stats.hits;
+  --segment(s, nodes_[node].segment).size;
+  unlink(node);
+  link_after(marker(s, 0), node);
+  nodes_[node].segment = 0;
+  ++segment(s, 0).size;
+  cascade(s, 0);
   return true;
 }
 
-VectorId ShardedInsertionLru::insert(VectorId v, std::size_t point) {
-  const std::uint32_t s = shard_of_[v];
-  ++stats_[s].inserts;
-  const VectorId local_evicted = shards_[s].insert(local_id_[v], point);
-  if (local_evicted == kInvalidVector) return kInvalidVector;
-  ++stats_[s].evictions;
-  return global_of_[s][local_evicted];
+VectorId ShardedInsertionLru::insert(std::uint32_t s, VectorId v,
+                                     std::size_t point, bool prefetched) {
+  assert(point < num_segments_);
+  assert(node_of_[v] == kNil && "insert of an already-cached id");
+  Shard& sh = shards_[s];
+  ++sh.stats.inserts;
+  // Segments with zero capacity (e.g. position 0.99 of a tiny cache)
+  // degrade to the previous segment.
+  while (point > 0 && segment(s, point).target == 0) --point;
+
+  VectorId evicted = kInvalidVector;
+  NodeIdx node = kNil;
+  if (sh.stats.size == sh.stats.capacity) {
+    // Global LRU tail: last real node, walking back over markers. The
+    // entry that evicts it takes over its node.
+    node = nodes_[marker(s, num_segments_)].prev;
+    while (node != kNil && is_marker(node)) node = nodes_[node].prev;
+    assert(node != kNil);
+    evicted = nodes_[node].id;
+    --segment(s, nodes_[node].segment).size;
+    unlink(node);
+    node_of_[evicted] = kNil;
+    ++sh.stats.evictions;
+  } else if (sh.free != kNil) {
+    node = sh.free;
+    sh.free = nodes_[node].next;
+    ++sh.stats.size;
+  } else {
+    node = sh.first + sh.used++;
+    ++sh.stats.size;
+  }
+
+  Node& n = nodes_[node];
+  n.id = v;
+  n.segment = static_cast<std::uint16_t>(point);
+  n.prefetched = prefetched ? 1 : 0;
+  link_after(marker(s, point), node);
+  node_of_[v] = node;
+  ++segment(s, point).size;
+  cascade(s, point);
+  return evicted;
 }
 
-bool ShardedInsertionLru::erase(VectorId v) {
-  return shards_[shard_of_[v]].erase(local_id_[v]);
+bool ShardedInsertionLru::erase(std::uint32_t s, VectorId v) {
+  const NodeIdx node = node_of_[v];
+  if (node == kNil) return false;
+  Shard& sh = shards_[s];
+  assert(node >= sh.first && node - sh.first < sh.stats.capacity);
+  --segment(s, nodes_[node].segment).size;
+  unlink(node);
+  node_of_[v] = kNil;
+  nodes_[node].next = sh.free;
+  sh.free = node;
+  --sh.stats.size;
+  return true;
 }
 
 CacheShardStats ShardedInsertionLru::shard_stats(std::uint32_t s) const {
-  CacheShardStats stats = stats_[s];
-  stats.size = shards_[s].size();
-  return stats;
+  return shards_[s].stats;
 }
 
 CacheShardStats ShardedInsertionLru::rollup() const {
@@ -132,16 +233,15 @@ CacheShardStats ShardedInsertionLru::rollup() const {
   return total;
 }
 
-std::uint64_t ShardedInsertionLru::size() const {
-  std::uint64_t n = 0;
-  for (const auto& shard : shards_) n += shard.size();
-  return n;
-}
+std::uint64_t ShardedInsertionLru::size() const { return rollup().size; }
 
 std::vector<VectorId> ShardedInsertionLru::shard_contents(
     std::uint32_t s) const {
-  std::vector<VectorId> out = shards_[s].contents();
-  for (VectorId& v : out) v = global_of_[s][v];
+  std::vector<VectorId> out;
+  out.reserve(shards_[s].stats.size);
+  for (NodeIdx n = nodes_[marker(s, 0)].next; n != kNil; n = nodes_[n].next) {
+    if (!is_marker(n)) out.push_back(nodes_[n].id);
+  }
   return out;
 }
 
@@ -153,6 +253,13 @@ std::vector<VectorId> ShardedInsertionLru::contents() const {
     out.insert(out.end(), shard.begin(), shard.end());
   }
   return out;
+}
+
+std::uint64_t ShardedInsertionLru::dram_bytes() const {
+  return node_of_.capacity() * sizeof(NodeIdx) +
+         nodes_.capacity() * sizeof(Node) +
+         segments_.capacity() * sizeof(Segment) +
+         shards_.capacity() * sizeof(Shard);
 }
 
 }  // namespace bandana

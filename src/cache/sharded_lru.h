@@ -1,29 +1,40 @@
 // Sharded insertion-position LRU (intra-table cache concurrency).
 //
-// Stripes a dense vector-id universe across N independent InsertionLru
-// shards so that concurrent lookups touching different shards never
-// contend. Each shard keeps the full insertion-point semantics of
-// lru_cache.h — the same fractional insertion depths applied to the
-// shard's own capacity — so positioned prefetch admission (paper §4.3.1)
-// is preserved per shard. Capacity is split across shards proportionally
-// to each shard's slice of the universe (largest-remainder rounding), so
-// aggregate hit rates track the unsharded cache on skewed workloads.
+// Stripes a dense vector-id universe across N independent LRU shards so
+// that concurrent lookups touching different shards never contend. Each
+// shard keeps the full insertion-point semantics of lru_cache.h — the same
+// fractional insertion depths applied to the shard's own capacity — so
+// positioned prefetch admission (paper §4.3.1) is preserved per shard.
+// Capacity is split across shards proportionally to each shard's slice of
+// the universe (largest-remainder rounding), so aggregate hit rates track
+// the unsharded cache on skewed workloads.
+//
+// One index serves every shard: a 4-byte node index per vector into one
+// node pool, allocated to capacity at construction and never grown. Shard
+// s owns the contiguous entry nodes [first, first + shard_capacity(s)),
+// where `first` sums the earlier shards' capacities, so an entry's node
+// index doubles as its slot in a caller's capacity-sized slab (slot_of).
+// Each node carries its id, its segment and a prefetched mark. The class
+// stores no id -> shard map: the caller names the shard of every
+// mutation, and must name the same shard for an id every time
+// (BandanaTable stripes by block: shard = block_of(v) % N). A shard
+// reuses its LRU tail's node for the entry that evicts it, and chains
+// erased nodes into a free list through their `next` links.
 //
 // With one shard this class is byte-identical to a single InsertionLru:
 // same hits, same eviction victims, same MRU→LRU order (the fidelity
 // tests rely on this).
 //
 // Like InsertionLru, the class itself is NOT thread-safe: the caller
-// (BandanaTable) holds one lock per shard and must hold the lock of
-// shard_of(v) around any access/insert/erase of v. Whole-cache accessors
-// (contents, size, rollup) are for tests and diagnostics and expect
-// external quiescence.
+// (BandanaTable) holds one lock per shard and must hold shard s's lock
+// around any operation that names s, and around contains / slot_of /
+// take_prefetched of an id in s. Whole-cache accessors (contents, size,
+// rollup) are for tests and diagnostics and expect external quiescence.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "cache/lru_cache.h"
 #include "common/field_table.h"
 #include "common/types.h"
 
@@ -44,39 +55,47 @@ struct CacheShardStats {
 
 class ShardedInsertionLru {
  public:
-  /// `shard_of[v]` assigns vector v to a shard in [0, num_shards); pass an
-  /// empty vector with num_shards == 1 for the unsharded (seed) layout.
-  /// `capacity` is the total entry budget; every shard receives at least 1
-  /// entry, so the effective total (see capacity()) can exceed the request
-  /// when capacity < num_shards.
+  /// `shard_sizes[s]` is how many ids of the universe shard s serves; the
+  /// sizes must sum to `universe`. Empty means one shard (the unsharded
+  /// seed layout). `capacity` is the total entry budget; every shard
+  /// receives at least 1 entry, so the effective total (see capacity())
+  /// can exceed the request when capacity < number of shards.
   ShardedInsertionLru(std::uint32_t universe, std::uint64_t capacity,
                       std::vector<double> insertion_points = {0.0},
-                      std::vector<std::uint32_t> shard_of = {},
-                      std::uint32_t num_shards = 1);
+                      std::vector<std::uint32_t> shard_sizes = {});
 
   std::uint32_t num_shards() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  std::uint32_t shard_of(VectorId v) const { return shard_of_[v]; }
-  /// The full id->shard mapping (e.g. to build a co-sharded shadow cache).
-  const std::vector<std::uint32_t>& assignment() const { return shard_of_; }
-  std::size_t num_insertion_points() const {
-    return shards_.front().num_insertion_points();
-  }
+  std::size_t num_insertion_points() const { return num_segments_; }
 
   /// Sum of per-shard capacities (== requested capacity unless clamped up).
-  std::uint64_t capacity() const { return total_capacity_; }
+  std::uint64_t capacity() const { return entries_; }
   std::uint64_t shard_capacity(std::uint32_t s) const {
-    return shards_[s].capacity();
+    return shards_[s].stats.capacity;
   }
 
-  // Single-entry operations: the caller must hold the lock of shard_of(v).
-  bool contains(VectorId v) const {
-    return shards_[shard_of_[v]].contains(local_id_[v]);
+  bool contains(VectorId v) const { return node_of_[v] != kNil; }
+  /// Slot of cached v in [0, capacity()): its node index, inside its
+  /// shard's range. Stable until v leaves the cache.
+  std::uint32_t slot_of(VectorId v) const { return node_of_[v]; }
+
+  /// If v is cached in shard s: promote to s's MRU position, return true.
+  bool access(std::uint32_t s, VectorId v);
+  /// Insert v (not cached) into shard s at insertion point `point`
+  /// (default: MRU), marked prefetched or not. Returns the evicted victim,
+  /// or kInvalidVector if none; v takes over the victim's slot.
+  VectorId insert(std::uint32_t s, VectorId v, std::size_t point = 0,
+                  bool prefetched = false);
+  /// Remove v from shard s (e.g. on a table republish). False if absent.
+  bool erase(std::uint32_t s, VectorId v);
+  /// Clear cached v's prefetched mark; returns whether it was set.
+  bool take_prefetched(VectorId v) {
+    Node& n = nodes_[node_of_[v]];
+    const bool was = n.prefetched != 0;
+    n.prefetched = 0;
+    return was;
   }
-  bool access(VectorId v);
-  VectorId insert(VectorId v, std::size_t point = 0);
-  bool erase(VectorId v);
 
   /// Occupancy + counters of one shard (caller holds that shard's lock).
   CacheShardStats shard_stats(std::uint32_t s) const;
@@ -90,13 +109,54 @@ class ShardedInsertionLru {
   std::vector<VectorId> contents() const;
   std::vector<VectorId> shard_contents(std::uint32_t s) const;
 
+  /// Heap bytes of the index: the per-id node index, the node pool and the
+  /// per-shard segment bookkeeping. Fixed at construction.
+  std::uint64_t dram_bytes() const;
+
  private:
-  std::vector<std::uint32_t> shard_of_;   // global id -> shard
-  std::vector<VectorId> local_id_;        // global id -> dense id in shard
-  std::vector<std::vector<VectorId>> global_of_;  // shard, local -> global
-  std::vector<InsertionLru> shards_;
-  std::vector<CacheShardStats> stats_;
-  std::uint64_t total_capacity_ = 0;
+  using NodeIdx = std::uint32_t;
+  static constexpr NodeIdx kNil = ~NodeIdx{0};
+
+  /// 16 bytes. Entry nodes come first in the pool; every shard's segment
+  /// head markers and end sentinel follow them.
+  struct Node {
+    NodeIdx prev = kNil;
+    NodeIdx next = kNil;
+    VectorId id = kInvalidVector;
+    std::uint16_t segment = 0;
+    std::uint8_t prefetched = 0;
+  };
+  struct Segment {
+    std::uint64_t size = 0;
+    std::uint64_t target = 0;  ///< Capacity of the segment.
+  };
+  struct Shard {
+    NodeIdx first = 0;    ///< First entry node (slot) of the shard.
+    NodeIdx used = 0;     ///< Entry nodes handed out so far.
+    NodeIdx free = kNil;  ///< Erased entry nodes, chained via next.
+    CacheShardStats stats;  ///< Live size and capacity, and counters.
+  };
+
+  bool is_marker(NodeIdx n) const { return n >= entries_; }
+  /// Shard s's head marker of segment k; k == num_segments_ is its end
+  /// sentinel.
+  NodeIdx marker(std::uint32_t s, std::size_t k) const {
+    return entries_ + static_cast<NodeIdx>(s * (num_segments_ + 1) + k);
+  }
+  Segment& segment(std::uint32_t s, std::size_t k) {
+    return segments_[s * num_segments_ + k];
+  }
+  void link_after(NodeIdx pos, NodeIdx node);
+  void unlink(NodeIdx node);
+  /// Push overflow from shard s's segment k downward toward the tail.
+  void cascade(std::uint32_t s, std::size_t k);
+
+  std::size_t num_segments_;
+  NodeIdx entries_ = 0;  ///< Entry nodes in the pool (== capacity()).
+  std::vector<NodeIdx> node_of_;  ///< id -> node, or kNil
+  std::vector<Node> nodes_;
+  std::vector<Segment> segments_;  ///< shard-major, num_segments_ each
+  std::vector<Shard> shards_;
 };
 
 }  // namespace bandana

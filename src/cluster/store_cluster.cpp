@@ -167,6 +167,12 @@ ClusterMetrics StoreCluster::metrics() const {
   return m;
 }
 
+DramBytes StoreCluster::dram_bytes() const {
+  DramBytes d;
+  for (const auto& node : nodes_) d += node->store->dram_bytes();
+  return d;
+}
+
 TableMetrics StoreCluster::table_metrics(TableId t) const {
   TableMetrics total;
   const PlacementLease lease = placement_lease();

@@ -235,6 +235,9 @@ class StoreCluster {
   ClusterMetrics metrics() const;
   /// Logical table t's counters, merged over its ranges and replicas.
   TableMetrics table_metrics(TableId t) const;
+  /// Sum of the nodes' Store::dram_bytes (a 1-node cluster's equals the
+  /// bare store's).
+  DramBytes dram_bytes() const;
 
   // --- Retraining pushes (fan out to every replica of the table) ---
   /// One-shot republish (Store::republish: an unlimited-rate, crash-atomic

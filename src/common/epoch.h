@@ -88,13 +88,14 @@ class ReaderEpochs {
   }
 
   /// `object` is already unreachable through the protected pointer; a
-  /// later try_reclaim frees it once no reader can hold it.
+  /// later try_reclaim frees it once no reader can hold it. `bytes` is the
+  /// heap it holds, as reported by retired_bytes() until it is freed.
   template <typename T>
-  void retire(std::unique_ptr<T> object) {
+  void retire(std::unique_ptr<T> object, std::uint64_t bytes = 0) {
     std::lock_guard lock(mu_);
     retired_.push_back(
         {Owned(object.release(), [](void* p) { delete static_cast<T*>(p); }),
-         ++seq_});
+         ++seq_, bytes});
   }
 
   /// One non-blocking step, then free every retired object both banks
@@ -123,6 +124,13 @@ class ReaderEpochs {
     std::lock_guard lock(mu_);
     return retired_.size();
   }
+  /// Sum of the retired objects' `bytes` (see retire).
+  std::uint64_t retired_bytes() const {
+    std::lock_guard lock(mu_);
+    std::uint64_t bytes = 0;
+    for (const Retired& r : retired_) bytes += r.bytes;
+    return bytes;
+  }
 
  private:
   static constexpr std::uint32_t kSlots = 16;
@@ -134,6 +142,7 @@ class ReaderEpochs {
   struct Retired {
     Owned object;
     std::uint64_t seq = 0;
+    std::uint64_t bytes = 0;
   };
 
   /// Thread-striped: the hot-path RMWs stay on a mostly private line.

@@ -142,4 +142,49 @@ struct AtomicStoreMetrics {
   BANDANA_FIELD_MIRROR(StoreMetrics, BANDANA_STORE_METRICS_FIELDS)
 };
 
+// DramBytes: the host memory a store holds, in bytes, measured from its
+// containers' allocated capacities (Store::dram_bytes; StoreCluster sums
+// its nodes), all sum. Fixed-size objects and allocator overhead are not
+// counted. Per table:
+//   slab            Cached vector bytes: cache capacity x vector_bytes.
+//   cache_index     The cache's 4-byte node index per vector, its node pool
+//                   (16 B per slab slot) and per-shard bookkeeping.
+//   shadow_index    The same for the shadow cache (kShadow,
+//                   kShadowPosition; 0 otherwise).
+//   layout          Order and position per vector (8 B per vector).
+//   admission       Access counts (4 B per vector, kept for the manifest
+//                   and mapping snapshots) and kThreshold's admit bits.
+//   block_maps      Local -> storage block maps and per-block dedup marks;
+//                   at store level also the free list and reservations.
+//   staging         Per-shard block scratch that file-backend misses read
+//                   into.
+//   retired_states  Swapped-out table states awaiting reclamation.
+// Per store:
+//   storage_buffers The backend's own buffers (the async file backend's
+//                   registered wave buffers). Memory storage holds the
+//                   simulated device's blocks, which stand in for NVM and
+//                   are not counted.
+#define BANDANA_DRAM_BYTES_FIELDS(F)    \
+  F(std::uint64_t, slab, sum)           \
+  F(std::uint64_t, cache_index, sum)    \
+  F(std::uint64_t, shadow_index, sum)   \
+  F(std::uint64_t, layout, sum)         \
+  F(std::uint64_t, admission, sum)      \
+  F(std::uint64_t, block_maps, sum)     \
+  F(std::uint64_t, staging, sum)        \
+  F(std::uint64_t, retired_states, sum) \
+  F(std::uint64_t, storage_buffers, sum)
+
+#define BANDANA_DRAM_BYTES_ADD_(type, name, rule) bytes += name;
+
+struct DramBytes {
+  BANDANA_FIELD_STRUCT(DramBytes, BANDANA_DRAM_BYTES_FIELDS)
+
+  std::uint64_t total() const {
+    std::uint64_t bytes = 0;
+    BANDANA_DRAM_BYTES_FIELDS(BANDANA_DRAM_BYTES_ADD_)
+    return bytes;
+  }
+};
+
 }  // namespace bandana

@@ -1405,6 +1405,23 @@ std::size_t Store::reclaim_retired_states() {
   return freed;
 }
 
+DramBytes Store::dram_bytes() const {
+  std::shared_lock lock(*storage_mu_);
+  DramBytes d;
+  for (const auto& table : tables_) {
+    if (table) d += table->dram_bytes();
+  }
+  if (storage_) d.storage_buffers = storage_->dram_bytes();
+  // The free list and reservations change under the shared lock only
+  // with manifest_mu_ held (finish_trickle).
+  std::lock_guard mlock(*manifest_mu_);
+  d.block_maps += free_list_.capacity() * sizeof(BlockId);
+  for (const auto& r : reservations_) {
+    d.block_maps += r.second.capacity() * sizeof(BlockId);
+  }
+  return d;
+}
+
 std::size_t Store::retired_states() const {
   std::shared_lock lock(*storage_mu_);
   std::size_t n = 0;

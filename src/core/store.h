@@ -397,6 +397,14 @@ class Store {
   /// Retired table states still awaiting reclamation, summed over tables.
   std::size_t retired_states() const;
 
+  /// The host memory the store holds, by category (core/metrics.h): every
+  /// live table's slab, cache and shadow indexes, layout, admission data,
+  /// block maps, scratch and retired states, plus the store's free list,
+  /// reservations and the storage backend's own buffers. Size a node's
+  /// DRAM from total(): TablePolicy::cache_vectors buys only the slab.
+  /// Safe against concurrent serving.
+  DramBytes dram_bytes() const;
+
   /// Advance the simulated clock (e.g. between request arrivals).
   void advance_time_us(double delta);
   double now_us() const;

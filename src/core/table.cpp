@@ -34,6 +34,18 @@ std::uint32_t shard_count_for(const StoreConfig& cfg,
                    static_cast<std::uint64_t>(layout.num_blocks()),
                    capacity})));
 }
+/// Vectors per shard when block b goes to shard b % num_shards: the cache
+/// splits its capacity in these proportions.
+std::vector<std::uint32_t> striped_shard_sizes(std::uint32_t num_vectors,
+                                               std::uint32_t vectors_per_block,
+                                               std::uint32_t num_shards) {
+  std::vector<std::uint32_t> sizes(num_shards, 0);
+  for (std::uint32_t first = 0, b = 0; first < num_vectors;
+       first += vectors_per_block, ++b) {
+    sizes[b % num_shards] += std::min(vectors_per_block, num_vectors - first);
+  }
+  return sizes;
+}
 }  // namespace
 
 std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
@@ -53,13 +65,10 @@ std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
   }
   const std::uint64_t capacity =
       std::max<std::uint64_t>(1, policy.cache_vectors);
-  std::vector<std::uint32_t> shard_of(layout.num_vectors());
-  for (VectorId v = 0; v < layout.num_vectors(); ++v) {
-    shard_of[v] = layout.block_of(v) % num_shards_;
-  }
-  ShardedInsertionLru cache{layout.num_vectors(), capacity,
-                            insertion_points_for(policy), std::move(shard_of),
-                            num_shards_};
+  const std::vector<std::uint32_t> shard_sizes =
+      striped_shard_sizes(num_vectors_, vectors_per_block_, num_shards_);
+  ShardedInsertionLru cache{num_vectors_, capacity,
+                            insertion_points_for(policy), shard_sizes};
 
   auto st = std::make_unique<State>(std::move(layout), std::move(block_map),
                                     std::move(access_counts), policy,
@@ -74,24 +83,7 @@ std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
       }
     }
   }
-  st->slot_of.assign(num_vectors_, 0);
-  st->prefetched.assign(num_vectors_, 0);
   st->block_epochs.assign(st->layout.num_blocks(), 0);
-
-  // Slab slots are partitioned by shard: shard s owns the contiguous range
-  // starting at the sum of earlier shard capacities. Free lists pop in
-  // ascending slot order within each shard (matching the seed's fill order).
-  st->free_slots.resize(num_shards_);
-  std::uint64_t slot_base = 0;
-  for (std::uint32_t s = 0; s < num_shards_; ++s) {
-    const std::uint64_t cap = st->cache.shard_capacity(s);
-    auto& free_slots = st->free_slots[s];
-    free_slots.reserve(cap);
-    for (std::uint64_t i = cap; i > 0; --i) {
-      free_slots.push_back(static_cast<std::uint32_t>(slot_base + i - 1));
-    }
-    slot_base += cap;
-  }
 
   if (policy.policy == PrefetchPolicy::kShadow ||
       policy.policy == PrefetchPolicy::kShadowPosition) {
@@ -100,10 +92,30 @@ std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
         static_cast<std::uint64_t>(static_cast<double>(st->cache.capacity()) *
                                    policy.shadow_multiplier));
     st->shadow = std::make_unique<ShardedInsertionLru>(
-        num_vectors_, shadow_cap, std::vector<double>{0.0},
-        st->cache.assignment(), num_shards_);
+        num_vectors_, shadow_cap, std::vector<double>{0.0}, shard_sizes);
   }
   return st;
+}
+
+DramBytes BandanaTable::State::dram_bytes() const {
+  DramBytes d;
+  d.cache_index = cache.dram_bytes();
+  d.shadow_index = shadow ? shadow->dram_bytes() : 0;
+  d.layout = layout.dram_bytes();
+  d.admission = access_counts.capacity() * sizeof(std::uint32_t) +
+                admit_bits.capacity() * sizeof(std::uint64_t);
+  d.block_maps = block_map.capacity() * sizeof(BlockId) +
+                 block_epochs.capacity() * sizeof(std::uint64_t);
+  return d;
+}
+
+DramBytes BandanaTable::dram_bytes() const {
+  const auto guard = epochs_.enter();
+  DramBytes d = state_.load(std::memory_order_seq_cst)->dram_bytes();
+  d.slab = slab_.capacity();
+  for (const auto& shard : shards_) d.staging += shard->block_buf.capacity();
+  d.retired_states = epochs_.retired_bytes();
+  return d;
 }
 
 BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
@@ -182,24 +194,17 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(shards_.size());
     for (auto& shard : shards_) locks.emplace_back(shard->mu);
-    const std::size_t slab_needed = fresh->cache.capacity() * vector_bytes_;
-    if (slab_needed > slab_.size()) slab_.resize(slab_needed);
+    assert(fresh->cache.capacity() * vector_bytes_ == slab_.size());
     if (keep_cache) {
       // Value-only push: cached members of blocks that kept their storage
-      // block still hold exact bytes. Copied, not moved — stragglers may
-      // still peek the retired state.
+      // block still hold exact bytes in their slots. Copied, not moved —
+      // stragglers may still peek the retired state.
       fresh->cache = cur.cache;
       if (cur.shadow) *fresh->shadow = *cur.shadow;
-      fresh->slot_of = cur.slot_of;
-      fresh->prefetched = cur.prefetched;
-      fresh->free_slots = cur.free_slots;
       for (BlockId b = 0; b < fresh->layout.num_blocks(); ++b) {
         if (fresh->block_map[b] == cur.block_map[b]) continue;
         for (const VectorId v : fresh->layout.block_members(b)) {
-          if (!fresh->cache.erase(v)) continue;
-          fresh->free_slots[fresh->cache.shard_of(v)].push_back(
-              fresh->slot_of[v]);
-          fresh->prefetched[v] = 0;
+          fresh->cache.erase(b % num_shards_, v);
         }
       }
     }
@@ -213,7 +218,8 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
   // Retire outside the shard locks and immediately run a reclaim pass:
   // with no straggling readers the old state is freed right here, and
   // under load it goes on a later pass.
-  epochs_.retire(std::move(old));
+  const std::uint64_t old_bytes = old->dram_bytes().total();
+  epochs_.retire(std::move(old), old_bytes);
   epochs_.try_reclaim();
   return freed;
 }
@@ -234,19 +240,10 @@ void BandanaTable::cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
                                 std::span<const std::byte> bytes,
                                 std::size_t point, bool is_prefetch,
                                 TableMetrics& counts) {
-  const VectorId evicted = st.cache.insert(v, point);
-  std::uint32_t slot;
-  if (evicted != kInvalidVector) {
-    slot = st.slot_of[evicted];  // same shard: eviction is shard-local
-  } else {
-    auto& free_slots = st.free_slots[shard_idx];
-    assert(!free_slots.empty());
-    slot = free_slots.back();
-    free_slots.pop_back();
-  }
-  st.slot_of[v] = slot;
-  std::memcpy(slot_bytes(slot).data(), bytes.data(), vector_bytes_);
-  st.prefetched[v] = is_prefetch ? 1 : 0;
+  // v's node is its slot: an eviction hands v the victim's.
+  st.cache.insert(shard_idx, v, point, is_prefetch);
+  std::memcpy(slot_bytes(st.cache.slot_of(v)).data(), bytes.data(),
+              vector_bytes_);
   if (is_prefetch) ++counts.prefetch_inserted;
 }
 
@@ -291,7 +288,7 @@ bool BandanaTable::is_cached(VectorId v) const {
   // The guard keeps a just-retired state alive across the deref.
   const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
-  std::lock_guard lock(shards_[st->cache.shard_of(v)]->mu);
+  std::lock_guard lock(shards_[shard_of(*st, v)]->mu);
   return st->cache.contains(v);
 }
 
@@ -330,11 +327,16 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
   // state's layout assigns the id to. Group the ids by shard with a stable
   // counting sort: order[] lists id indices shard by shard, and
   // bucket_end[s] is where shard s's group ends.
+  thread_local std::vector<std::uint32_t> shard;
   thread_local std::vector<std::uint32_t> order;
   thread_local std::vector<std::uint32_t> bucket_end;
+  shard.resize(n);
   order.resize(n);
   bucket_end.assign(num_shards_, 0);
-  for (const VectorId v : ids) ++bucket_end[st->cache.shard_of(v)];
+  for (std::size_t i = 0; i < n; ++i) {
+    shard[i] = shard_of(*st, ids[i]);
+    ++bucket_end[shard[i]];
+  }
   std::uint32_t start = 0;
   for (auto& e : bucket_end) {  // sizes -> starts
     const std::uint32_t size = e;
@@ -342,8 +344,7 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
     start += size;
   }
   for (std::size_t i = 0; i < n; ++i) {  // starts -> ends
-    order[bucket_end[st->cache.shard_of(ids[i])]++] =
-        static_cast<std::uint32_t>(i);
+    order[bucket_end[shard[i]]++] = static_cast<std::uint32_t>(i);
   }
 
   std::size_t served = 0;  // prefix of order[] already served
@@ -363,7 +364,7 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
       const std::size_t i = order[served];
       for (;;) {
         st = state_.load(std::memory_order_acquire);
-        const std::uint32_t s = st->cache.shard_of(ids[i]);
+        const std::uint32_t s = shard_of(*st, ids[i]);
         std::lock_guard lock(shards_[s]->mu);
         if (state_.load(std::memory_order_acquire) != st) continue;
         serve(*st, s, i);
@@ -383,24 +384,21 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
     std::span<std::byte> out, std::uint64_t epoch,
     const StagedBlockReads* staged, TableMetrics& counts) {
   LookupOutcome outcome;
-  Shard& shard = *shards_[shard_idx];
-  const BlockId local_b = st.layout.block_of(v);
-  const BlockId global_b = st.block_map[local_b];
   ++counts.lookups;
   counts.app_bytes_served += vector_bytes_;
 
   if (st.shadow) {
-    if (!st.shadow->access(v)) st.shadow->insert(v);
+    if (!st.shadow->access(shard_idx, v)) st.shadow->insert(shard_idx, v);
   }
 
-  if (st.cache.access(v)) {
+  // A hit reads v's node index, its node and its slab slot; only a miss
+  // reads the block map.
+  if (st.cache.access(shard_idx, v)) {
     ++counts.hits;
     outcome.hit = true;
-    if (st.prefetched[v]) {
-      ++counts.prefetch_hits;
-      st.prefetched[v] = 0;
-    }
-    std::memcpy(out.data(), slot_bytes(st.slot_of[v]).data(), vector_bytes_);
+    if (st.cache.take_prefetched(v)) ++counts.prefetch_hits;
+    std::memcpy(out.data(), slot_bytes(st.cache.slot_of(v)).data(),
+                vector_bytes_);
     return outcome;
   }
 
@@ -408,6 +406,9 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
   // never span shards). ">=" rather than "==": a mark left by a *newer*
   // concurrent scope means the block was just fetched, so this scope's
   // read coalesces with it instead of being re-counted (and re-admitted).
+  Shard& shard = *shards_[shard_idx];
+  const BlockId local_b = st.layout.block_of(v);
+  const BlockId global_b = st.block_map[local_b];
   counts.miss_bytes += vector_bytes_;
   const bool already_read = st.block_epochs[local_b] >= epoch;
   // The request's staging pass usually holds this block's bytes (one

@@ -23,6 +23,16 @@
 // touches the cache, so a member the threshold rejects costs one bit test.
 // The other policies look every member of the block up in the cache.
 //
+// DRAM per vector is what a lookup needs: the layout's order and position
+// (8 B), the access counts (4 B; mapping_snapshot and the manifest carry
+// them), and one 4-byte node index into the cache's node pool. The pool
+// holds exactly the slab's capacity, shard s owning a contiguous range of
+// nodes; a cached vector's slab slot is its node, and the node carries its
+// prefetched mark. Nothing records a vector's shard: it is computed from
+// the layout, block_of(v) % N. The shadow policies add one more node
+// index and pool of the same shape. dram_bytes() counts it all by
+// category; TablePolicy::cache_vectors buys only the slab.
+//
 // Online retraining (§2.2) swaps the whole layout-dependent state — the
 // block layout, the local-block -> global-block map, the cache/shadow
 // structures and the shard striping derived from the layout — as one unit:
@@ -239,6 +249,12 @@ class BandanaTable {
   /// Retired states still awaiting reclamation (diagnostic).
   std::size_t retired_count() const { return epochs_.retired(); }
 
+  /// The table's DRAM by category (core/metrics.h; storage_buffers is
+  /// the store's): the current state's index, layout, admission and block
+  /// map bytes, the slab, the shard scratch and retired states. Safe
+  /// against concurrent lookups and swaps.
+  DramBytes dram_bytes() const;
+
  private:
   /// Everything derived from one (layout, block map, policy) triple.
   /// Published at a whole-struct granularity: built, then installed with
@@ -256,13 +272,14 @@ class BandanaTable {
     /// access count above the threshold. Derived from this state's counts
     /// and policy, never inherited from the state it replaces.
     std::vector<std::uint64_t> admit_bits;
+    /// One 4-byte node index per vector into a node pool of exactly the
+    /// slab's capacity: a cached vector's slab slot is its node, and the
+    /// node carries its prefetched mark. Shard s owns the slots from the
+    /// sum of the earlier shards' capacities.
     ShardedInsertionLru cache;
-    std::unique_ptr<ShardedInsertionLru> shadow;
+    std::unique_ptr<ShardedInsertionLru> shadow;  ///< Same shape, no slab.
     std::size_t low_point = 0;  ///< Insertion point for cold prefetches.
-    std::vector<std::uint32_t> slot_of;   ///< vector -> DRAM slot
-    std::vector<std::uint8_t> prefetched;
     std::vector<std::uint64_t> block_epochs;  ///< per-block dedup marks
-    std::vector<std::vector<std::uint32_t>> free_slots;  ///< per shard
 
     State(BlockLayout l, std::vector<BlockId> bm,
           std::vector<std::uint32_t> ac, TablePolicy p,
@@ -272,6 +289,9 @@ class BandanaTable {
           access_counts(std::move(ac)),
           policy(p),
           cache(std::move(c)) {}
+
+    /// The state's categories of BandanaTable::dram_bytes.
+    DramBytes dram_bytes() const;
   };
 
   /// Per-shard lock + scratch. The mutex array is fixed for the table's
@@ -284,6 +304,11 @@ class BandanaTable {
   std::unique_ptr<State> make_state(TablePolicy policy, BlockLayout layout,
                                     std::vector<std::uint32_t> access_counts,
                                     std::vector<BlockId> block_map) const;
+  /// The striping rule: v's cache shard is its block modulo the shard
+  /// count, so a block and all its members live in one shard.
+  std::uint32_t shard_of(const State& st, VectorId v) const {
+    return st.layout.block_of(v) % num_shards_;
+  }
   /// One lookup under its shard's lock; counters land in `counts`, which
   /// lookup_get publishes once per table-get.
   LookupOutcome lookup_locked(State& st, std::uint32_t shard_idx, VectorId v,
@@ -307,7 +332,9 @@ class BandanaTable {
   std::uint32_t num_shards_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::byte> slab_;  ///< cache capacity * vector_bytes
+  /// cache capacity * vector_bytes, fixed at construction (a swap keeps
+  /// the capacity, so every state's slots index the same slab).
+  std::vector<std::byte> slab_;
   std::atomic<std::uint64_t> epoch_{0};
 
   std::unique_ptr<State> state_owner_;

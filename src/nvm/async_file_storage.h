@@ -115,6 +115,10 @@ class AsyncFileBlockStorage : public FileBlockStorage {
   bool prefers_batched_reads() const override { return true; }
   BlockStorageWriteStats write_stats() const override;
   WaveBufferLease lease_wave_buffer(std::size_t bytes) const override;
+  /// The registered wave-buffer pool.
+  std::uint64_t dram_bytes() const override {
+    return wave_buffers_.size() * wave_buffer_bytes_;
+  }
 
   // sync() is inherited from FileBlockStorage (fdatasync): the wave path
   // fully drains its in-flight writes before write_blocks returns, so by

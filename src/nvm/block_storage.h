@@ -151,6 +151,11 @@ class BlockStorage {
   /// Backend write-path counters; the default backend has none.
   virtual BlockStorageWriteStats write_stats() const { return {}; }
 
+  /// Host memory the backend holds for its own use (wave buffers), not
+  /// counting the blocks themselves: MemoryBlockStorage's blocks stand in
+  /// for the device.
+  virtual std::uint64_t dram_bytes() const { return 0; }
+
   /// Flush every completed write to durable media. This is the durability
   /// barrier the manifest commit relies on: after sync() returns, all bytes
   /// written by earlier write_block/write_blocks calls survive a crash or

@@ -45,6 +45,12 @@ class BlockLayout {
 
   const std::vector<VectorId>& order() const { return order_; }
 
+  /// Heap bytes of the order and position arrays (8 B per vector).
+  std::uint64_t dram_bytes() const {
+    return order_.capacity() * sizeof(VectorId) +
+           position_of_.capacity() * sizeof(std::uint32_t);
+  }
+
  private:
   BlockLayout(std::vector<VectorId> order, std::uint32_t vpb);
 

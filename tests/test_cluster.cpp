@@ -167,6 +167,8 @@ TEST(StoreCluster, OneNodeOneReplicaIsBitEquivalentToBareStore) {
   EXPECT_EQ(cm.router, want_router);
   EXPECT_TRUE(cluster.router().request_latency_us() ==
               bare.request_latency_us());
+  // The same DRAM, category by category.
+  EXPECT_EQ(cluster.dram_bytes(), bare.dram_bytes());
 }
 
 // --- Placement -------------------------------------------------------------

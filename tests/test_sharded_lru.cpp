@@ -40,15 +40,16 @@ TEST(ShardedLru, SingleShardTraceIsByteIdenticalToSeedLru) {
   for (int op = 0; op < 20'000; ++op) {
     const auto v = static_cast<VectorId>(zipf(rng));
     if (rng.next_bernoulli(0.05)) {
-      ASSERT_EQ(seed.erase(v), sharded.erase(v)) << "op " << op;
+      ASSERT_EQ(seed.erase(v), sharded.erase(0, v)) << "op " << op;
       continue;
     }
     const bool hit = seed.access(v);
-    ASSERT_EQ(hit, sharded.access(v)) << "op " << op;
+    ASSERT_EQ(hit, sharded.access(0, v)) << "op " << op;
     if (!hit) {
       const std::size_t point = rng.next_bernoulli(0.5) ? 1 : 0;
       // Same eviction victim on every insert == same eviction order.
-      ASSERT_EQ(seed.insert(v, point), sharded.insert(v, point)) << "op " << op;
+      ASSERT_EQ(seed.insert(v, point), sharded.insert(0, v, point))
+          << "op " << op;
     }
     if (op % 997 == 0) {
       ASSERT_EQ(seed.contents(), sharded.contents()) << "op " << op;
@@ -60,54 +61,48 @@ TEST(ShardedLru, SingleShardTraceIsByteIdenticalToSeedLru) {
 
 TEST(ShardedLru, RejectsBadConfig) {
   EXPECT_THROW(ShardedInsertionLru(16, 0), std::invalid_argument);
-  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0}, {}, 0),
+  // The shard sizes must cover the universe exactly.
+  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0}, {8, 4}),
                std::invalid_argument);
-  // >1 shard needs an assignment covering the universe.
-  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0}, {}, 2),
+  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0}, {0, 1}),
                std::invalid_argument);
-  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0}, {0, 1}, 2),
+  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0}, {8, 8, 5}),
                std::invalid_argument);
-  // Assignment referencing a shard out of range.
-  std::vector<std::uint32_t> bad(16, 0);
-  bad[3] = 5;
-  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0}, bad, 2),
-               std::invalid_argument);
+  // Insertion points as InsertionLru takes them.
+  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.5}), std::invalid_argument);
+  EXPECT_THROW(ShardedInsertionLru(16, 4, {0.0, 1.0}), std::invalid_argument);
 }
 
 TEST(ShardedLru, CapacitySplitsProportionallyAcrossShards) {
   // Shard 0 holds 3/4 of the universe, shard 1 the remaining 1/4.
   const std::uint32_t universe = 400;
-  std::vector<std::uint32_t> shard_of(universe);
-  for (VectorId v = 0; v < universe; ++v) shard_of[v] = v < 300 ? 0 : 1;
-  ShardedInsertionLru cache(universe, 100, {0.0}, shard_of, 2);
+  ShardedInsertionLru cache(universe, 100, {0.0}, {300, 100});
   EXPECT_EQ(cache.capacity(), 100u);
   EXPECT_EQ(cache.shard_capacity(0), 75u);
   EXPECT_EQ(cache.shard_capacity(1), 25u);
 }
 
 TEST(ShardedLru, EveryShardGetsAtLeastOneEntry) {
-  std::vector<std::uint32_t> shard_of = {0, 1, 2, 3};
-  ShardedInsertionLru cache(4, 2, {0.0}, shard_of, 4);
+  ShardedInsertionLru cache(4, 2, {0.0}, {1, 1, 1, 1});
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_GE(cache.shard_capacity(s), 1u);
   }
 }
 
 TEST(ShardedLru, ShardsEvictIndependentlyAndStatsRoll) {
+  // Id v belongs to shard v % 4.
   const std::uint32_t universe = 64;
-  std::vector<std::uint32_t> shard_of(universe);
-  for (VectorId v = 0; v < universe; ++v) shard_of[v] = v % 4;
-  ShardedInsertionLru cache(universe, 16, {0.0}, shard_of, 4);
+  ShardedInsertionLru cache(universe, 16, {0.0}, {16, 16, 16, 16});
 
   // Fill shard 0 (ids 0,4,8,...) past its capacity: evictions stay inside
   // shard 0 while the other shards are untouched.
   std::set<VectorId> evicted;
   for (VectorId v = 0; v < universe; v += 4) {
-    const VectorId victim = cache.insert(v);
+    const VectorId victim = cache.insert(v % 4, v);
     if (victim != kInvalidVector) evicted.insert(victim);
   }
   EXPECT_EQ(evicted.size(), 16 - cache.shard_capacity(0));
-  for (const VectorId v : evicted) EXPECT_EQ(cache.shard_of(v), 0u);
+  for (const VectorId v : evicted) EXPECT_EQ(v % 4, 0u);
   EXPECT_EQ(cache.shard_contents(1), std::vector<VectorId>{});
 
   const CacheShardStats s0 = cache.shard_stats(0);
