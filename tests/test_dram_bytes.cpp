@@ -8,10 +8,13 @@
 // sized to the slab, so filling the cache must not move any category.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/store.h"
 #include "core/table.h"
+#include "nvm/async_file_storage.h"
 #include "nvm/block_storage.h"
 #include "trace/trace_generator.h"
 
@@ -87,35 +90,52 @@ TEST(DramBytes, MillionVectorTableIndexStaysUnderPinnedBytesPerVector) {
 }
 
 TEST(DramBytes, StoreSumsItsTablesAndBackendBuffers) {
-  // Two tables on memory storage: the store's total is its tables' plus
-  // its free list and reservations (empty here); the simulated device's
-  // blocks are not DRAM the store spends.
+  // Two tables: the store's total is its tables' plus its free list and
+  // reservations (empty here) plus the backend's own buffers. Memory
+  // storage's blocks are the simulated device, not DRAM the store spends;
+  // the async file backend counts its wave-buffer pool.
   StoreConfig cfg;
   cfg.simulate_timing = false;
   cfg.cache_shards = 2;
+  const auto build = [&](Store& store) {
+    for (const std::uint32_t n : {4096u, 1000u}) {
+      TableWorkloadConfig wl;
+      wl.num_vectors = n;
+      wl.dim = 32;
+      const EmbeddingTable values = TraceGenerator(wl, n).make_embeddings();
+      TablePolicy policy;
+      policy.cache_vectors = n / 10;
+      policy.policy = PrefetchPolicy::kAll;
+      store.add_table(values, BlockLayout::identity(n, 32), policy);
+    }
+  };
   Store store(cfg);
-  std::uint64_t vectors = 0;
-  for (const std::uint32_t n : {4096u, 1000u}) {
-    TableWorkloadConfig wl;
-    wl.num_vectors = n;
-    wl.dim = 32;
-    const EmbeddingTable values = TraceGenerator(wl, n).make_embeddings();
-    TablePolicy policy;
-    policy.cache_vectors = n / 10;
-    policy.policy = PrefetchPolicy::kAll;
-    store.add_table(values, BlockLayout::identity(n, 32), policy);
-    vectors += n;
-  }
+  build(store);
   const DramBytes d = store.dram_bytes();
   DramBytes tables = store.table(0).dram_bytes();
   tables += store.table(1).dram_bytes();
   EXPECT_EQ(d, tables);
-  EXPECT_EQ(d.layout, vectors * 8);
+  EXPECT_EQ(d.layout, (4096u + 1000u) * 8u);
   EXPECT_EQ(d.slab, (409u + 100u) * 128u);
   EXPECT_EQ(d.storage_buffers, 0u);
   EXPECT_EQ(d.total(), d.slab + d.cache_index + d.shadow_index + d.layout +
                            d.admission + d.block_maps + d.staging +
                            d.retired_states + d.storage_buffers);
+
+  AsyncFileBlockStorage::Options options;
+  options.force_thread_pool = true;
+  options.wave_buffer_blocks = 8;
+  options.wave_buffer_count = 2;
+  const std::string path = ::testing::TempDir() + "/bandana_dram_bytes.bin";
+  {
+    Store file_store(cfg, async_file_storage_factory(path, options));
+    build(file_store);
+    DramBytes f = file_store.dram_bytes();
+    EXPECT_EQ(f.storage_buffers, 2u * 8u * cfg.block_bytes);
+    f.storage_buffers = 0;
+    EXPECT_EQ(f, d);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
