@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/store.h"
 #include "trace/paper_workload.h"
 #include "trace/trace_generator.h"
@@ -95,6 +99,61 @@ TEST(Trainer, AllocatorGivesCacheableTableMore) {
   // the contested budget.
   EXPECT_GT(plan.tables[0].policy.cache_vectors,
             1.5 * plan.tables[1].policy.cache_vectors);
+}
+
+/// FNV-1a over every table's plan: placement order, access counts, policy
+/// fields and the exact bit pattern of the train-set fanout.
+std::uint64_t plan_digest(const StorePlan& plan) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto put = [&h](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  };
+  const auto put_value = [&put](const auto& v) { put(&v, sizeof v); };
+  for (const TablePlan& t : plan.tables) {
+    const auto& order = t.layout.order();
+    put(order.data(), order.size() * sizeof(order[0]));
+    put(t.access_counts.data(),
+        t.access_counts.size() * sizeof(t.access_counts[0]));
+    put_value(t.policy.cache_vectors);
+    put_value(t.policy.policy);
+    put_value(t.policy.access_threshold);
+    put_value(std::bit_cast<std::uint64_t>(t.policy.insertion_position));
+    put_value(std::bit_cast<std::uint64_t>(t.policy.shadow_multiplier));
+    put_value(std::bit_cast<std::uint64_t>(t.shp_train_fanout));
+  }
+  return h;
+}
+
+// The 8 paper tables trained together, as the store's set-up trains them.
+// The digest was recorded when Trainer partitioned one table after another
+// with a per-level parallel_for, so however the tables' refinement is
+// scheduled, every thread count must reproduce these plans byte for byte.
+TEST(Trainer, EightTablePlanMatchesPinnedDigestAtEveryThreadCount) {
+  PaperWorkloadOptions opts;
+  opts.scale = 0.02;  // 2,000 to 4,000 vectors per table
+  const auto tables = paper_tables(opts);
+  std::vector<Trace> train;
+  std::vector<std::uint32_t> sizes;
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    TraceGenerator gen(tables[i], 500 + i);
+    train.push_back(gen.generate(1500));
+    sizes.push_back(tables[i].num_vectors);
+  }
+  StoreConfig store_cfg;
+  store_cfg.simulate_timing = false;
+  TrainerConfig tc;
+  tc.total_cache_vectors = 2000;
+  tc.alloc_chunk = 128;
+  const Trainer trainer(store_cfg, tc);
+
+  constexpr std::uint64_t kWant = 0x308007ebea3ffe91ULL;
+  EXPECT_EQ(plan_digest(trainer.train(train, sizes)), kWant) << "no pool";
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(plan_digest(trainer.train(train, sizes, &pool)), kWant)
+        << threads << " threads";
+  }
 }
 
 }  // namespace
