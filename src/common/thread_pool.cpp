@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace bandana {
 
@@ -36,16 +37,57 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
 }
 
+ThreadPool::TaskGroup::~TaskGroup() { wait_done(); }
+
+void ThreadPool::TaskGroup::submit(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++pending_;
+  }
+  try {
+    pool_.submit([this, task = std::move(task)]() mutable {
+      std::exception_ptr failed;
+      try {
+        task();
+      } catch (...) {
+        failed = std::current_exception();
+      }
+      // The task's captures go first, and the notify happens under the
+      // lock: once pending_ reads 0 the waiter may destroy the group.
+      task = nullptr;
+      std::lock_guard<std::mutex> lock(mu_);
+      if (failed && !error_) error_ = std::move(failed);
+      if (--pending_ == 0) done_cv_.notify_all();
+    });
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mu_);
+    --pending_;
+    throw;
+  }
+}
+
+void ThreadPool::TaskGroup::wait_done() {
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return pending_ == 0; });
+}
+
+void ThreadPool::TaskGroup::wait() {
+  wait_done();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   const std::size_t chunks = std::min(n, kChunksPerWorker * workers_.size());
+  TaskGroup group(*this);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t begin = n * c / chunks;
     const std::size_t end = n * (c + 1) / chunks;
-    submit([&fn, begin, end] { fn(begin, end); });
+    group.submit([&fn, begin, end] { fn(begin, end); });
   }
-  wait_idle();
+  group.wait();
 }
 
 void ThreadPool::worker_loop() {

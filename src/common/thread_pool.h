@@ -1,14 +1,16 @@
 // Minimal fixed-size thread pool with a blocking parallel_for.
 //
-// SHP refines each level's buckets through parallel_for; K-means submits
-// its own fixed assignment chunks and waits. Either way the work is cut
-// into chunks whose boundaries depend only on the input size and the pool
-// size, never on scheduling, so results do not depend on which worker ran
-// which chunk.
+// A caller that waits for its own tasks submits them through a TaskGroup:
+// parallel_for, K-means' fixed assignment chunks and the async file
+// backend's thread-pool waves. Chunk boundaries depend only on the input
+// size and the pool size, never on scheduling, so results do not depend on
+// which worker ran which chunk. SHP submits its bucket tasks directly and
+// collects finished tables itself (partition/shp.h).
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -36,15 +38,44 @@ class ThreadPool {
   /// Block until all submitted tasks have finished.
   void wait_idle();
 
+  /// Tasks one caller submits and then waits for. wait() returns once every
+  /// task submitted through the group has finished, however much other
+  /// work the pool holds, so a group waits neither for another caller's
+  /// tasks nor, when it is used from inside a pool task, for that task
+  /// itself. A task that throws is caught; wait() rethrows the first
+  /// exception once every task has finished.
+  class TaskGroup {
+   public:
+    explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
+    /// Waits for the group's tasks without rethrowing, so no task outlives
+    /// what it captured by reference.
+    ~TaskGroup();
+    TaskGroup(const TaskGroup&) = delete;
+    TaskGroup& operator=(const TaskGroup&) = delete;
+
+    void submit(std::function<void()> task);
+    void wait();
+
+   private:
+    void wait_done();
+
+    ThreadPool& pool_;
+    std::mutex mu_;
+    std::condition_variable done_cv_;
+    std::size_t pending_ = 0;
+    std::exception_ptr error_;
+  };
+
   /// Chunks parallel_for cuts its range into per worker.
   static constexpr std::size_t kChunksPerWorker = 4;
 
   /// Run fn(begin, end) over [0, n) cut into min(n, kChunksPerWorker *
   /// size()) chunks whose sizes differ by at most one, queued in index
   /// order; each idle worker takes the next one, so a slow chunk holds up
-  /// only its own worker. Blocks until complete. Chunk boundaries depend
-  /// only on n and the pool size, so any reduction the caller does per
-  /// chunk is reproducible.
+  /// only its own worker. Blocks until its own chunks are complete (a
+  /// TaskGroup) and rethrows the first exception one threw. Chunk
+  /// boundaries depend only on n and the pool size, so any reduction the
+  /// caller does per chunk is reproducible.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

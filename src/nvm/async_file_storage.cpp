@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <mutex>
 #include <stdexcept>
 
@@ -460,40 +458,22 @@ std::vector<AsyncFileBlockStorage::Run> AsyncFileBlockStorage::runs_of(
 
 void AsyncFileBlockStorage::transfer_threads(std::span<const Run> runs,
                                              bool write) const {
-  // Per-wave completion latch: concurrent waves share the pool's workers
-  // but each returns as soon as ITS chunks finish (ThreadPool::wait_idle
-  // would couple every wave to global pool idleness). The pread/pwrite
-  // loop absorbs short transfers natively. A chunk that throws records
-  // the error and still counts down — a pool task must not throw — and
-  // the wave's first error is rethrown once every chunk has drained, the
-  // same contract as the ring path.
+  // Concurrent waves share the pool's workers, but each waits only for its
+  // own chunks. The pread/pwrite loop absorbs short transfers natively. The
+  // wave's first error is rethrown once every chunk has drained, the same
+  // contract as the ring path.
   const std::size_t chunks = std::min(runs.size(), fallback_pool_->size());
   const std::size_t per = (runs.size() + chunks - 1) / chunks;
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::exception_ptr error;
-  // Fully counted before any task runs: workers only ever decrement.
-  std::size_t remaining = (runs.size() + per - 1) / per;
+  ThreadPool::TaskGroup wave(*fallback_pool_);
   for (std::size_t begin = 0; begin < runs.size(); begin += per) {
     const std::size_t end = std::min(runs.size(), begin + per);
-    fallback_pool_->submit([this, runs, begin, end, write, &mu, &done_cv,
-                            &error, &remaining] {
-      std::exception_ptr failed;
-      try {
-        for (std::size_t i = begin; i < end; ++i) {
-          transfer_blocks(runs[i].block, runs[i].data, runs[i].bytes, write);
-        }
-      } catch (...) {
-        failed = std::current_exception();
+    wave.submit([this, runs, begin, end, write] {
+      for (std::size_t i = begin; i < end; ++i) {
+        transfer_blocks(runs[i].block, runs[i].data, runs[i].bytes, write);
       }
-      std::lock_guard lock(mu);
-      if (failed && !error) error = failed;
-      if (--remaining == 0) done_cv.notify_all();
     });
   }
-  std::unique_lock lock(mu);
-  done_cv.wait(lock, [&remaining] { return remaining == 0; });
-  if (error) std::rethrow_exception(error);
+  wave.wait();
 }
 
 void AsyncFileBlockStorage::transfer_wave(std::span<const Run> runs,

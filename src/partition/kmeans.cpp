@@ -115,12 +115,13 @@ KMeansResult lloyd(const EmbeddingTable& table, std::span<const VectorId> rows,
       const std::size_t chunks = pool->size();
       const std::size_t per = (rows.size() + chunks - 1) / chunks;
       std::size_t chunk_idx = 0;
+      ThreadPool::TaskGroup group(*pool);
       for (std::size_t begin = 0; begin < rows.size(); begin += per) {
         const std::size_t end = std::min(rows.size(), begin + per);
         double* out = &chunk_inertia[chunk_idx++];
-        pool->submit([&, begin, end, out] { assign_range(begin, end, out); });
+        group.submit([&, begin, end, out] { assign_range(begin, end, out); });
       }
-      pool->wait_idle();
+      group.wait();
     } else {
       assign_range(0, rows.size(), &chunk_inertia[0]);
     }

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -118,6 +120,75 @@ TEST(ThreadPool, IdleWorkersTakeTheRemainingChunks) {
   });
   EXPECT_TRUE(saw_all_others);
   EXPECT_EQ(done.load(), chunks);
+}
+
+// parallel_for waits for its own chunks, not for the whole pool: an
+// unrelated task (another caller's request, say) may stay blocked. The
+// blocker gives up at a deadline, so a parallel_for that waited for the
+// pool to go idle fails here instead of hanging.
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnChunks) {
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocker_done{false};
+  pool.submit([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    blocker_done.store(true);
+  });
+  std::atomic<std::size_t> sum{0};
+  pool.parallel_for(100, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) sum.fetch_add(i);
+  });
+  EXPECT_FALSE(blocker_done.load());
+  EXPECT_EQ(sum.load(), 4950u);
+  release.store(true);
+  pool.wait_idle();
+  EXPECT_TRUE(blocker_done.load());
+}
+
+// A chunk that throws does not end the process: every chunk still runs,
+// parallel_for rethrows the first exception, and the pool stays usable.
+TEST(ThreadPool, ParallelForRethrowsAChunkException) {
+  ThreadPool pool(2);
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(pool.parallel_for(16,
+                                 [&](std::size_t b, std::size_t) {
+                                   ran.fetch_add(1);
+                                   if (b % 3 == 0) {
+                                     throw std::runtime_error("chunk");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), ThreadPool::kChunksPerWorker * 2);
+  std::atomic<std::size_t> sum{0};
+  pool.parallel_for(10, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) sum.fetch_add(i);
+  });
+  EXPECT_EQ(sum.load(), 45u);
+}
+
+// A group waited for from inside a pool task counts only its own tasks,
+// which the other worker runs; the waiting task does not wait for itself.
+TEST(ThreadPool, TaskGroupWaitsInsideAPoolTask) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::atomic<int> inner{0};
+  pool.submit([&] {
+    ThreadPool::TaskGroup group(pool);
+    for (int i = 0; i < 8; ++i) group.submit([&] { inner.fetch_add(1); });
+    group.wait();
+    std::lock_guard lock(mu);
+    done = true;
+    cv.notify_all();
+  });
+  std::unique_lock lock(mu);
+  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(20), [&] { return done; }));
+  EXPECT_EQ(inner.load(), 8);
 }
 
 }  // namespace
