@@ -157,7 +157,8 @@ struct AtomicStoreMetrics {
 //   block_maps      Local -> storage block maps and per-block dedup marks;
 //                   at store level also the free list and reservations.
 //   staging         Per-shard block scratch that file-backend misses read
-//                   into.
+//                   into: one block per shard that has served such a
+//                   miss; 0 on memory storage, which lends blocks in place.
 //   retired_states  Swapped-out table states awaiting reclamation.
 // Per store:
 //   storage_buffers The backend's own buffers (the async file backend's

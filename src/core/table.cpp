@@ -113,7 +113,11 @@ DramBytes BandanaTable::dram_bytes() const {
   const auto guard = epochs_.enter();
   DramBytes d = state_.load(std::memory_order_seq_cst)->dram_bytes();
   d.slab = slab_.capacity();
-  for (const auto& shard : shards_) d.staging += shard->block_buf.capacity();
+  for (const auto& shard : shards_) {
+    // A lookup sizes its shard's scratch on the first copying read.
+    std::lock_guard lock(shard->mu);
+    d.staging += shard->block_buf.capacity();
+  }
   d.retired_states = epochs_.retired_bytes();
   return d;
 }
@@ -141,9 +145,7 @@ BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
   slab_.resize(state_owner_->cache.capacity() * vector_bytes_);
   shards_.reserve(num_shards_);
   for (std::uint32_t s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->block_buf.resize(block_bytes_);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 

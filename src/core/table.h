@@ -298,7 +298,9 @@ class BandanaTable {
   /// lifetime (states swap underneath it).
   struct Shard {
     std::mutex mu;
-    std::vector<std::byte> block_buf;  ///< view_block scratch (file backends)
+    /// view_block scratch: one block once a backend that copies (a file
+    /// backend) served this shard a miss; empty on memory storage.
+    std::vector<std::byte> block_buf;
   };
 
   std::unique_ptr<State> make_state(TablePolicy policy, BlockLayout layout,

@@ -78,7 +78,7 @@ void MemoryBlockStorage::read_block(BlockId b, std::span<std::byte> out) const {
 }
 
 std::span<const std::byte> MemoryBlockStorage::view_block(
-    BlockId b, std::span<std::byte> /*scratch*/) const {
+    BlockId b, std::vector<std::byte>& /*scratch*/) const {
   assert(b < num_blocks_);
   return {data_.data() + static_cast<std::size_t>(b) * block_bytes_,
           block_bytes_};

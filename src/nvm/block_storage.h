@@ -109,16 +109,18 @@ class BlockStorage {
 
   /// Block `b`'s bytes (block_bytes() long), for a reader that only needs
   /// to look at them. MemoryBlockStorage returns a span of its own array
-  /// and leaves `scratch` untouched; every other backend (and any shim
-  /// that overrides only read_block) runs read_block(b, scratch) and
-  /// returns `scratch`. Lifetime: a view into the storage shows later
+  /// and leaves `scratch` untouched, so a memory-backed reader holds no
+  /// block buffer; every other backend (and any shim that overrides only
+  /// read_block) sizes `scratch` to one block, runs read_block(b, scratch)
+  /// and returns it. Lifetime: a view into the storage shows later
   /// write_block calls to `b` and dangles once the storage is destroyed,
   /// so the caller must exclude both for as long as it reads the view
   /// (BandanaTable holds it only inside one lookup, under the store's
   /// shared storage lock, which excludes growth, and the shard lock,
   /// which excludes the swap that could free and reuse the block).
   virtual std::span<const std::byte> view_block(
-      BlockId b, std::span<std::byte> scratch) const {
+      BlockId b, std::vector<std::byte>& scratch) const {
+    scratch.resize(block_bytes());
     read_block(b, scratch);
     return scratch;
   }
@@ -266,7 +268,7 @@ class MemoryBlockStorage final : public BlockStorage {
   void write_block(BlockId b, std::span<const std::byte> in) override;
   /// A span of the block inside the storage's own array: no copy.
   std::span<const std::byte> view_block(
-      BlockId b, std::span<std::byte> scratch) const override;
+      BlockId b, std::vector<std::byte>& scratch) const override;
 
  private:
   std::uint64_t num_blocks_;

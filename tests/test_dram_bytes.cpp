@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,7 @@ TEST(DramBytes, MillionVectorTableIndexStaysUnderPinnedBytesPerVector) {
     const DramBytes before = table.dram_bytes();
     EXPECT_EQ(before.slab, policy.cache_vectors * kVecBytes);
     EXPECT_EQ(before.layout, std::uint64_t{kVectors} * 8);
-    EXPECT_EQ(before.staging, 4 * kBlockBytes);
+    EXPECT_EQ(before.staging, 0u);
     EXPECT_EQ(before.retired_states, 0u);
     EXPECT_EQ(before.storage_buffers, 0u);
     const bool shadow = p == PrefetchPolicy::kShadow ||
@@ -87,6 +88,39 @@ TEST(DramBytes, MillionVectorTableIndexStaysUnderPinnedBytesPerVector) {
     EXPECT_EQ(table.cache_stats().size, policy.cache_vectors);
     EXPECT_EQ(table.dram_bytes(), before);
   }
+}
+
+TEST(DramBytes, FileBackedTableStagesOneBlockPerShardThatMissed) {
+  // Memory storage lends blocks in place; a file backend copies each
+  // inline miss into its shard's scratch, which is sized on that shard's
+  // first miss. Misses on blocks 0, 2 and 4 of a 4-shard table (shards 0
+  // and 2, by the striping rule) leave two blocks of scratch.
+  constexpr std::uint32_t kVectors = 4096;
+  constexpr std::uint32_t kVpb = 32;
+  StoreConfig cfg;
+  cfg.cache_shards = 4;
+  const BlockLayout layout = BlockLayout::identity(kVectors, kVpb);
+  std::vector<BlockId> map(layout.num_blocks());
+  std::iota(map.begin(), map.end(), BlockId{0});
+  TablePolicy policy;
+  policy.cache_vectors = 1024;
+  policy.policy = PrefetchPolicy::kAll;
+  BandanaTable table(cfg, policy, layout, {}, map);
+  ASSERT_EQ(table.num_shards(), 4u);
+  EXPECT_EQ(table.dram_bytes().staging, 0u);
+
+  const std::string path = ::testing::TempDir() + "/bandana_dram_staging.bin";
+  {
+    FileBlockStorage storage(path, layout.num_blocks(), cfg.block_bytes);
+    const std::vector<VectorId> ids{0, 2 * kVpb + 5, 4 * kVpb + 9};
+    std::vector<std::byte> out(ids.size() * cfg.vector_bytes);
+    std::vector<BandanaTable::LookupOutcome> outcomes(ids.size());
+    table.lookup_get(ids, storage, out, table.begin_batch(), nullptr,
+                     outcomes);
+    for (const auto& o : outcomes) EXPECT_TRUE(o.nvm_read);
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(table.dram_bytes().staging, 2 * cfg.block_bytes);
 }
 
 TEST(DramBytes, StoreSumsItsTablesAndBackendBuffers) {
