@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for Bandana's hot kernels: the
 // insertion-position LRU, Zipf sampling, stack-distance updates, the NVM
-// event loop, SHP end-to-end on a small table (with and without a pool),
-// cache replay throughput, the store's serving loop, the per-request
-// recording cost (latency recorder vs fixed-size histogram, one metrics
-// publish), and one admission wave through the async file backend.
+// event loop, SHP end-to-end on a small table and on eight tables in one
+// call (with and without a pool), cache replay throughput, the store's
+// serving loop, the per-request recording cost (latency recorder vs
+// fixed-size histogram, one metrics publish), and one admission wave
+// through the async file backend.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -102,18 +103,19 @@ void BM_NvmSubmitRead(benchmark::State& state) {
 }
 BENCHMARK(BM_NvmSubmitRead);
 
-Trace make_bench_trace(std::uint32_t vectors, std::size_t queries) {
+Trace make_bench_trace(std::uint32_t vectors, std::size_t queries,
+                       std::uint64_t seed = 99) {
   TableWorkloadConfig cfg;
   cfg.num_vectors = vectors;
   cfg.mean_lookups_per_query = 16;
   cfg.num_profiles = vectors / 32;
-  TraceGenerator gen(cfg, 99);
+  TraceGenerator gen(cfg, seed);
   return gen.generate(queries);
 }
 
-// threads 0 runs SHP without a pool; otherwise each level's buckets are
-// refined as pool tasks. Real time, since the calling thread only waits
-// while the pool works.
+// threads 0 runs SHP without a pool; otherwise every bucket is refined as
+// a pool task. Real time, since the calling thread only waits while the
+// pool works.
 void BM_ShpPartition(benchmark::State& state) {
   const auto vectors = static_cast<std::uint32_t>(state.range(0));
   const Trace train = make_bench_trace(vectors, vectors / 4);
@@ -132,6 +134,38 @@ void BM_ShpPartition(benchmark::State& state) {
 BENCHMARK(BM_ShpPartition)
     ->ArgNames({"vectors", "threads"})
     ->ArgsProduct({{8192, 32768}, {0, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// Eight tables through one run_shp call, as Trainer trains a store: with
+// a pool, other tables' buckets fill the workers one table's narrow top
+// levels leave idle.
+void BM_ShpPartitionTables(benchmark::State& state) {
+  constexpr std::size_t kTables = 8;
+  const auto vectors = static_cast<std::uint32_t>(state.range(0));
+  std::vector<Trace> traces;
+  for (std::size_t t = 0; t < kTables; ++t) {
+    traces.push_back(make_bench_trace(vectors, vectors / 4, 99 + t));
+  }
+  std::vector<ShpTable> tables;
+  for (std::size_t t = 0; t < kTables; ++t) {
+    ShpConfig sc;
+    sc.vectors_per_block = 32;
+    sc.seed = splitmix64(t);
+    tables.push_back(ShpTable{&traces[t], vectors, sc});
+  }
+  std::optional<ThreadPool> pool;
+  if (state.range(1) > 0) {
+    pool.emplace(static_cast<std::size_t>(state.range(1)));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_shp(tables, pool ? &*pool : nullptr));
+  }
+  state.SetItemsProcessed(state.iterations() * kTables * vectors);
+}
+BENCHMARK(BM_ShpPartitionTables)
+    ->ArgNames({"vectors", "threads"})
+    ->ArgsProduct({{8192}, {0, 4}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

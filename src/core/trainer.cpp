@@ -1,5 +1,6 @@
 #include "core/trainer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -14,6 +15,18 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - since)
       .count();
+}
+
+/// Each table's peak already counts the tables trained beside it, so the
+/// run's peak is the largest of them.
+void add_partition_stats(const std::vector<PartitionResult>& parts,
+                         TrainerStats& stats) {
+  for (const PartitionResult& p : parts) {
+    stats.peak_training_bytes =
+        std::max(stats.peak_training_bytes, p.peak_training_bytes);
+    stats.stream_queries += p.stream_queries;
+    stats.sampled_queries += p.sampled_queries;
+  }
 }
 
 }  // namespace
@@ -86,28 +99,44 @@ StorePlan Trainer::train(std::span<const Trace> train_traces,
   assert(train_traces.size() == table_sizes.size());
   const std::size_t n = train_traces.size();
 
-  // 1. Partition per table (reservoir-sampled when max_train_queries > 0).
+  // 1. Partition. SHP trains every table in one run_shp call, so one
+  // table's narrow top levels overlap the others' refinement; other
+  // backends, and reservoir-sampled training (max_train_queries > 0),
+  // partition one table after another.
   auto t_part = std::chrono::steady_clock::now();
   std::vector<PartitionResult> parts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PartitionerConfig pc = table_config(i);
-    const auto part = make_partitioner(pc, store_cfg_.vectors_per_block());
-    const EmbeddingTable* vals = i < values.size() ? values[i] : nullptr;
-    if (pc.max_train_queries > 0) {
-      TraceRefSource source(train_traces[i]);
-      parts[i] =
-          part->partition_stream(source, table_sizes[i], pc, vals, pool);
-    } else {
-      parts[i] = part->partition(train_traces[i], table_sizes[i], vals, pool);
+  if (cfg_.partitioner.backend == PartitionerBackend::kShp &&
+      cfg_.partitioner.max_train_queries == 0) {
+    std::vector<ShpTable> tables(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      PartitionerConfig pc = table_config(i);
+      pc.shp.vectors_per_block = store_cfg_.vectors_per_block();
+      validate(pc);
+      tables[i] = ShpTable{&train_traces[i], table_sizes[i], pc.shp};
     }
-    if (stats) {
-      stats->peak_training_bytes =
-          std::max(stats->peak_training_bytes, parts[i].peak_training_bytes);
-      stats->stream_queries += parts[i].stream_queries;
-      stats->sampled_queries += parts[i].sampled_queries;
+    std::vector<ShpResult> shp = run_shp(tables, pool);
+    for (std::size_t i = 0; i < n; ++i) {
+      parts[i] = to_partition_result(std::move(shp[i]));
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const PartitionerConfig pc = table_config(i);
+      const auto part = make_partitioner(pc, store_cfg_.vectors_per_block());
+      const EmbeddingTable* vals = i < values.size() ? values[i] : nullptr;
+      if (pc.max_train_queries > 0) {
+        TraceRefSource source(train_traces[i]);
+        parts[i] =
+            part->partition_stream(source, table_sizes[i], pc, vals, pool);
+      } else {
+        parts[i] =
+            part->partition(train_traces[i], table_sizes[i], vals, pool);
+      }
     }
   }
-  if (stats) stats->partition_us += elapsed_us(t_part);
+  if (stats) {
+    stats->partition_us += elapsed_us(t_part);
+    add_partition_stats(parts, *stats);
+  }
 
   return assemble(train_traces, table_sizes, parts, stats);
 }
@@ -129,14 +158,11 @@ StorePlan Trainer::train_stream(std::span<TraceSource* const> sources,
     const EmbeddingTable* vals = i < values.size() ? values[i] : nullptr;
     parts[i] = part->partition_stream(*sources[i], table_sizes[i], pc, vals,
                                       pool, &samples[i]);
-    if (stats) {
-      stats->peak_training_bytes =
-          std::max(stats->peak_training_bytes, parts[i].peak_training_bytes);
-      stats->stream_queries += parts[i].stream_queries;
-      stats->sampled_queries += parts[i].sampled_queries;
-    }
   }
-  if (stats) stats->partition_us += elapsed_us(t_part);
+  if (stats) {
+    stats->partition_us += elapsed_us(t_part);
+    add_partition_stats(parts, *stats);
+  }
 
   // Hit-rate curves and threshold tuning run on the samples — the only
   // materialized traces this path ever holds.

@@ -3,7 +3,10 @@
 //   1. Partition each table's training trace -> block layout + per-vector
 //      access counts. The backend is pluggable (PartitionerConfig): SHP
 //      (default, §4.2.2), recursive K-means over embedding values (§4.2.1),
-//      or greedy hypergraph min-cut.
+//      or greedy hypergraph min-cut. train() hands SHP every table in one
+//      run_shp call, so with a pool the tables' bisections share the
+//      workers; the other backends, and reservoir-sampled training, go one
+//      table at a time.
 //   2. Estimate each table's hit-rate curve with sampled stack distances.
 //   3. Split the DRAM budget across tables by greedy marginal utility
 //      (§4.3.3, Dynacache-style).
@@ -53,8 +56,11 @@ struct TrainerStats {
   double partition_us = 0.0;  ///< Phase 1 wall time (all tables).
   double curve_us = 0.0;      ///< Phases 2-3: hit-rate curves + DRAM split.
   double tune_us = 0.0;       ///< Phase 4: threshold tuning.
-  /// Max over tables of the partitioner's estimated peak resident bytes
-  /// (trace/reservoir included).
+  /// Estimated peak resident training bytes (traces and reservoirs
+  /// included): the largest sum over the tables partitioned at once. SHP in
+  /// train() keeps up to one table per pool worker in flight, so this is
+  /// the largest in-flight sum run_shp saw (partition/shp.h); one table at a
+  /// time, it is the max over tables.
   std::uint64_t peak_training_bytes = 0;
   std::size_t stream_queries = 0;   ///< Streaming mode: queries seen.
   std::size_t sampled_queries = 0;  ///< Streaming mode: queries trained on.

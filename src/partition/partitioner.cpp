@@ -39,18 +39,21 @@ void validate(const PartitionerConfig& config) {
   }
 }
 
-PartitionResult ShpPartitioner::partition(const Trace& train,
-                                          std::uint32_t num_vectors,
-                                          const EmbeddingTable* /*values*/,
-                                          ThreadPool* pool) const {
-  ShpResult shp = run_shp(train, num_vectors, config_, pool);
+PartitionResult to_partition_result(ShpResult shp) {
   PartitionResult out;
   out.order = std::move(shp.order);
   out.access_counts = std::move(shp.access_counts);
   out.initial_avg_fanout = shp.initial_avg_fanout;
   out.final_avg_fanout = shp.final_avg_fanout;
-  out.peak_training_bytes = shp.peak_memory_bytes + trace_byte_size(train);
+  out.peak_training_bytes = shp.peak_memory_bytes;
   return out;
+}
+
+PartitionResult ShpPartitioner::partition(const Trace& train,
+                                          std::uint32_t num_vectors,
+                                          const EmbeddingTable* /*values*/,
+                                          ThreadPool* pool) const {
+  return to_partition_result(run_shp(train, num_vectors, config_, pool));
 }
 
 PartitionResult RecursiveKMeansPartitioner::partition(

@@ -78,6 +78,11 @@ struct PartitionResult {
   std::size_t sampled_queries = 0;
 };
 
+/// The Partitioner view of one table's SHP result (the trace is already in
+/// its memory estimate). Trainer uses it for tables trained together by the
+/// list form of run_shp.
+PartitionResult to_partition_result(ShpResult shp);
+
 class Partitioner {
  public:
   virtual ~Partitioner() = default;

@@ -15,16 +15,31 @@
 //     preserving balance exactly.
 //   * Recursion stops when buckets reach vectors_per_block.
 //
-// Parallelism: every level refines its buckets (disjoint vertex ranges)
-// through one ThreadPool::parallel_for call; idle workers take the next
-// chunk of buckets, each with its own counting scratch. Without a pool, or
-// with a one-thread pool, the same loop runs on the calling thread. A
-// bucket's refinement is sequential and seeded by its level and position,
-// so the plan is byte-identical for ANY thread count (pinned against
-// recorded bytes by tests/test_shp.cpp, and across thread counts by
-// tests/test_partitioner.cpp). The top levels hold fewer buckets than
-// workers and leave some idle: a bucket's refinement is too short for
-// fork/join inside it to pay.
+// Parallelism: run_shp trains a list of tables in one call, and with a
+// pool every bucket is a pool task. A finished bucket submits its two
+// children, so there is no barrier between levels, and other tables'
+// buckets fill the workers that one table's single-bucket top levels leave
+// idle. A bucket's refinement is sequential and seeded by its depth and
+// range start, so the plan is byte-identical for ANY thread count (pinned
+// against recorded bytes by tests/test_shp.cpp, across thread counts by
+// tests/test_partitioner.cpp, and for the 8 paper tables trained together
+// by tests/test_trainer.cpp). Without a pool, or with a one-thread pool,
+// the calling thread trains each table in turn, its buckets depth first.
+//
+// The calling thread owns every table's memory. It admits tables largest
+// first, at most one per worker in flight; for each it builds the
+// co-access graph, the order, side and access-count arrays and the initial
+// fanout, and when the table's last bucket finishes it computes the final
+// fanout and frees the graph. Workers allocate nothing that grows with a
+// table: each running bucket borrows one of pool->size() counting scratches
+// (candidate lists and the partition buffer included), built on the
+// calling thread at the largest table's size. glibc gives each thread its
+// own malloc arena and keeps memory freed there: when whole tables trained
+// as pool tasks, each allocating on its worker, bench_perf's paper8-dram4
+// peak RSS rose 7.5 MiB (55.0 -> 62.5 MiB), a rise MALLOC_ARENA_MAX=1
+// removed; building all eight graphs up front on the calling thread still
+// added 4.2 MiB. The in-flight bound and caller-side allocation keep it
+// flat.
 //
 // Per pass, each side's candidates are cut to the swap cap with
 // nth_element and only those are sorted, and side counts are counted once
@@ -36,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -76,16 +92,30 @@ struct ShpResult {
   std::uint64_t total_swaps = 0;
   double initial_avg_fanout = 0.0;  ///< Fanout of the random initial order.
   double final_avg_fanout = 0.0;    ///< Fanout after refinement (train set).
-  /// Estimated peak resident bytes of the training run: the co-access CSR,
-  /// the per-vector arrays, candidate lists, and one counting scratch per
-  /// chunk that ran at once (at most one per worker). Excludes the input
-  /// trace itself, which the caller owns — the Partitioner seam adds it
-  /// (PartitionStats::peak_training_bytes).
+  /// Estimated peak resident bytes of the run while this table was in
+  /// flight: for every table in flight at that moment its training trace,
+  /// co-access CSR and per-vector arrays, plus the counting scratch of
+  /// every worker (one scratch without a pool). For a one-table call this
+  /// is the table's own training peak.
   std::uint64_t peak_memory_bytes = 0;
 };
 
-/// Throws std::invalid_argument on a degenerate config or an empty training
-/// trace (which would otherwise yield a silently random plan).
+/// One table of a run_shp call. `train` must outlive the call.
+struct ShpTable {
+  const Trace* train = nullptr;
+  std::uint32_t num_vectors = 0;
+  ShpConfig config;
+};
+
+/// Trains every table and returns their results in the same order. Throws
+/// std::invalid_argument, before any training, on a degenerate config or an
+/// empty (or null) training trace, which would otherwise yield a silently
+/// random plan. A failure while training (std::bad_alloc) is rethrown once
+/// no bucket of any table is still running.
+std::vector<ShpResult> run_shp(std::span<const ShpTable> tables,
+                               ThreadPool* pool = nullptr);
+
+/// One table: the one-element call of the list form above.
 ShpResult run_shp(const Trace& train, std::uint32_t num_vectors,
                   const ShpConfig& config, ThreadPool* pool = nullptr);
 

@@ -260,5 +260,54 @@ TEST(Shp, PlansMatchPinnedBytesAtEveryThreadCount) {
   }
 }
 
+// The list form trains each table exactly as a one-table call does, at
+// every thread count: tables of different sizes, block sizes and swap
+// fractions share the workers and the scratch, and a table smaller than
+// one block still gets its single bucket.
+TEST(Shp, TableListMatchesOneTableCalls) {
+  const std::uint32_t sizes[] = {3000, 700, 5000};
+  const Trace traces[] = {structured_trace(sizes[0], 1500, 11),
+                          structured_trace(sizes[1], 600, 12),
+                          structured_trace(sizes[2], 2500, 13)};
+  Trace tiny;
+  const VectorId q[] = {0, 1, 2};
+  tiny.add_query(q);
+  std::vector<ShpTable> tables;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ShpConfig cfg;
+    cfg.vectors_per_block = i == 1 ? 16 : 32;
+    cfg.max_swap_fraction = i == 2 ? 1.0 : 0.15;
+    cfg.seed = 40 + i;
+    tables.push_back(ShpTable{&traces[i], sizes[i], cfg});
+  }
+  ShpConfig tiny_cfg;
+  tiny_cfg.vectors_per_block = 8;
+  tables.push_back(ShpTable{&tiny, 4, tiny_cfg});
+
+  std::vector<ShpPin> want;
+  for (const ShpTable& t : tables) {
+    want.push_back(pin_of(run_shp(*t.train, t.num_vectors, t.config)));
+  }
+  auto pins = [](const std::vector<ShpResult>& results) {
+    std::vector<ShpPin> out;
+    for (const ShpResult& r : results) out.push_back(pin_of(r));
+    return out;
+  };
+  EXPECT_EQ(pins(run_shp(tables)), want) << "no pool";
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pins(run_shp(tables, &pool)), want) << threads << " threads";
+  }
+}
+
+TEST(Shp, TableListRejectsAnEmptyTraceBeforeTraining) {
+  const Trace t = structured_trace(1000, 500, 14);
+  const Trace empty;
+  const ShpTable tables[] = {{&t, 1000, ShpConfig{}},
+                             {&empty, 64, ShpConfig{}}};
+  ThreadPool pool(2);
+  EXPECT_THROW(run_shp(tables, &pool), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace bandana
