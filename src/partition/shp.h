@@ -34,12 +34,12 @@
 // table: each running bucket borrows one of pool->size() counting scratches
 // (candidate lists and the partition buffer included), built on the
 // calling thread at the largest table's size. glibc gives each thread its
-// own malloc arena and keeps memory freed there: when whole tables trained
-// as pool tasks, each allocating on its worker, bench_perf's paper8-dram4
-// peak RSS rose 7.5 MiB (55.0 -> 62.5 MiB), a rise MALLOC_ARENA_MAX=1
-// removed; building all eight graphs up front on the calling thread still
-// added 4.2 MiB. The in-flight bound and caller-side allocation keep it
-// flat.
+// own malloc arena and keeps memory freed there: a prototype that trained
+// whole tables as pool tasks, each allocating on its worker, raised
+// bench_perf's paper8-dram4 peak RSS by 7.5 MiB (55.0 -> 62.5 MiB), a rise
+// MALLOC_ARENA_MAX=1 removed, and building all eight graphs up front on
+// the calling thread still added 4.2 MiB. With the in-flight bound and
+// caller-side allocation, peak RSS stays flat.
 //
 // Per pass, each side's candidates are cut to the swap cap with
 // nth_element and only those are sorted, and side counts are counted once
@@ -95,8 +95,8 @@ struct ShpResult {
   /// Estimated peak resident bytes of the run while this table was in
   /// flight: for every table in flight at that moment its training trace,
   /// co-access CSR and per-vector arrays, plus the counting scratch of
-  /// every worker (one scratch without a pool). For a one-table call this
-  /// is the table's own training peak.
+  /// every worker (one scratch when the calling thread trains alone). For
+  /// a one-table call this is the table's own training peak.
   std::uint64_t peak_memory_bytes = 0;
 };
 
