@@ -1,12 +1,10 @@
 // Fig. 2: latency and bandwidth of the NVM device for a 4 KB random-read
 // workload at queue depths 1..16 (closed loop, as Fio with libaio).
 //
-// Runs on the event-driven per-channel NvmIoEngine, then sweeps the same
-// closed loop on the legacy single-dispatch-queue reference model to show
-// the two agree on the Fig. 2 shape (bandwidth saturates past `channels`
-// outstanding IOs; latency then grows with queueing delay). A final table
-// reports per-channel service counters from the engine — the per-channel
-// view the single global queue could not expose.
+// Runs on the event-driven per-channel NvmIoEngine: bandwidth saturates
+// past `channels` outstanding IOs, and latency then grows with queueing
+// delay. The next table reports per-channel service counters from the
+// engine.
 #include "bench_common.h"
 #include "nvm/io_engine.h"
 
@@ -18,32 +16,23 @@ int main(int argc, char** argv) {
   print_header("Figure 2: NVM latency/bandwidth vs queue depth",
                "paper Fig. 2 (375 GB device: ~10 us & 0.5 GB/s at QD1 -> "
                "~2.3 GB/s at QD8 with latency in the tens of us)",
-               "simulated device, 200k IOs per depth; per-channel engine vs "
-               "legacy dispatch queue");
+               "simulated device, 200k IOs per depth; per-channel engine");
 
   const NvmDeviceConfig cfg;
   const std::uint64_t ios_per_depth = scaled64(200'000);
-  TablePrinter t({"queue_depth", "mean_us", "p99_us", "bandwidth_GB/s",
-                  "legacy_mean_us", "legacy_GB/s"});
+  TablePrinter t({"queue_depth", "mean_us", "p99_us", "bandwidth_GB/s"});
   for (unsigned qd : {1u, 2u, 4u, 8u, 16u}) {
     const auto r = run_closed_loop(cfg, qd, ios_per_depth, /*seed=*/7);
-    const auto legacy = run_closed_loop_legacy(cfg, qd, ios_per_depth,
-                                               /*seed=*/7);
     t.add_row({std::to_string(qd), TablePrinter::fmt(r.latency_us.mean(), 1),
                TablePrinter::fmt(r.latency_us.percentile(0.99), 1),
                TablePrinter::fmt(
-                   r.bandwidth_bytes_per_s(cfg.block_bytes) / 1e9, 2),
-               TablePrinter::fmt(legacy.latency_us.mean(), 1),
-               TablePrinter::fmt(
-                   legacy.bandwidth_bytes_per_s(cfg.block_bytes) / 1e9, 2)});
+                   r.bandwidth_bytes_per_s(cfg.block_bytes) / 1e9, 2)});
   }
   t.print();
   std::printf(
       "\nShape check: bandwidth rises with queue depth and saturates near "
       "%.2f GB/s;\nlatency is flat while channels are idle, then grows with "
-      "queueing delay.\nThe per-channel engine and the legacy global queue "
-      "agree on the shape\n(and are bit-identical at channels=1 — see "
-      "tests/test_io_engine.cpp).\n",
+      "queueing delay.\n",
       cfg.peak_bandwidth_bytes_per_s() / 1e9);
 
   // Per-channel service balance at saturation, straight from the engine's

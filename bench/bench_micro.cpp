@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for Bandana's hot kernels: the
-// insertion-position LRU, Zipf sampling, stack-distance updates, the NVM
-// event loop, SHP end-to-end on a small table and on eight tables in one
-// call (with and without a pool), cache replay throughput, the store's
-// serving loop, the per-request recording cost (latency recorder vs
-// fixed-size histogram, one metrics publish), and one admission wave
-// through the async file backend.
+// sharded insertion-position LRU, Zipf sampling, stack-distance updates,
+// SHP end-to-end on a small table and on eight tables in one call (with
+// and without a pool), cache replay throughput, the store's serving loop,
+// the per-request recording cost (latency recorder vs fixed-size
+// histogram, one metrics publish), and one admission wave through the
+// async file backend.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -18,37 +18,11 @@
 namespace bandana {
 namespace {
 
-void BM_LruAccessInsert(benchmark::State& state) {
-  const std::uint32_t universe = 100'000;
-  InsertionLru cache(universe, static_cast<std::uint64_t>(state.range(0)));
-  Rng rng(1);
-  ZipfSampler zipf(universe, 0.9);
-  for (auto _ : state) {
-    const auto v = static_cast<VectorId>(zipf(rng));
-    if (!cache.access(v)) cache.insert(v);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LruAccessInsert)->Arg(1024)->Arg(16384)->Arg(65536);
-
-void BM_LruWithInsertionPoints(benchmark::State& state) {
-  const std::uint32_t universe = 100'000;
-  InsertionLru cache(universe, 16384, {0.0, 0.5});
-  Rng rng(1);
-  ZipfSampler zipf(universe, 0.9);
-  for (auto _ : state) {
-    const auto v = static_cast<VectorId>(zipf(rng));
-    if (!cache.access(v)) cache.insert(v, rng.next_bernoulli(0.5) ? 1 : 0);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LruWithInsertionPoints);
-
 void BM_ShardedLruAccessInsert(benchmark::State& state) {
-  // Single-threaded op overhead of the sharded cache vs the flat LRU
-  // (the caller's shard routing, 32-id stripes as in a table's blocks);
-  // the concurrency win itself is measured end-to-end by bench_fig05's
-  // shard sweep.
+  // Single-threaded op cost of the sharded cache (the caller's shard
+  // routing, 32-id stripes as in a table's blocks); one shard is the LRU
+  // simulate_cache runs. The concurrency win itself is measured
+  // end-to-end by bench_fig05's shard sweep.
   const std::uint32_t universe = 100'000;
   const auto shards = static_cast<std::uint32_t>(state.range(0));
   std::vector<std::uint32_t> shard_sizes(shards, 0);
@@ -88,20 +62,6 @@ void BM_StackDistanceAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StackDistanceAccess);
-
-void BM_NvmSubmitRead(benchmark::State& state) {
-  NvmDeviceConfig cfg;
-  NvmLatencyModel model(cfg);
-  std::vector<double> channels(cfg.channels, 0.0);
-  Rng rng(4);
-  double now = 0.0;
-  for (auto _ : state) {
-    now += 1.0;
-    benchmark::DoNotOptimize(submit_read(model, now, channels, rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NvmSubmitRead);
 
 Trace make_bench_trace(std::uint32_t vectors, std::size_t queries,
                        std::uint64_t seed = 99) {

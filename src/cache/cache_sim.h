@@ -85,9 +85,10 @@ struct CacheSimResult {
   }
 };
 
-/// Replay `trace` under `config`. `access_counts` is required for
-/// kThreshold (per-vector SHP-run query counts; see ShpResult); without
-/// one count per vector it throws std::invalid_argument.
+/// Replay `trace` under `config` on a one-shard PrefetchCache, the cache
+/// the store serves. `access_counts` is required for kThreshold
+/// (per-vector SHP-run query counts; see ShpResult). Throws
+/// std::invalid_argument where PrefetchCache::check does.
 CacheSimResult simulate_cache(const Trace& trace, const BlockLayout& layout,
                               const CachePolicyConfig& config,
                               std::span<const std::uint32_t> access_counts = {});

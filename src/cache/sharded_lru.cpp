@@ -83,7 +83,7 @@ ShardedInsertionLru::ShardedInsertionLru(std::uint32_t universe,
   const std::uint64_t entries =
       std::accumulate(caps.begin(), caps.end(), std::uint64_t{0});
   const std::uint64_t markers = shard_sizes.size() * (num_segments_ + 1);
-  if (entries + markers >= kNil || num_segments_ > 0xFFFF) {
+  if (entries + markers >= kNodeLimit || num_segments_ > 0xFFFF) {
     throw std::invalid_argument("ShardedInsertionLru: too many entries");
   }
   entries_ = static_cast<NodeIdx>(entries);
@@ -97,7 +97,7 @@ ShardedInsertionLru::ShardedInsertionLru(std::uint32_t universe,
     sh.stats.capacity = caps[s];
     first += static_cast<NodeIdx>(caps[s]);
     // Segment k spans depths [floor(f_k*C), floor(f_{k+1}*C)) of the
-    // shard's capacity C, exactly as in InsertionLru.
+    // shard's capacity C.
     for (std::size_t k = 0; k < num_segments_; ++k) {
       const auto lo = static_cast<std::uint64_t>(
           std::floor(insertion_points[k] * static_cast<double>(caps[s])));

@@ -1,13 +1,14 @@
-// Sharded insertion-position LRU (intra-table cache concurrency).
+// Sharded insertion-position LRU (paper §4.3.1, intra-table concurrency).
 //
-// Stripes a dense vector-id universe across N independent LRU shards so
-// that concurrent lookups touching different shards never contend. Each
-// shard keeps the full insertion-point semantics of lru_cache.h — the same
-// fractional insertion depths applied to the shard's own capacity — so
-// positioned prefetch admission (paper §4.3.1) is preserved per shard.
-// Capacity is split across shards proportionally to each shard's slice of
-// the universe (largest-remainder rounding), so aggregate hit rates track
-// the unsharded cache on skewed workloads.
+// Each shard is one LRU list with K insertion points, K segments delimited
+// by marker nodes: inserting at point j places the entry at depth
+// floor(f_j * C) of the shard's capacity C, so a prefetched vector can
+// enter below hot data; a hit promotes to MRU, eviction takes the tail.
+// A dense vector-id universe is striped across N shards so concurrent
+// lookups on different shards never contend. Capacity is split across
+// shards proportionally to each shard's slice of the universe
+// (largest-remainder rounding), so aggregate hit rates track the unsharded
+// cache on skewed workloads.
 //
 // One index serves every shard: a 4-byte node index per vector into one
 // node pool, allocated to capacity at construction and never grown. Shard
@@ -17,19 +18,18 @@
 // Each node carries its id, its segment and a prefetched mark. The class
 // stores no id -> shard map: the caller names the shard of every
 // mutation, and must name the same shard for an id every time
-// (BandanaTable stripes by block: shard = block_of(v) % N). A shard
+// (PrefetchCache stripes by block: shard = block_of(v) % N). A shard
 // reuses its LRU tail's node for the entry that evicts it, and chains
 // erased nodes into a free list through their `next` links.
 //
-// With one shard this class is byte-identical to a single InsertionLru:
-// same hits, same eviction victims, same MRU→LRU order (the fidelity
-// tests rely on this).
+// With one shard this class is byte-identical to the seed's InsertionLru
+// (tests/insertion_lru.h): same hits, victims and MRU→LRU order.
 //
-// Like InsertionLru, the class itself is NOT thread-safe: the caller
-// (BandanaTable) holds one lock per shard and must hold shard s's lock
-// around any operation that names s, and around contains / slot_of /
-// take_prefetched of an id in s. Whole-cache accessors (contents, size,
-// rollup) are for tests and diagnostics and expect external quiescence.
+// Not thread-safe: the caller (BandanaTable) holds one lock per shard and
+// must hold shard s's lock around any operation that names s, and around
+// contains / slot_of / take_prefetched of an id in s. Whole-cache
+// accessors (contents, size, rollup) are for tests and diagnostics and
+// expect external quiescence.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +55,9 @@ struct CacheShardStats {
 
 class ShardedInsertionLru {
  public:
+  /// Node indexes are 32-bit: capacity() plus the markers stay below this.
+  static constexpr std::uint64_t kNodeLimit = 0xFFFFFFFF;
+
   /// `shard_sizes[s]` is how many ids of the universe shard s serves; the
   /// sizes must sum to `universe`. Empty means one shard (the unsharded
   /// seed layout). `capacity` is the total entry budget; every shard
@@ -104,7 +107,7 @@ class ShardedInsertionLru {
 
   /// Whole-cache size / contents (tests; expect quiescence). contents()
   /// concatenates shards in index order, each MRU→LRU; with one shard this
-  /// is exactly InsertionLru::contents().
+  /// is the exact eviction order.
   std::uint64_t size() const;
   std::vector<VectorId> contents() const;
   std::vector<VectorId> shard_contents(std::uint32_t s) const;
@@ -115,7 +118,7 @@ class ShardedInsertionLru {
 
  private:
   using NodeIdx = std::uint32_t;
-  static constexpr NodeIdx kNil = ~NodeIdx{0};
+  static constexpr NodeIdx kNil = kNodeLimit;
 
   /// 16 bytes. Entry nodes come first in the pool; every shard's segment
   /// head markers and end sentinel follow them.

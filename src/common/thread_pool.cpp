@@ -77,19 +77,6 @@ void ThreadPool::TaskGroup::wait() {
   if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, kChunksPerWorker * workers_.size());
-  TaskGroup group(*this);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    group.submit([&fn, begin, end] { fn(begin, end); });
-  }
-  group.wait();
-}
-
 void ThreadPool::worker_loop() {
   while (true) {
     std::function<void()> task;

@@ -1,11 +1,9 @@
-// Minimal fixed-size thread pool with a blocking parallel_for.
+// Minimal fixed-size thread pool.
 //
 // A caller that waits for its own tasks submits them through a TaskGroup:
-// parallel_for, K-means' fixed assignment chunks and the async file
-// backend's thread-pool waves. Chunk boundaries depend only on the input
-// size and the pool size, never on scheduling, so results do not depend on
-// which worker ran which chunk. SHP submits its bucket tasks directly and
-// collects finished tables itself (partition/shp.h).
+// K-means' fixed assignment chunks and the async file backend's
+// thread-pool waves. SHP submits its bucket tasks directly and collects
+// finished tables itself (partition/shp.h).
 #pragma once
 
 #include <condition_variable>
@@ -65,19 +63,6 @@ class ThreadPool {
     std::size_t pending_ = 0;
     std::exception_ptr error_;
   };
-
-  /// Chunks parallel_for cuts its range into per worker.
-  static constexpr std::size_t kChunksPerWorker = 4;
-
-  /// Run fn(begin, end) over [0, n) cut into min(n, kChunksPerWorker *
-  /// size()) chunks whose sizes differ by at most one, queued in index
-  /// order; each idle worker takes the next one, so a slow chunk holds up
-  /// only its own worker. Blocks until its own chunks are complete (a
-  /// TaskGroup) and rethrows the first exception one threw. Chunk
-  /// boundaries depend only on n and the pool size, so any reduction the
-  /// caller does per chunk is reproducible.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   void worker_loop();

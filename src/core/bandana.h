@@ -9,8 +9,8 @@
 
 #include "cache/cache_sim.h"        // IWYU pragma: export
 #include "cache/dram_allocator.h"   // IWYU pragma: export
-#include "cache/lru_cache.h"        // IWYU pragma: export
 #include "cache/mini_cache.h"       // IWYU pragma: export
+#include "cache/prefetch_cache.h"   // IWYU pragma: export
 #include "cache/sharded_lru.h"      // IWYU pragma: export
 #include "cluster/router.h"         // IWYU pragma: export
 #include "cluster/store_cluster.h"  // IWYU pragma: export

@@ -55,6 +55,12 @@ struct TablePolicy {
   double shadow_multiplier = 1.5;
 
   bool operator==(const TablePolicy&) const = default;
+
+  /// The table's cache: at least one entry, admitting by this policy.
+  CachePolicyConfig cache_policy() const {
+    return {std::max<std::uint64_t>(1, cache_vectors), policy,
+            insertion_position, shadow_multiplier, access_threshold};
+  }
 };
 
 }  // namespace bandana

@@ -1088,16 +1088,16 @@ TableInstall Store::begin_table_install(
         "begin_table_install: layout vectors_per_block disagrees with the "
         "store geometry");
   }
-  // Mirror the table ctor's contract: counts are optional (empty) unless
-  // the policy needs them, and must match the layout when present.
+  // Counts are optional (empty) unless the policy needs them, and must
+  // match the layout when present. The table's cache checks its policy
+  // again at finish(), after every block is written; reject a bad one
+  // before any block is reserved.
   if (!access_counts.empty() && access_counts.size() != layout.num_vectors()) {
     throw std::invalid_argument(
         "begin_table_install: access_counts shape mismatch");
   }
-  if (policy.policy == PrefetchPolicy::kThreshold && access_counts.empty()) {
-    throw std::invalid_argument(
-        "begin_table_install: kThreshold requires per-vector access counts");
-  }
+  PrefetchCache::check(policy.cache_policy(), layout.num_vectors(),
+                       access_counts.size());
   auto s = std::make_unique<detail::InstallState>();
   s->store = this;
   s->policy = policy;

@@ -9,15 +9,6 @@
 namespace bandana {
 
 namespace {
-std::vector<double> insertion_points_for(const TablePolicy& policy) {
-  const bool uses_position = policy.policy == PrefetchPolicy::kPosition ||
-                             policy.policy == PrefetchPolicy::kShadowPosition;
-  if (uses_position && policy.insertion_position > 0.0) {
-    return {0.0, policy.insertion_position};
-  }
-  return {0.0};
-}
-
 /// Shard count for the table: one per hardware thread by default, but
 /// never more shards than blocks (vectors are striped by block, keeping
 /// prefetch admission shard-local) or cache entries (every shard needs at
@@ -34,18 +25,6 @@ std::uint32_t shard_count_for(const StoreConfig& cfg,
                    static_cast<std::uint64_t>(layout.num_blocks()),
                    capacity})));
 }
-/// Vectors per shard when block b goes to shard b % num_shards: the cache
-/// splits its capacity in these proportions.
-std::vector<std::uint32_t> striped_shard_sizes(std::uint32_t num_vectors,
-                                               std::uint32_t vectors_per_block,
-                                               std::uint32_t num_shards) {
-  std::vector<std::uint32_t> sizes(num_shards, 0);
-  for (std::uint32_t first = 0, b = 0; first < num_vectors;
-       first += vectors_per_block, ++b) {
-    sizes[b % num_shards] += std::min(vectors_per_block, num_vectors - first);
-  }
-  return sizes;
-}
 }  // namespace
 
 std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
@@ -59,51 +38,18 @@ std::unique_ptr<BandanaTable::State> BandanaTable::make_state(
   if (block_map.size() != layout.num_blocks()) {
     throw std::invalid_argument("table state: block map size mismatch");
   }
-  if (policy.policy == PrefetchPolicy::kThreshold &&
-      access_counts.size() != layout.num_vectors()) {
-    throw std::invalid_argument("kThreshold requires per-vector access counts");
-  }
-  const std::uint64_t capacity =
-      std::max<std::uint64_t>(1, policy.cache_vectors);
-  const std::vector<std::uint32_t> shard_sizes =
-      striped_shard_sizes(num_vectors_, vectors_per_block_, num_shards_);
-  ShardedInsertionLru cache{num_vectors_, capacity,
-                            insertion_points_for(policy), shard_sizes};
-
-  auto st = std::make_unique<State>(std::move(layout), std::move(block_map),
-                                    std::move(access_counts), policy,
-                                    std::move(cache));
-  st->low_point = st->cache.num_insertion_points() - 1;
-  if (policy.policy == PrefetchPolicy::kThreshold) {
-    const std::vector<VectorId>& order = st->layout.order();
-    st->admit_bits.assign((order.size() + 63) / 64, 0);
-    for (std::size_t p = 0; p < order.size(); ++p) {
-      if (st->access_counts[order[p]] > policy.access_threshold) {
-        st->admit_bits[p / 64] |= std::uint64_t{1} << (p % 64);
-      }
-    }
-  }
-  st->block_epochs.assign(st->layout.num_blocks(), 0);
-
-  if (policy.policy == PrefetchPolicy::kShadow ||
-      policy.policy == PrefetchPolicy::kShadowPosition) {
-    const auto shadow_cap = std::max<std::uint64_t>(
-        1,
-        static_cast<std::uint64_t>(static_cast<double>(st->cache.capacity()) *
-                                   policy.shadow_multiplier));
-    st->shadow = std::make_unique<ShardedInsertionLru>(
-        num_vectors_, shadow_cap, std::vector<double>{0.0}, shard_sizes);
-  }
-  return st;
+  return std::make_unique<State>(std::move(layout), std::move(block_map),
+                                 std::move(access_counts), policy,
+                                 num_shards_);
 }
 
 DramBytes BandanaTable::State::dram_bytes() const {
   DramBytes d;
-  d.cache_index = cache.dram_bytes();
-  d.shadow_index = shadow ? shadow->dram_bytes() : 0;
+  d.cache_index = cache.lru().dram_bytes();
+  d.shadow_index = cache.shadow_dram_bytes();
   d.layout = layout.dram_bytes();
   d.admission = access_counts.capacity() * sizeof(std::uint32_t) +
-                admit_bits.capacity() * sizeof(std::uint64_t);
+                cache.admit_bits_dram_bytes();
   d.block_maps = block_map.capacity() * sizeof(BlockId) +
                  block_epochs.capacity() * sizeof(std::uint64_t);
   return d;
@@ -142,7 +88,7 @@ BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
                             std::move(access_counts), std::move(block_map));
   state_.store(state_owner_.get(), std::memory_order_release);
 
-  slab_.resize(state_owner_->cache.capacity() * vector_bytes_);
+  slab_.resize(state_owner_->cache.lru().capacity() * vector_bytes_);
   shards_.reserve(num_shards_);
   for (std::uint32_t s = 0; s < num_shards_; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -196,18 +142,15 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(shards_.size());
     for (auto& shard : shards_) locks.emplace_back(shard->mu);
-    assert(fresh->cache.capacity() * vector_bytes_ == slab_.size());
+    assert(fresh->cache.lru().capacity() * vector_bytes_ == slab_.size());
     if (keep_cache) {
       // Value-only push: cached members of blocks that kept their storage
       // block still hold exact bytes in their slots. Copied, not moved —
-      // stragglers may still peek the retired state.
-      fresh->cache = cur.cache;
-      if (cur.shadow) *fresh->shadow = *cur.shadow;
+      // stragglers may still peek the retired state. The new state keeps
+      // the admit bits of its own counts.
+      fresh->cache.copy_entries_from(cur.cache);
       for (BlockId b = 0; b < fresh->layout.num_blocks(); ++b) {
-        if (fresh->block_map[b] == cur.block_map[b]) continue;
-        for (const VectorId v : fresh->layout.block_members(b)) {
-          fresh->cache.erase(b % num_shards_, v);
-        }
+        if (fresh->block_map[b] != cur.block_map[b]) fresh->cache.drop_block(b);
       }
     }
     old = std::move(state_owner_);
@@ -238,50 +181,6 @@ BandanaTable::RetrainedState BandanaTable::mapping_snapshot() const {
   return {st->layout, st->block_map, st->access_counts, st->policy};
 }
 
-void BandanaTable::cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
-                                std::span<const std::byte> bytes,
-                                std::size_t point, bool is_prefetch,
-                                TableMetrics& counts) {
-  // v's node is its slot: an eviction hands v the victim's.
-  st.cache.insert(shard_idx, v, point, is_prefetch);
-  std::memcpy(slot_bytes(st.cache.slot_of(v)).data(), bytes.data(),
-              vector_bytes_);
-  if (is_prefetch) ++counts.prefetch_inserted;
-}
-
-void BandanaTable::admit_prefetches(State& st, std::uint32_t shard_idx,
-                                    VectorId requested, BlockId local_block,
-                                    std::span<const std::byte> block,
-                                    TableMetrics& counts) {
-  const auto members = st.layout.block_members(local_block);
-  const PrefetchPolicy policy = st.policy.policy;
-  // Under kThreshold the block covers admit-bit positions from `first`.
-  const std::size_t first = std::size_t{local_block} * vectors_per_block_;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    // The policy's test comes first, so a member kThreshold rejects costs
-    // one bit test and no load into the universe-sized cache arrays. The
-    // caller never prefetches under kNone.
-    if (policy == PrefetchPolicy::kThreshold) {
-      const std::size_t p = first + i;
-      if (((st.admit_bits[p / 64] >> (p % 64)) & 1) == 0) continue;
-    } else if (policy == PrefetchPolicy::kShadow &&
-               !st.shadow->contains(members[i])) {
-      continue;
-    }
-    const VectorId u = members[i];
-    // The requested vector was just cached as a demand read; if the
-    // block's own prefetches evicted it, it stays out (as in
-    // simulate_cache) rather than coming back as a prefetch.
-    if (u == requested || st.cache.contains(u)) continue;
-    const bool cold = policy == PrefetchPolicy::kPosition ||
-                      (policy == PrefetchPolicy::kShadowPosition &&
-                       !st.shadow->contains(u));
-    cache_vector(st, shard_idx, u,
-                 block.subspan(i * vector_bytes_, vector_bytes_),
-                 cold ? st.low_point : 0, /*is_prefetch=*/true, counts);
-  }
-}
-
 bool BandanaTable::is_cached(VectorId v) const {
   assert(v < num_vectors_);
   // Read-only peek: a state retired between the load and the lock is never
@@ -290,8 +189,8 @@ bool BandanaTable::is_cached(VectorId v) const {
   // The guard keeps a just-retired state alive across the deref.
   const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
-  std::lock_guard lock(shards_[shard_of(*st, v)]->mu);
-  return st->cache.contains(v);
+  std::lock_guard lock(shards_[st->cache.shard_of(v)]->mu);
+  return st->cache.lru().contains(v);
 }
 
 BandanaTable::LookupOutcome BandanaTable::lookup(
@@ -336,7 +235,7 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
   order.resize(n);
   bucket_end.assign(num_shards_, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    shard[i] = shard_of(*st, ids[i]);
+    shard[i] = st->cache.shard_of(ids[i]);
     ++bucket_end[shard[i]];
   }
   std::uint32_t start = 0;
@@ -366,7 +265,7 @@ void BandanaTable::lookup_get(std::span<const VectorId> ids,
       const std::size_t i = order[served];
       for (;;) {
         st = state_.load(std::memory_order_acquire);
-        const std::uint32_t s = shard_of(*st, ids[i]);
+        const std::uint32_t s = st->cache.shard_of(ids[i]);
         std::lock_guard lock(shards_[s]->mu);
         if (state_.load(std::memory_order_acquire) != st) continue;
         serve(*st, s, i);
@@ -389,17 +288,14 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
   ++counts.lookups;
   counts.app_bytes_served += vector_bytes_;
 
-  if (st.shadow) {
-    if (!st.shadow->access(shard_idx, v)) st.shadow->insert(shard_idx, v);
-  }
-
   // A hit reads v's node index, its node and its slab slot; only a miss
   // reads the block map.
-  if (st.cache.access(shard_idx, v)) {
+  const PrefetchCache::Access access = st.cache.access(shard_idx, v);
+  if (access != PrefetchCache::Access::kMiss) {
     ++counts.hits;
     outcome.hit = true;
-    if (st.cache.take_prefetched(v)) ++counts.prefetch_hits;
-    std::memcpy(out.data(), slot_bytes(st.cache.slot_of(v)).data(),
+    if (access == PrefetchCache::Access::kPrefetchHit) ++counts.prefetch_hits;
+    std::memcpy(out.data(), slot_bytes(st.cache.lru().slot_of(v)).data(),
                 vector_bytes_);
     return outcome;
   }
@@ -435,17 +331,19 @@ BandanaTable::LookupOutcome BandanaTable::lookup_locked(
     outcome.block_read = global_b;
   }
 
-  const std::uint32_t pos_in_block =
-      st.layout.position_of(v) % vectors_per_block_;
-  const std::span<const std::byte> vector_view =
-      block_bytes.subspan(std::size_t{pos_in_block} * vector_bytes_,
-                          vector_bytes_);
-  std::memcpy(out.data(), vector_view.data(), vector_bytes_);
-  cache_vector(st, shard_idx, v, vector_view, 0, /*is_prefetch=*/false,
-               counts);
-  if (!already_read && st.policy.policy != PrefetchPolicy::kNone) {
-    admit_prefetches(st, shard_idx, v, local_b, block_bytes, counts);
-  }
+  // The vector and every member the cache admits are copied into their
+  // slab slots (a cached vector's node is its slot).
+  const auto member = [&](std::size_t i) {
+    return block_bytes.subspan(i * vector_bytes_, vector_bytes_).data();
+  };
+  std::memcpy(out.data(),
+              member(st.layout.position_of(v) % vectors_per_block_),
+              vector_bytes_);
+  counts.prefetch_inserted += st.cache.miss(
+      shard_idx, v, local_b, !already_read,
+      [&](std::uint32_t slot, std::size_t i) {
+        std::memcpy(slot_bytes(slot).data(), member(i), vector_bytes_);
+      });
   return outcome;
 }
 
@@ -453,7 +351,7 @@ CacheShardStats BandanaTable::shard_stats(std::uint32_t s) const {
   const auto guard = epochs_.enter();
   const State* st = state_.load(std::memory_order_seq_cst);
   std::lock_guard lock(shards_[s]->mu);
-  return st->cache.shard_stats(s);
+  return st->cache.lru().shard_stats(s);
 }
 
 CacheShardStats BandanaTable::cache_stats() const {
@@ -470,7 +368,7 @@ std::vector<VectorId> BandanaTable::cache_contents() const {
   std::vector<VectorId> out;
   for (std::uint32_t s = 0; s < num_shards_; ++s) {
     std::lock_guard lock(shards_[s]->mu);
-    const auto shard = st->cache.shard_contents(s);
+    const auto shard = st->cache.lru().shard_contents(s);
     out.insert(out.end(), shard.begin(), shard.end());
   }
   return out;

@@ -16,26 +16,20 @@
 // staged it, and otherwise from BlockStorage::view_block, so the memory
 // backend lends the block in place and only the file backends copy it (into
 // the shard's scratch). The vector and the admitted members are copied out
-// of those bytes into their slab slots; nothing else is. Under kThreshold,
-// the policy Trainer emits, admission is decided once per state: make_state
-// sets one admit bit per layout position whose vector's access count clears
-// the threshold, and a freshly read block tests each member's bit before it
-// touches the cache, so a member the threshold rejects costs one bit test.
-// The other policies look every member of the block up in the cache.
+// of those bytes into their slab slots; nothing else is. What is cached,
+// where, and which members a read admits is decided by the state's
+// PrefetchCache (cache/prefetch_cache.h), the code simulate_cache runs.
 //
 // DRAM per vector is what a lookup needs: the layout's order and position
 // (8 B), the access counts (4 B; mapping_snapshot and the manifest carry
-// them), and one 4-byte node index into the cache's node pool. The pool
-// holds exactly the slab's capacity, shard s owning a contiguous range of
-// nodes; a cached vector's slab slot is its node, and the node carries its
-// prefetched mark. Nothing records a vector's shard: it is computed from
-// the layout, block_of(v) % N. The shadow policies add one more node
-// index and pool of the same shape. dram_bytes() counts it all by
-// category; TablePolicy::cache_vectors buys only the slab.
+// them), and the cache's 4-byte node index (cache/sharded_lru.h: a cached
+// vector's slab slot is its node); the shadow policies add a second index.
+// dram_bytes() counts it all by category; TablePolicy::cache_vectors buys
+// only the slab.
 //
 // Online retraining (§2.2) swaps the whole layout-dependent state — the
-// block layout, the local-block -> global-block map, the cache/shadow
-// structures and the shard striping derived from the layout — as one unit:
+// block layout, the local-block -> global-block map and the cache core
+// with its shard striping derived from the layout — as one unit:
 // everything layout-dependent lives in an immutable-once-published State
 // behind an atomic pointer. A lookup loads the pointer, locks the shard
 // the state assigns its vector to, and re-validates the pointer under the
@@ -64,7 +58,7 @@
 #include <span>
 #include <vector>
 
-#include "cache/sharded_lru.h"
+#include "cache/prefetch_cache.h"
 #include "common/epoch.h"
 #include "core/config.h"
 #include "core/metrics.h"
@@ -268,27 +262,21 @@ class BandanaTable {
     std::vector<BlockId> block_map;   ///< local block -> storage block
     std::vector<std::uint32_t> access_counts;
     TablePolicy policy;
-    /// kThreshold only: bit p is set iff layout position p's vector has an
-    /// access count above the threshold. Derived from this state's counts
-    /// and policy, never inherited from the state it replaces.
-    std::vector<std::uint64_t> admit_bits;
-    /// One 4-byte node index per vector into a node pool of exactly the
-    /// slab's capacity: a cached vector's slab slot is its node, and the
-    /// node carries its prefetched mark. Shard s owns the slots from the
-    /// sum of the earlier shards' capacities.
-    ShardedInsertionLru cache;
-    std::unique_ptr<ShardedInsertionLru> shadow;  ///< Same shape, no slab.
-    std::size_t low_point = 0;  ///< Insertion point for cold prefetches.
+    /// Over `layout`, with admit bits from this state's counts and policy.
+    /// A cached vector's slab slot is its node in the cache's pool, whose
+    /// shard s owns the slots from the sum of the earlier shards' capacities.
+    PrefetchCache cache;
     std::vector<std::uint64_t> block_epochs;  ///< per-block dedup marks
 
     State(BlockLayout l, std::vector<BlockId> bm,
           std::vector<std::uint32_t> ac, TablePolicy p,
-          ShardedInsertionLru c)
+          std::uint32_t num_shards)
         : layout(std::move(l)),
           block_map(std::move(bm)),
           access_counts(std::move(ac)),
           policy(p),
-          cache(std::move(c)) {}
+          cache(layout, p.cache_policy(), access_counts, num_shards),
+          block_epochs(layout.num_blocks(), 0) {}
 
     /// The state's categories of BandanaTable::dram_bytes.
     DramBytes dram_bytes() const;
@@ -306,11 +294,6 @@ class BandanaTable {
   std::unique_ptr<State> make_state(TablePolicy policy, BlockLayout layout,
                                     std::vector<std::uint32_t> access_counts,
                                     std::vector<BlockId> block_map) const;
-  /// The striping rule: v's cache shard is its block modulo the shard
-  /// count, so a block and all its members live in one shard.
-  std::uint32_t shard_of(const State& st, VectorId v) const {
-    return st.layout.block_of(v) % num_shards_;
-  }
   /// One lookup under its shard's lock; counters land in `counts`, which
   /// lookup_get publishes once per table-get.
   LookupOutcome lookup_locked(State& st, std::uint32_t shard_idx, VectorId v,
@@ -319,12 +302,6 @@ class BandanaTable {
                               const StagedBlockReads* staged,
                               TableMetrics& counts);
   std::span<std::byte> slot_bytes(std::uint32_t slot);
-  void cache_vector(State& st, std::uint32_t shard_idx, VectorId v,
-                    std::span<const std::byte> bytes, std::size_t point,
-                    bool is_prefetch, TableMetrics& counts);
-  void admit_prefetches(State& st, std::uint32_t shard_idx, VectorId requested,
-                        BlockId local_block, std::span<const std::byte> block,
-                        TableMetrics& counts);
 
   std::uint32_t num_vectors_;
   std::uint32_t num_blocks_;

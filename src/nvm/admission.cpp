@@ -40,17 +40,4 @@ void TrickleRateLimiter::consume(double now_us, std::uint64_t blocks) {
   used_ += std::min(blocks, cfg_.blocks_per_interval - used_);
 }
 
-double submit_reads(const NvmLatencyModel& model, double arrival_us,
-                    std::uint64_t count, std::vector<double>& channel_free_us,
-                    AdmissionController& admission, Rng& rng) {
-  double max_done = arrival_us;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const double submit_us = admission.admit(arrival_us);
-    const double done = submit_read(model, submit_us, channel_free_us, rng);
-    admission.on_submitted(done);
-    max_done = std::max(max_done, done);
-  }
-  return max_done;
-}
-
 }  // namespace bandana

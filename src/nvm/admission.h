@@ -6,8 +6,7 @@
 // caps the number of outstanding block IOs at queue_depth × channels —
 // reads AND writes: the write-aware NvmIoEngine routes publish/republish
 // traffic through the same gate, so a live republish consumes read slots
-// exactly like the device's shared submission queue would. submit_reads()
-// splits a request's read batch into depth-bounded waves — an IO past the
+// exactly like the device's shared submission queue would. An IO past the
 // cap is only submitted once an earlier one completes, so the Fig. 5
 // hockey stick emerges from queueing at the admission gate rather than
 // from unbounded submission.
@@ -24,17 +23,14 @@
 // timing_mu_) and needs no synchronization of its own.
 //
 // The event-driven NvmIoEngine (nvm/io_engine.h) embeds this controller at
-// its submission boundary; submit_reads() below is the legacy
-// single-dispatch-queue wave submitter, kept as the reference model for
-// the engine's channels=1 equivalence suite.
+// its submission boundary.
 #pragma once
 
 #include <cstdint>
 #include <queue>
 #include <vector>
 
-#include "common/rng.h"
-#include "nvm/nvm_device.h"
+#include "nvm/nvm_config.h"
 
 namespace bandana {
 
@@ -77,14 +73,6 @@ class AdmissionController {
   std::priority_queue<double, std::vector<double>, std::greater<>>
       completions_;
 };
-
-/// Submit `count` block reads arriving together at `arrival_us`, gated by
-/// `admission`, onto the device channels. Returns the completion time of
-/// the slowest read (== arrival_us when count is 0). With an unbounded
-/// controller this reproduces the plain submit_read loop exactly.
-double submit_reads(const NvmLatencyModel& model, double arrival_us,
-                    std::uint64_t count, std::vector<double>& channel_free_us,
-                    AdmissionController& admission, Rng& rng);
 
 /// Token bucket over simulated-time intervals for trickle republish
 /// (Store::begin_trickle_republish): interval k is

@@ -1,6 +1,6 @@
 // Event-driven per-channel NVM I/O engine.
 //
-// The legacy model (submit_read in nvm_device.h) fed all `channels` service
+// The legacy model (tests/legacy_device_model.h) fed all `channels` service
 // units from one global dispatch queue: a read always landed on the
 // earliest-free channel and drew its service time from one shared stream.
 // That shape cannot express per-channel queueing — the structure behind the

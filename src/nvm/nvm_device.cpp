@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "nvm/io_engine.h"
 
@@ -23,48 +22,11 @@ double NvmDeviceConfig::peak_bandwidth_bytes_per_s() const {
          (mean_service_us() * 1e-6);
 }
 
-double submit_read(const NvmLatencyModel& model, double now_us,
-                   std::vector<double>& channel_free_us, Rng& rng) {
-  auto it = std::min_element(channel_free_us.begin(), channel_free_us.end());
-  const double start = std::max(now_us, *it);
-  // The channel is occupied for the media service time only; the fixed
-  // submission/completion overhead adds end-to-end latency but overlaps
-  // with other IOs (so saturated bandwidth is channels/service, Fig. 2).
-  const double channel_busy_until = start + model.sample_service_us(rng);
-  *it = channel_busy_until;
-  return channel_busy_until + model.base_latency_us();
-}
-
-DeviceRunResult run_closed_loop_legacy(const NvmDeviceConfig& cfg,
-                                       unsigned queue_depth,
-                                       std::uint64_t num_ios,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  NvmLatencyModel model(cfg);
-  std::vector<double> channel_free(cfg.channels, 0.0);
-  std::priority_queue<double, std::vector<double>, std::greater<>> clients;
-  for (unsigned i = 0; i < queue_depth; ++i) clients.push(0.0);
-  DeviceRunResult result;
-  result.latency_us.reserve(num_ios);
-  double end_time = 0.0;
-  for (std::uint64_t i = 0; i < num_ios; ++i) {
-    const double issue = clients.top();
-    clients.pop();
-    const double done = submit_read(model, issue, channel_free, rng);
-    result.latency_us.add(done - issue);
-    clients.push(done);
-    end_time = std::max(end_time, done);
-  }
-  result.ios = num_ios;
-  result.elapsed_us = end_time;
-  return result;
-}
-
 namespace {
 /// The drivers are raw fio-style characterization sweeps: `queue_depth`
 /// here is the client count (or the arrival rate sets the load), and the
 /// store-side admission cap must not gate them — outstanding IOs are
-/// bounded by the sweep itself, exactly as in the legacy drivers.
+/// bounded by the sweep itself.
 NvmDeviceConfig ungated(NvmDeviceConfig cfg) {
   cfg.queue_depth = 0;
   return cfg;

@@ -10,10 +10,9 @@
 //
 // Both drivers run on the event-driven per-channel NvmIoEngine
 // (nvm/io_engine.h): closed loop re-submits on each completion event, open
-// loop paces arrivals from a seed-derived stream. The legacy single
-// dispatch-queue primitive `submit_read` is kept below as the reference
-// model — with channels = 1 the engine reproduces it bit-for-bit
-// (tests/test_io_engine.cpp), and tests pin gate semantics against it.
+// loop paces arrivals from a seed-derived stream. The pre-engine single
+// dispatch-queue model is a test oracle (tests/legacy_device_model.h): with
+// channels = 1 the engine reproduces it bit-for-bit.
 //
 // The device is `channels` parallel service units; per-IO service times
 // are lognormal (nvm_config.h).
@@ -21,7 +20,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -85,24 +83,5 @@ DeviceRunResult run_closed_loop(const NvmDeviceConfig& cfg,
 DeviceRunResult run_open_loop(const NvmDeviceConfig& cfg,
                               double arrivals_per_s, std::uint64_t num_ios,
                               std::uint64_t seed);
-
-/// Legacy single-dispatch-queue timing primitive: submits one read at
-/// `now_us` given per-channel free times, returns the completion time.
-/// `channel_free_us` must have cfg.channels entries. The serving path now
-/// runs on NvmIoEngine (nvm/io_engine.h); this stays as the reference
-/// model for the engine's channels=1 equivalence suite.
-double submit_read(const NvmLatencyModel& model, double now_us,
-                   std::vector<double>& channel_free_us, Rng& rng);
-
-/// The pre-engine closed loop, kept verbatim as the canonical reference:
-/// one global service stream Rng(seed), a min-heap of per-client
-/// next-issue times, earliest-free-channel routing, no admission gate.
-/// The engine's channels=1 bit-for-bit equivalence (test_io_engine.cpp)
-/// and bench_fig02's engine-vs-legacy sweep both compare against this one
-/// implementation.
-DeviceRunResult run_closed_loop_legacy(const NvmDeviceConfig& cfg,
-                                       unsigned queue_depth,
-                                       std::uint64_t num_ios,
-                                       std::uint64_t seed);
 
 }  // namespace bandana

@@ -1,13 +1,89 @@
-#include "cache/lru_cache.h"
+// Exact LRU queue with configurable insertion positions (paper §4.3.1): the
+// seed's single-shard cache, kept as the reference ShardedInsertionLru is
+// checked against (test_sharded_lru, test_lru_cache). Header-only, test
+// code only.
+//
+// Bandana inserts application-requested vectors at the top (MRU end) of the
+// eviction queue but may insert *prefetched* vectors lower — e.g. at the
+// middle (position 0.5) — so speculative data cannot evict hot data. This
+// class implements a single logical LRU list with K insertion points,
+// realized as K contiguous segments delimited by marker nodes. Inserting at
+// point j places the entry at depth floor(f_j * capacity); hits promote to
+// the global MRU position; eviction takes the global LRU tail. All
+// operations are O(#insertion points).
+//
+// The id universe is dense (VectorId < universe), so the index is a flat
+// array rather than a hash table.
+#pragma once
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
+
+#include "common/types.h"
 
 namespace bandana {
 
-InsertionLru::InsertionLru(std::uint32_t universe, std::uint64_t capacity,
-                           std::vector<double> insertion_points)
+class InsertionLru {
+ public:
+  /// `insertion_points` are fractions of capacity, sorted ascending; the
+  /// first must be 0.0 (the MRU end). {0.0} gives a plain LRU.
+  InsertionLru(std::uint32_t universe, std::uint64_t capacity,
+               std::vector<double> insertion_points = {0.0});
+
+  std::uint64_t size() const { return size_; }
+  std::uint64_t capacity() const { return capacity_; }
+  std::size_t num_insertion_points() const { return targets_.size(); }
+
+  bool contains(VectorId v) const { return node_of_[v] >= 0; }
+
+  /// If present: promote to global MRU and return true.
+  bool access(VectorId v);
+
+  /// Insert at insertion point `point` (default: MRU). The entry must not be
+  /// present. Returns the evicted victim, or kInvalidVector if none.
+  VectorId insert(VectorId v, std::size_t point = 0);
+
+  /// Remove a specific entry (e.g. on table republish). Returns false if
+  /// absent.
+  bool erase(VectorId v);
+
+  /// Entry ids from MRU to LRU (test/diagnostic; O(size)).
+  std::vector<VectorId> contents() const;
+
+ private:
+  using NodeIdx = std::int32_t;
+  static constexpr NodeIdx kNil = -1;
+
+  struct Node {
+    NodeIdx prev = kNil;
+    NodeIdx next = kNil;
+    VectorId id = kInvalidVector;
+    std::int16_t segment = -1;  ///< -1 for markers and free nodes.
+  };
+
+  void link_after(NodeIdx pos, NodeIdx node);
+  void unlink(NodeIdx node);
+  /// Push overflow from segment s downward toward the tail.
+  void cascade(std::size_t s);
+  NodeIdx alloc_node();
+
+  std::uint64_t capacity_;
+  std::vector<Node> nodes_;       // [0..K-1]: segment markers, [K]: end sentinel
+  std::vector<NodeIdx> node_of_;  // id -> node (or -1)
+  std::vector<std::uint64_t> seg_size_;
+  std::vector<std::uint64_t> targets_;  // per-segment capacity
+  std::vector<NodeIdx> free_;
+  std::uint64_t size_ = 0;
+  std::size_t num_segments_;
+  NodeIdx end_sentinel_;
+};
+
+inline InsertionLru::InsertionLru(std::uint32_t universe,
+                                  std::uint64_t capacity,
+                                  std::vector<double> insertion_points)
     : capacity_(capacity), node_of_(universe, kNil) {
   if (capacity == 0) throw std::invalid_argument("InsertionLru: capacity 0");
   if (insertion_points.empty() || insertion_points.front() != 0.0) {
@@ -44,7 +120,7 @@ InsertionLru::InsertionLru(std::uint32_t universe, std::uint64_t capacity,
   }
 }
 
-InsertionLru::NodeIdx InsertionLru::alloc_node() {
+inline InsertionLru::NodeIdx InsertionLru::alloc_node() {
   if (!free_.empty()) {
     const NodeIdx n = free_.back();
     free_.pop_back();
@@ -54,7 +130,7 @@ InsertionLru::NodeIdx InsertionLru::alloc_node() {
   return static_cast<NodeIdx>(nodes_.size() - 1);
 }
 
-void InsertionLru::link_after(NodeIdx pos, NodeIdx node) {
+inline void InsertionLru::link_after(NodeIdx pos, NodeIdx node) {
   Node& p = nodes_[pos];
   Node& n = nodes_[node];
   n.prev = pos;
@@ -63,14 +139,14 @@ void InsertionLru::link_after(NodeIdx pos, NodeIdx node) {
   p.next = node;
 }
 
-void InsertionLru::unlink(NodeIdx node) {
+inline void InsertionLru::unlink(NodeIdx node) {
   Node& n = nodes_[node];
   if (n.prev != kNil) nodes_[n.prev].next = n.next;
   if (n.next != kNil) nodes_[n.next].prev = n.prev;
   n.prev = n.next = kNil;
 }
 
-void InsertionLru::cascade(std::size_t s) {
+inline void InsertionLru::cascade(std::size_t s) {
   // Shift one node at a time from an over-full segment to the head of the
   // next; amortized O(K) because each insert adds a single node.
   for (; s + 1 < num_segments_; ++s) {
@@ -86,7 +162,7 @@ void InsertionLru::cascade(std::size_t s) {
   }
 }
 
-bool InsertionLru::access(VectorId v) {
+inline bool InsertionLru::access(VectorId v) {
   const NodeIdx node = node_of_[v];
   if (node == kNil) return false;
   const auto seg = static_cast<std::size_t>(nodes_[node].segment);
@@ -99,7 +175,7 @@ bool InsertionLru::access(VectorId v) {
   return true;
 }
 
-VectorId InsertionLru::insert(VectorId v, std::size_t point) {
+inline VectorId InsertionLru::insert(VectorId v, std::size_t point) {
   assert(point < num_segments_);
   assert(node_of_[v] == kNil && "insert of an already-cached id");
   // Segments with zero capacity (e.g. position 0.99 of a tiny cache)
@@ -131,7 +207,7 @@ VectorId InsertionLru::insert(VectorId v, std::size_t point) {
   return evicted;
 }
 
-bool InsertionLru::erase(VectorId v) {
+inline bool InsertionLru::erase(VectorId v) {
   const NodeIdx node = node_of_[v];
   if (node == kNil) return false;
   --seg_size_[static_cast<std::size_t>(nodes_[node].segment)];
@@ -142,7 +218,7 @@ bool InsertionLru::erase(VectorId v) {
   return true;
 }
 
-std::vector<VectorId> InsertionLru::contents() const {
+inline std::vector<VectorId> InsertionLru::contents() const {
   std::vector<VectorId> out;
   out.reserve(size_);
   for (NodeIdx n = nodes_[0].next; n != kNil; n = nodes_[n].next) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/store.h"
+#include "legacy_device_model.h"
 #include "trace/trace_generator.h"
 
 namespace bandana {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "trace/stack_distance.h"
 #include "trace/trace_generator.h"
 
@@ -132,6 +135,42 @@ TEST(CacheSim, ThresholdWithoutAccessCountsThrows) {
   const std::vector<std::uint32_t> short_counts(63, 100);
   EXPECT_THROW(simulate_cache(t, layout, pc, short_counts),
                std::invalid_argument);
+}
+
+TEST(CacheSim, RejectsBadPolicyValues) {
+  // The simulator admits only what the served cache admits, so it rejects
+  // the same policy values: a shadow multiplier that is negative, NaN, or
+  // too large for the node index, an insertion position outside [0, 1),
+  // and a policy value outside the enum (as a corrupt manifest can hold).
+  const auto layout = BlockLayout::identity(64, 8);
+  Trace t;
+  const VectorId q0[] = {0, 9};
+  t.add_query(q0);
+  const std::vector<std::uint32_t> counts(64, 100);
+  CachePolicyConfig pc;
+  pc.capacity_vectors = 16;
+  for (const PrefetchPolicy p :
+       {PrefetchPolicy::kShadow, PrefetchPolicy::kShadowPosition}) {
+    pc.policy = p;
+    for (const double m : {-1.0, std::nan(""), HUGE_VAL, 1e30}) {
+      pc.shadow_multiplier = m;
+      EXPECT_THROW(simulate_cache(t, layout, pc), std::invalid_argument)
+          << to_string(p) << " multiplier " << m;
+    }
+  }
+  pc.shadow_multiplier = 1.5;
+  for (const PrefetchPolicy p :
+       {PrefetchPolicy::kPosition, PrefetchPolicy::kShadowPosition}) {
+    pc.policy = p;
+    for (const double pos : {-0.5, std::nan(""), 1.0}) {
+      pc.insertion_position = pos;
+      EXPECT_THROW(simulate_cache(t, layout, pc), std::invalid_argument)
+          << to_string(p) << " position " << pos;
+    }
+  }
+  pc.insertion_position = 0.5;
+  pc.policy = static_cast<PrefetchPolicy>(17);
+  EXPECT_THROW(simulate_cache(t, layout, pc, counts), std::invalid_argument);
 }
 
 TEST(CacheSim, ShadowAdmitsOnlyPreviouslySeen) {

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -619,6 +620,21 @@ TEST(WarmRestart, OpenRejectsGeometryMismatchAndCorruption) {
     std::fclose(f);
   }
   EXPECT_THROW(Store::open(test_config(), p.manifest), std::runtime_error);
+
+  // A checksum-valid manifest whose table names a policy outside the enum:
+  // the table's cache rejects it instead of serving it as some policy.
+  {
+    Store s = StoreBuilder(test_config())
+                  .file_storage(p.block)
+                  .manifest(p.manifest)
+                  .add_table(va, identity_plan())
+                  .build();
+  }
+  std::optional<Manifest> m = load_manifest(p.manifest);
+  ASSERT_TRUE(m.has_value());
+  m->tables[0].policy.policy = static_cast<PrefetchPolicy>(17);
+  write_manifest(p.manifest, *m);
+  EXPECT_THROW(Store::open(test_config(), p.manifest), std::invalid_argument);
   cleanup(p);
 }
 

@@ -1,7 +1,7 @@
 // Device-model regression suite for the event-driven per-channel engine.
 //
-// The legacy single-dispatch-queue model (submit_read / submit_reads) is
-// kept in the tree as the reference: with channels = 1 the engine must
+// The legacy single-dispatch-queue model (submit_read / submit_reads in
+// legacy_device_model.h) is the reference: with channels = 1 the engine must
 // reproduce its completion order and latencies bit-for-bit on a pinned-RNG
 // trace. On top of that, per-channel FIFO ordering, admission bounds,
 // cross-stream fairness and the Fig. 2 saturation shape are pinned as
@@ -14,6 +14,7 @@
 #include <map>
 #include <vector>
 
+#include "legacy_device_model.h"
 #include "nvm/admission.h"
 
 namespace bandana {

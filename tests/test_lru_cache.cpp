@@ -1,4 +1,4 @@
-#include "cache/lru_cache.h"
+#include "insertion_lru.h"
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "legacy_device_model.h"
+
 namespace bandana {
 namespace {
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <set>
@@ -10,11 +11,11 @@
 #include <vector>
 
 #include "cache/cache_sim.h"
-#include "cache/lru_cache.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "core/store.h"
 #include "core/table.h"
+#include "insertion_lru.h"
 #include "nvm/block_storage.h"
 #include "partition/layout.h"
 #include "partition/shp.h"
@@ -266,6 +267,51 @@ TEST(ShardedStore, OneShardStoreMatchesSimulatorUnderEveryPolicy) {
       }
     }
   }
+}
+
+TEST(ShardedStore, AddTableAndInstallRejectBadPolicyValues) {
+  // The table's cache checks its policy as the simulator's does: a shadow
+  // multiplier that is negative, NaN, or too large for the node index, an
+  // insertion position outside [0, 1), and a policy value outside the
+  // enum. add_table and begin_table_install both refuse before serving.
+  TraceGenerator gen(workload_config(), 15);
+  const EmbeddingTable values = gen.make_embeddings();
+  const auto layout = BlockLayout::random(4096, 32, 3);
+  const std::vector<std::uint32_t> counts(4096, 7);
+  Store store(sharded_config(/*shards=*/4));
+  const auto rejected = [&](const TablePolicy& policy) {
+    EXPECT_THROW(store.add_table(values, layout, policy, counts),
+                 std::invalid_argument);
+    EXPECT_THROW(store.begin_table_install(layout, policy, counts),
+                 std::invalid_argument);
+  };
+  TablePolicy policy;
+  policy.cache_vectors = 400;
+  for (const PrefetchPolicy p :
+       {PrefetchPolicy::kShadow, PrefetchPolicy::kShadowPosition}) {
+    policy.policy = p;
+    for (const double m : {-1.0, std::nan(""), HUGE_VAL, 1e30}) {
+      SCOPED_TRACE(std::string(to_string(p)) + " multiplier " +
+                   std::to_string(m));
+      policy.shadow_multiplier = m;
+      rejected(policy);
+    }
+  }
+  policy.shadow_multiplier = 1.5;
+  for (const PrefetchPolicy p :
+       {PrefetchPolicy::kPosition, PrefetchPolicy::kShadowPosition}) {
+    policy.policy = p;
+    for (const double pos : {-0.5, std::nan(""), 1.0}) {
+      SCOPED_TRACE(std::string(to_string(p)) + " position " +
+                   std::to_string(pos));
+      policy.insertion_position = pos;
+      rejected(policy);
+    }
+  }
+  policy.insertion_position = 0.5;
+  policy.policy = static_cast<PrefetchPolicy>(17);
+  rejected(policy);
+  EXPECT_EQ(store.num_tables(), 0u);
 }
 
 /// FNV-1a over the bytes of `n` trivially copyable values, continuing `h`.
