@@ -332,7 +332,9 @@ TEST(ShardedStore, FourShardCacheDecisionsMatchPinnedDigests) {
   // policy, new access counts), in which every seventh block moves to a
   // new storage block, so the swap drops those blocks' cached members and
   // the second half refills the freed entries. Digests are taken after
-  // the first half, after the swap and at the end.
+  // the first half, after the swap and at the end. The cache holds 400
+  // entries, or 5,000: more than the table's 4,096 vectors, so no shard
+  // ever fills.
   constexpr std::uint32_t kVectors = 4096;
   constexpr std::uint32_t kVpb = 32;
   constexpr std::uint32_t kBlocks = kVectors / kVpb;
@@ -363,24 +365,42 @@ TEST(ShardedStore, FourShardCacheDecisionsMatchPinnedDigests) {
     std::uint64_t contents;
     std::uint64_t stats;
   };
-  const std::pair<PrefetchPolicy, Pin> pinned[] = {
-      {PrefetchPolicy::kNone,
-       {0xeb66cfb22b3fd615ULL, 0xe10c767a92d5127aULL}},
-      {PrefetchPolicy::kAll,
-       {0x1904cc6601bd5e12ULL, 0x909169dc68d4a0c0ULL}},
-      {PrefetchPolicy::kPosition,
-       {0xf9192f35a644513bULL, 0xc4eeab1ceec1325bULL}},
-      {PrefetchPolicy::kShadow,
-       {0x1c458864781beb3fULL, 0x25bbd2fa469dd13cULL}},
-      {PrefetchPolicy::kShadowPosition,
-       {0xd3f4d9ad76ee8a1eULL, 0x110e92e508481751ULL}},
-      {PrefetchPolicy::kThreshold,
-       {0x1f2bb20141d190a3ULL, 0x1bcef69480669238ULL}},
+  struct Case {
+    std::uint64_t capacity;
+    PrefetchPolicy policy;
+    Pin want;
   };
-  for (const auto& [p, want] : pinned) {
-    SCOPED_TRACE(to_string(p));
+  const Case pinned[] = {
+      {400, PrefetchPolicy::kNone,
+       {0xeb66cfb22b3fd615ULL, 0xe10c767a92d5127aULL}},
+      {400, PrefetchPolicy::kAll,
+       {0x1904cc6601bd5e12ULL, 0x909169dc68d4a0c0ULL}},
+      {400, PrefetchPolicy::kPosition,
+       {0xf9192f35a644513bULL, 0xc4eeab1ceec1325bULL}},
+      {400, PrefetchPolicy::kShadow,
+       {0x1c458864781beb3fULL, 0x25bbd2fa469dd13cULL}},
+      {400, PrefetchPolicy::kShadowPosition,
+       {0xd3f4d9ad76ee8a1eULL, 0x110e92e508481751ULL}},
+      {400, PrefetchPolicy::kThreshold,
+       {0x1f2bb20141d190a3ULL, 0x1bcef69480669238ULL}},
+      {5000, PrefetchPolicy::kNone,
+       {0x179abebd9da5295bULL, 0xc83d492a66acc43cULL}},
+      {5000, PrefetchPolicy::kAll,
+       {0xc6dfd56783ed92c2ULL, 0xf6fb2f94a2a826f4ULL}},
+      {5000, PrefetchPolicy::kPosition,
+       {0x7bb6c6616f54ce16ULL, 0xf6fb2f94a2a826f4ULL}},
+      {5000, PrefetchPolicy::kShadow,
+       {0xcda385b0b6e68d04ULL, 0x8ddd765be16b9039ULL}},
+      {5000, PrefetchPolicy::kShadowPosition,
+       {0xa900d4bd4b7b90b6ULL, 0xf6fb2f94a2a826f4ULL}},
+      {5000, PrefetchPolicy::kThreshold,
+       {0x793305a66efe012fULL, 0x29d59cb9e78866d2ULL}},
+  };
+  for (const auto& [capacity, p, want] : pinned) {
+    SCOPED_TRACE(std::string(to_string(p)) + ", " + std::to_string(capacity) +
+                 " entries");
     TablePolicy policy;
-    policy.cache_vectors = 400;
+    policy.cache_vectors = capacity;
     policy.policy = p;
     policy.access_threshold = 3;
     BandanaTable table(cfg, policy, layout, old_counts, old_map);

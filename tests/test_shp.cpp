@@ -215,7 +215,10 @@ struct PinnedCase {
 // vectors leave a partial last block and uneven halves; the widest level
 // holds 64 buckets at 32 vectors per block and 128 at 16, more than the 32
 // chunks an 8-thread pool cuts a level into. A swap fraction of 1.0 lets
-// the swap cap reach the shorter candidate list.
+// the swap cap reach the shorter candidate list; one of 1e-4 caps every
+// pass at a single pair; 64 passes per level leave late passes with few
+// positive-sum pairs. The last two were recorded from the refinement that
+// cut each side's candidates with nth_element and sorted the top.
 TEST(Shp, PlansMatchPinnedBytesAtEveryThreadCount) {
   constexpr std::uint32_t kVectors = 5000;
   const Trace t = structured_trace(kVectors, 3000, 41);
@@ -238,6 +241,12 @@ TEST(Shp, PlansMatchPinnedBytesAtEveryThreadCount) {
       {16, 0.15, 16, 8,
        {0xbf64a36a252b4931ULL, 0xa52e5810ee3f660cULL, 3423, 9,
         0x401cbafdc61f2a4cULL, 0x4014de9bd37a6f4eULL}},
+      {32, 1e-4, 16, 0,
+       {0x044abe569e628699ULL, 0x9141f5d731b2a31dULL, 2048, 8,
+        0x402af1d5acb6f465ULL, 0x4022ed65b7a32847ULL}},
+      {16, 0.15, 64, 0,
+       {0x45727ccdf99dce49ULL, 0x9141f5d731b2a31dULL, 35377, 9,
+        0x402b83c131d5acb7ULL, 0x402086a7ef9db22dULL}},
   };
   for (const PinnedCase& c : cases) {
     ShpConfig cfg;
