@@ -80,10 +80,13 @@ ShardedInsertionLru::ShardedInsertionLru(std::uint32_t universe,
   }
 
   const std::vector<std::uint64_t> caps = split_capacity(capacity, shard_sizes);
-  const std::uint64_t entries =
-      std::accumulate(caps.begin(), caps.end(), std::uint64_t{0});
+  capacity_ = std::accumulate(caps.begin(), caps.end(), std::uint64_t{0});
+  std::uint64_t entries = 0;
+  for (std::size_t s = 0; s < caps.size(); ++s) {
+    entries += std::min<std::uint64_t>(caps[s], shard_sizes[s]);
+  }
   const std::uint64_t markers = shard_sizes.size() * (num_segments_ + 1);
-  if (entries + markers >= kNodeLimit || num_segments_ > 0xFFFF) {
+  if (capacity_ + markers >= kNodeLimit || num_segments_ > 0xFFFF) {
     throw std::invalid_argument("ShardedInsertionLru: too many entries");
   }
   entries_ = static_cast<NodeIdx>(entries);
@@ -94,8 +97,10 @@ ShardedInsertionLru::ShardedInsertionLru(std::uint32_t universe,
   for (std::uint32_t s = 0; s < num_shards(); ++s) {
     Shard& sh = shards_[s];
     sh.first = first;
+    sh.slots = static_cast<NodeIdx>(
+        std::min<std::uint64_t>(caps[s], shard_sizes[s]));
     sh.stats.capacity = caps[s];
-    first += static_cast<NodeIdx>(caps[s]);
+    first += sh.slots;
     // Segment k spans depths [floor(f_k*C), floor(f_{k+1}*C)) of the
     // shard's capacity C.
     for (std::size_t k = 0; k < num_segments_; ++k) {
@@ -155,7 +160,7 @@ bool ShardedInsertionLru::access(std::uint32_t s, VectorId v) {
   ++sh.stats.accesses;
   const NodeIdx node = node_of_[v];
   if (node == kNil) return false;
-  assert(node >= sh.first && node - sh.first < sh.stats.capacity);
+  assert(node >= sh.first && node - sh.first < sh.slots);
   ++sh.stats.hits;
   --segment(s, nodes_[node].segment).size;
   unlink(node);
@@ -194,6 +199,9 @@ VectorId ShardedInsertionLru::insert(std::uint32_t s, VectorId v,
     sh.free = nodes_[node].next;
     ++sh.stats.size;
   } else {
+    // The shard holds at most its ids, so it never needs more than its
+    // slots, even when its capacity exceeds them.
+    assert(sh.used < sh.slots && "more ids named in a shard than it serves");
     node = sh.first + sh.used++;
     ++sh.stats.size;
   }
@@ -213,7 +221,7 @@ bool ShardedInsertionLru::erase(std::uint32_t s, VectorId v) {
   const NodeIdx node = node_of_[v];
   if (node == kNil) return false;
   Shard& sh = shards_[s];
-  assert(node >= sh.first && node - sh.first < sh.stats.capacity);
+  assert(node >= sh.first && node - sh.first < sh.slots);
   --segment(s, nodes_[node].segment).size;
   unlink(node);
   node_of_[v] = kNil;

@@ -11,10 +11,12 @@
 // cache on skewed workloads.
 //
 // One index serves every shard: a 4-byte node index per vector into one
-// node pool, allocated to capacity at construction and never grown. Shard
-// s owns the contiguous entry nodes [first, first + shard_capacity(s)),
-// where `first` sums the earlier shards' capacities, so an entry's node
-// index doubles as its slot in a caller's capacity-sized slab (slot_of).
+// node pool, allocated at construction and never grown. Shard s owns the
+// contiguous entry nodes [first, first + its slots), where its slots are
+// the fewer of its capacity and its ids (a shard whose capacity exceeds
+// its ids never fills, so entries past them would never be used) and
+// `first` sums the earlier shards' slots. An entry's node index doubles as
+// its slot in a caller's slab of slots() entries (slot_of).
 // Each node carries its id, its segment and a prefetched mark. The class
 // stores no id -> shard map: the caller names the shard of every
 // mutation, and must name the same shard for an id every time
@@ -73,14 +75,17 @@ class ShardedInsertionLru {
   std::size_t num_insertion_points() const { return num_segments_; }
 
   /// Sum of per-shard capacities (== requested capacity unless clamped up).
-  std::uint64_t capacity() const { return entries_; }
+  std::uint64_t capacity() const { return capacity_; }
   std::uint64_t shard_capacity(std::uint32_t s) const {
     return shards_[s].stats.capacity;
   }
+  /// Entry nodes in the pool: the most entries the cache can ever hold,
+  /// capacity() or fewer when some shard's capacity exceeds its ids.
+  std::uint64_t slots() const { return entries_; }
 
   bool contains(VectorId v) const { return node_of_[v] != kNil; }
-  /// Slot of cached v in [0, capacity()): its node index, inside its
-  /// shard's range. Stable until v leaves the cache.
+  /// Slot of cached v in [0, slots()): its node index, inside its shard's
+  /// range. Stable until v leaves the cache.
   std::uint32_t slot_of(VectorId v) const { return node_of_[v]; }
 
   /// If v is cached in shard s: promote to s's MRU position, return true.
@@ -135,6 +140,7 @@ class ShardedInsertionLru {
   };
   struct Shard {
     NodeIdx first = 0;    ///< First entry node (slot) of the shard.
+    NodeIdx slots = 0;    ///< Its entry nodes: min(capacity, its ids).
     NodeIdx used = 0;     ///< Entry nodes handed out so far.
     NodeIdx free = kNil;  ///< Erased entry nodes, chained via next.
     CacheShardStats stats;  ///< Live size and capacity, and counters.
@@ -155,7 +161,8 @@ class ShardedInsertionLru {
   void cascade(std::uint32_t s, std::size_t k);
 
   std::size_t num_segments_;
-  NodeIdx entries_ = 0;  ///< Entry nodes in the pool (== capacity()).
+  std::uint64_t capacity_ = 0;  ///< Sum of the shards' capacities.
+  NodeIdx entries_ = 0;         ///< Entry nodes in the pool (slots()).
   std::vector<NodeIdx> node_of_;  ///< id -> node, or kNil
   std::vector<Node> nodes_;
   std::vector<Segment> segments_;  ///< shard-major, num_segments_ each

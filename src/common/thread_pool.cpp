@@ -32,11 +32,6 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
-}
-
 ThreadPool::TaskGroup::~TaskGroup() { wait_done(); }
 
 void ThreadPool::TaskGroup::submit(std::function<void()> task) {
@@ -86,14 +81,8 @@ void ThreadPool::worker_loop() {
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++in_flight_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (tasks_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 

@@ -21,6 +21,7 @@ class ThreadPool {
  public:
   /// threads == 0 means std::thread::hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -32,9 +33,6 @@ class ThreadPool {
   /// unguarded, so an escaping exception terminates the process. A caller
   /// that can fail catches inside the task and reports back itself.
   void submit(std::function<void()> task);
-
-  /// Block until all submitted tasks have finished.
-  void wait_idle();
 
   /// Tasks one caller submits and then waits for. wait() returns once every
   /// task submitted through the group has finished, however much other
@@ -71,8 +69,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

@@ -146,7 +146,8 @@ struct AtomicStoreMetrics {
 // containers' allocated capacities (Store::dram_bytes; StoreCluster sums
 // its nodes), all sum. Fixed-size objects and allocator overhead are not
 // counted. Per table:
-//   slab            Cached vector bytes: cache capacity x vector_bytes.
+//   slab            Cached vector bytes: cache slots x vector_bytes (the
+//                   capacity, capped in each shard at its vectors).
 //   cache_index     The cache's 4-byte node index per vector, its node pool
 //                   (16 B per slab slot) and per-shard bookkeeping.
 //   shadow_index    The same for the shadow cache (kShadow,

@@ -88,7 +88,7 @@ BandanaTable::BandanaTable(const StoreConfig& store_cfg, TablePolicy policy,
                             std::move(access_counts), std::move(block_map));
   state_.store(state_owner_.get(), std::memory_order_release);
 
-  slab_.resize(state_owner_->cache.lru().capacity() * vector_bytes_);
+  slab_.resize(state_owner_->cache.lru().slots() * vector_bytes_);
   shards_.reserve(num_shards_);
   for (std::uint32_t s = 0; s < num_shards_; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -142,7 +142,7 @@ std::vector<BlockId> BandanaTable::swap_state(RetrainedState next) {
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(shards_.size());
     for (auto& shard : shards_) locks.emplace_back(shard->mu);
-    assert(fresh->cache.lru().capacity() * vector_bytes_ == slab_.size());
+    assert(fresh->cache.lru().slots() * vector_bytes_ == slab_.size());
     if (keep_cache) {
       // Value-only push: cached members of blocks that kept their storage
       // block still hold exact bytes in their slots. Copied, not moved —

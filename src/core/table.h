@@ -25,7 +25,7 @@
 // them), and the cache's 4-byte node index (cache/sharded_lru.h: a cached
 // vector's slab slot is its node); the shadow policies add a second index.
 // dram_bytes() counts it all by category; TablePolicy::cache_vectors buys
-// only the slab.
+// only the slab, and never more of it than the table has vectors.
 //
 // Online retraining (§2.2) swaps the whole layout-dependent state — the
 // block layout, the local-block -> global-block map and the cache core
@@ -264,7 +264,7 @@ class BandanaTable {
     TablePolicy policy;
     /// Over `layout`, with admit bits from this state's counts and policy.
     /// A cached vector's slab slot is its node in the cache's pool, whose
-    /// shard s owns the slots from the sum of the earlier shards' capacities.
+    /// shard s owns the slots from the sum of the earlier shards' slots.
     PrefetchCache cache;
     std::vector<std::uint64_t> block_epochs;  ///< per-block dedup marks
 
@@ -311,8 +311,9 @@ class BandanaTable {
   std::uint32_t num_shards_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// cache capacity * vector_bytes, fixed at construction (a swap keeps
-  /// the capacity, so every state's slots index the same slab).
+  /// The cache's slots * vector_bytes, fixed at construction (a swap keeps
+  /// the capacity, shards and size, so every state's slots index the same
+  /// slab).
   std::vector<std::byte> slab_;
   std::atomic<std::uint64_t> epoch_{0};
 

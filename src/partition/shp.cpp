@@ -1,13 +1,17 @@
 #include "partition/shp.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 #include "partition/coaccess.h"
@@ -22,31 +26,46 @@ struct Bucket {
   std::uint32_t begin, end, depth;
 };
 
+/// Two counts, one per side, in one 8-byte entry: [0] counts side 0 (the
+/// first half), [1] side 1.
+using PerSide = std::array<std::uint32_t, 2>;
+
+/// The largest of every table's training queries, vectors and vertex
+/// degree: what one refinement scratch must hold to serve any table.
+struct ScratchShape {
+  std::uint32_t queries = 0;
+  std::uint32_t vectors = 0;
+  std::uint32_t degree = 0;
+};
+
 /// Refinement scratch of one running bucket, reused across buckets and
-/// tables. Built on the calling thread at the size of the largest table,
-/// so a worker never grows it. Side counts are bucket-local: q_epoch marks
-/// the queries the current bucket counted, so nothing is cleared between
-/// buckets, and any table's queries index it.
+/// tables. Built on the calling thread at the run's ScratchShape, so a
+/// worker never grows it. Side counts are bucket-local: a bucket zeroes
+/// the entries of its own queries before counting, so any table's queries
+/// index it and nothing is cleared between buckets.
 struct Scratch {
-  Scratch(std::uint32_t num_queries, std::size_t side_cap)
-      : cnt_a(num_queries, 0), cnt_b(num_queries, 0), q_epoch(num_queries, 0) {
-    cand_a.reserve(side_cap);
-    cand_b.reserve(side_cap);
-    spill.reserve(side_cap);
-  }
+  explicit Scratch(const ScratchShape& shape)
+      : counts(shape.queries),
+        gains(shape.vectors),
+        bins(2 * std::size_t{shape.degree} + 1),
+        ids(shape.vectors),
+        max_degree(shape.degree) {}
   std::uint64_t byte_size() const {
-    return (cnt_a.capacity() + cnt_b.capacity() + q_epoch.capacity()) *
-               sizeof(std::uint32_t) +
-           (cand_a.capacity() + cand_b.capacity()) * sizeof(cand_a[0]) +
-           spill.capacity() * sizeof(VectorId);
+    return (counts.capacity() + bins.capacity()) * sizeof(PerSide) +
+           gains.capacity() * sizeof(std::int32_t) +
+           ids.capacity() * sizeof(VectorId);
   }
-  std::vector<std::uint32_t> cnt_a;
-  std::vector<std::uint32_t> cnt_b;
-  std::vector<std::uint32_t> q_epoch;
-  std::uint32_t epoch = 0;
-  std::vector<std::pair<std::int32_t, VectorId>> cand_a;
-  std::vector<std::pair<std::int32_t, VectorId>> cand_b;
-  std::vector<VectorId> spill;  ///< Side-1 vertices while partitioning.
+  std::vector<PerSide> counts;  ///< Per query: its members on each side.
+  std::vector<std::int32_t> gains;  ///< Per bucket position, this pass.
+  /// Per gain g in [-max_degree, max_degree], at bins[max_degree - g]: how
+  /// many vertices of each side have that gain this pass. Zero between
+  /// passes.
+  std::vector<PerSide> bins;
+  /// The vertices tied at a pass's threshold gains, side 0's from the front
+  /// and side 1's from the back; then the side-1 vertices while
+  /// partitioning.
+  std::vector<VectorId> ids;
+  std::uint32_t max_degree;
 };
 
 /// Split so the left child always holds a whole number of blocks: final
@@ -55,6 +74,49 @@ struct Scratch {
 std::uint32_t aligned_half(std::uint32_t n, std::uint32_t vpb) {
   const std::uint32_t blocks = (n + vpb - 1) / vpb;
   return std::min(n, ((blocks + 1) / 2) * vpb);
+}
+
+/// The swaps of one pass: `pairs` pairs, made of every vertex of side s
+/// whose gain is above gain[s] and the ties[s] largest ids at gain[s]. With
+/// no pairs, no gain matches.
+struct PassSwaps {
+  std::size_t pairs = 0;
+  std::int32_t gain[2] = {std::numeric_limits<std::int32_t>::max(),
+                          std::numeric_limits<std::int32_t>::max()};
+  std::size_t ties[2] = {0, 0};
+};
+
+/// The swaps a full sort of each side by (gain, id), descending, defines:
+/// pair the i-th entries of the two sides while their gains sum above
+/// zero, at most `cap` pairs. Both descending gain sequences are read off
+/// the histogram (`at_gain[-g]` is gain g's bin) from the top gain `hi`
+/// down. A gain of -hi or less cannot be in a pair: its partner gains at
+/// most hi.
+PassSwaps plan_swaps(const PerSide* at_gain, std::int32_t hi,
+                     std::size_t cap) {
+  PassSwaps out;
+  std::int32_t g[2] = {hi, hi};             // each side's next gain
+  std::uint32_t left[2] = {at_gain[-hi][0], at_gain[-hi][1]};
+  std::size_t above[2] = {0, 0};            // entries taken above g[s]
+  while (out.pairs < cap) {
+    for (const int s : {0, 1}) {
+      while (left[s] == 0 && g[s] > -hi) {
+        --g[s];
+        left[s] = at_gain[-g[s]][s];
+        above[s] = out.pairs;
+      }
+    }
+    if (left[0] == 0 || left[1] == 0 || g[0] + g[1] <= 0) break;
+    const std::size_t run =
+        std::min<std::size_t>({left[0], left[1], cap - out.pairs});
+    out.pairs += run;
+    for (const int s : {0, 1}) {
+      left[s] -= static_cast<std::uint32_t>(run);
+      out.gain[s] = g[s];
+      out.ties[s] = out.pairs - above[s];
+    }
+  }
+  return out;
 }
 
 /// Refine one bucket, `verts`, into two halves of sizes (half, n - half)
@@ -74,89 +136,106 @@ std::uint64_t refine_bucket(std::span<VectorId> verts, std::size_t half,
   for (std::size_t i = 0; i < n; ++i) side[verts[i]] = i >= half;
 
   // Bucket-local per-query side counts: counted once here, then kept
-  // current as each pair swaps.
-  ++scratch.epoch;
+  // current as each vertex flips.
+  PerSide* const counts = scratch.counts.data();
+  for (VectorId v : verts) {
+    for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
+      counts[h.v_queries[i]] = {0, 0};
+    }
+  }
   for (VectorId v : verts) {
     const std::uint8_t s = side[v];
     for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
-      const std::uint32_t q = h.v_queries[i];
-      if (scratch.q_epoch[q] != scratch.epoch) {
-        scratch.q_epoch[q] = scratch.epoch;
-        scratch.cnt_a[q] = 0;
-        scratch.cnt_b[q] = 0;
-      }
-      ++(s == 0 ? scratch.cnt_a[q] : scratch.cnt_b[q]);
+      ++counts[h.v_queries[i]][s];
     }
   }
   auto flip_side = [&](VectorId v) {
-    const bool to_b = side[v] == 0;
-    side[v] = to_b;
+    const std::uint8_t from = side[v];
+    side[v] = from ^ 1;
     for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
-      const std::uint32_t q = h.v_queries[i];
-      --(to_b ? scratch.cnt_a[q] : scratch.cnt_b[q]);
-      ++(to_b ? scratch.cnt_b[q] : scratch.cnt_a[q]);
+      PerSide& c = counts[h.v_queries[i]];
+      --c[from];
+      ++c[from ^ 1];
     }
   };
-  auto gain_of = [&](VectorId v) {
-    std::int32_t gain = 0;
-    const std::uint8_t s = side[v];
-    for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
-      const std::uint32_t q = h.v_queries[i];
-      const std::uint32_t here = s == 0 ? scratch.cnt_a[q] : scratch.cnt_b[q];
-      const std::uint32_t there = s == 0 ? scratch.cnt_b[q] : scratch.cnt_a[q];
-      if (here == 1) ++gain;   // this side stops touching q
-      if (there == 0) --gain;  // other side starts touching q
-    }
-    return gain;
-  };
-  // The first k of a candidate list in descending order. (gain, id) pairs
-  // are distinct, so these are exactly the first k of a full sort.
-  auto desc = [](const auto& x, const auto& y) { return x > y; };
-  auto top = [&](auto& cand, std::size_t k) {
-    std::nth_element(cand.begin(), cand.begin() + k, cand.end(), desc);
-    std::sort(cand.begin(), cand.begin() + k, desc);
-  };
-  const std::size_t cap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(max_swap_fraction *
-                                  static_cast<double>(n / 2)));
+  PerSide* const at_gain = scratch.bins.data() + scratch.max_degree;
+  std::int32_t* const gains = scratch.gains.data();
+  VectorId* const ids = scratch.ids.data();
+  const std::size_t cap = std::min(
+      {half, n - half,
+       std::max<std::size_t>(
+           1, static_cast<std::size_t>(max_swap_fraction *
+                                       static_cast<double>(n / 2)))});
 
   std::uint64_t swaps = 0;
   for (std::uint32_t iter = 0; iter < iters; ++iter) {
-    // Gains come from the counts at the start of the pass.
-    scratch.cand_a.clear();
-    scratch.cand_b.clear();
-    for (VectorId v : verts) {
-      (side[v] == 0 ? scratch.cand_a : scratch.cand_b)
-          .emplace_back(gain_of(v), v);
+    // Gains come from the counts at the start of the pass: moving v drops
+    // each query it is alone in on its side and adds each query the other
+    // side lacks.
+    std::int32_t hi = std::numeric_limits<std::int32_t>::min();
+    for (std::size_t p = 0; p < n; ++p) {
+      // Each vertex's loads form a chain (offsets, then queries, then
+      // counts) that ends in a hard-to-predict loop exit, so the next
+      // vertices' offsets and queries are fetched ahead.
+      if (p + 8 < n) {
+        __builtin_prefetch(&h.v_offsets[verts[p + 8]]);
+        __builtin_prefetch(&side[verts[p + 8]]);
+      }
+      if (p + 4 < n) {
+        // data() + offset: a vertex without queries may sit at the end.
+        __builtin_prefetch(h.v_queries.data() + h.v_offsets[verts[p + 4]]);
+      }
+      const VectorId v = verts[p];
+      const std::uint8_t s = side[v];
+      std::int32_t gain = 0;
+      for (std::uint64_t i = h.v_offsets[v]; i < h.v_offsets[v + 1]; ++i) {
+        const PerSide c = counts[h.v_queries[i]];
+        gain += static_cast<std::int32_t>(c[s] == 1) -
+                static_cast<std::int32_t>(c[s ^ 1] == 0);
+      }
+      gains[p] = gain;
+      ++at_gain[-gain][s];
+      hi = std::max(hi, gain);
     }
-    // Pairwise swap of the highest-gain vertices from each side.
-    const std::size_t pairs =
-        std::min({scratch.cand_a.size(), scratch.cand_b.size(), cap});
-    top(scratch.cand_a, pairs);
-    top(scratch.cand_b, pairs);
-    std::uint64_t swapped = 0;
-    for (std::size_t i = 0; i < pairs; ++i) {
-      if (scratch.cand_a[i].first + scratch.cand_b[i].first <= 0) break;
-      flip_side(scratch.cand_a[i].second);
-      flip_side(scratch.cand_b[i].second);
-      ++swapped;
+    const PassSwaps plan = plan_swaps(at_gain, hi, cap);
+    // Flip every vertex above its side's threshold gain, collect the ties
+    // at it, and empty the histogram. The flips of a pass commute, so the
+    // pairs need no order.
+    std::size_t ties_end[2] = {0, n};
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::int32_t gain = gains[p];
+      at_gain[-gain] = {0, 0};
+      const VectorId v = verts[p];
+      const std::uint8_t s = side[v];
+      if (gain > plan.gain[s]) {
+        flip_side(v);
+      } else if (gain == plan.gain[s]) {
+        ids[s == 0 ? ties_end[0]++ : --ties_end[1]] = v;
+      }
     }
-    swaps += swapped;
-    if (swapped == 0) break;
+    // At the threshold, the largest ids go first.
+    auto flip_largest = [&](VectorId* first, VectorId* last, std::size_t k) {
+      std::nth_element(first, first + k, last, std::greater<>());
+      std::for_each(first, first + k, flip_side);
+    };
+    flip_largest(ids, ids + ties_end[0], plan.ties[0]);
+    flip_largest(ids + ties_end[1], ids + n, plan.ties[1]);
+    swaps += plan.pairs;
+    if (plan.pairs == 0) break;
   }
 
   // Physically partition the range by side, stably (std::stable_partition
   // would allocate its buffer here, on the worker).
-  scratch.spill.clear();
   std::size_t kept = 0;
+  std::size_t spilled = 0;
   for (VectorId v : verts) {
     if (side[v] == 0) {
       verts[kept++] = v;
     } else {
-      scratch.spill.push_back(v);
+      ids[spilled++] = v;
     }
   }
-  std::copy(scratch.spill.begin(), scratch.spill.end(), verts.begin() + kept);
+  std::copy(ids, ids + spilled, verts.begin() + kept);
   return swaps;
 }
 
@@ -278,7 +357,9 @@ class InFlight {
 
 /// No pool: each table in turn, its buckets depth first on this thread.
 void train_sequential(std::span<const ShpTable> tables,
-                      std::vector<ShpResult>& results, Scratch& scratch) {
+                      std::vector<ShpResult>& results,
+                      const ScratchShape& shape) {
+  Scratch scratch(shape);
   InFlight in_flight(1, scratch.byte_size());
   std::vector<Bucket> stack;
   for (std::size_t t = 0; t < tables.size(); ++t) {
@@ -304,10 +385,10 @@ class ParallelRun {
  public:
   ParallelRun(std::span<const ShpTable> tables,
               std::vector<ShpResult>& results, ThreadPool& pool,
-              std::uint32_t max_queries, std::size_t side_cap)
+              const ScratchShape& shape)
       : tables_(tables), results_(results), pool_(pool) {
     for (std::size_t w = 0; w < pool.size(); ++w) {
-      idle_scratch_.push_back(std::make_unique<Scratch>(max_queries, side_cap));
+      idle_scratch_.push_back(std::make_unique<Scratch>(shape));
     }
   }
 
@@ -417,6 +498,34 @@ class ParallelRun {
   std::exception_ptr error_;    ///< First failure of any bucket or table.
 };
 
+/// The most training queries any one vector of `train` appears in: a
+/// bound on every vertex degree of the table's co-access graph, which
+/// keeps only some of the queries. `last` and `count` hold one entry per
+/// vector: the last query that counted it (plus one) and its count. Throws
+/// std::invalid_argument on an id past the table.
+std::uint32_t degree_bound(const Trace& train, std::uint32_t num_vectors,
+                           std::vector<std::uint32_t>& last,
+                           std::vector<std::uint32_t>& count) {
+  last.assign(num_vectors, 0);
+  count.assign(num_vectors, 0);
+  std::uint32_t most = 0;
+  for (std::size_t q = 0; q < train.num_queries(); ++q) {
+    const auto mark = static_cast<std::uint32_t>(q + 1);
+    for (const VectorId v : train.query(q)) {
+      if (v >= num_vectors) {
+        throw std::invalid_argument(
+            "run_shp: training trace id " + std::to_string(v) +
+            " is past the table's " + std::to_string(num_vectors) +
+            " vectors");
+      }
+      if (last[v] == mark) continue;
+      last[v] = mark;
+      most = std::max(most, ++count[v]);
+    }
+  }
+  return most;
+}
+
 }  // namespace
 
 void validate(const ShpConfig& config) {
@@ -434,24 +543,28 @@ void validate(const ShpConfig& config) {
 
 std::vector<ShpResult> run_shp(std::span<const ShpTable> tables,
                                ThreadPool* pool) {
-  std::uint32_t max_queries = 0;
-  std::size_t side_cap = 0;
   for (const ShpTable& t : tables) {
     validate(t.config);
     if (t.train == nullptr || t.train->num_queries() == 0) {
       throw std::invalid_argument("run_shp: empty training trace");
     }
-    max_queries = std::max(max_queries,
-                           static_cast<std::uint32_t>(t.train->num_queries()));
-    side_cap = std::max<std::size_t>(
-        side_cap, aligned_half(t.num_vectors, t.config.vectors_per_block));
+  }
+  ScratchShape shape;
+  {
+    std::vector<std::uint32_t> last, count;
+    for (const ShpTable& t : tables) {
+      shape.queries = std::max(
+          shape.queries, static_cast<std::uint32_t>(t.train->num_queries()));
+      shape.vectors = std::max(shape.vectors, t.num_vectors);
+      shape.degree = std::max(
+          shape.degree, degree_bound(*t.train, t.num_vectors, last, count));
+    }
   }
   std::vector<ShpResult> results(tables.size());
   if (pool && pool->size() > 1) {
-    ParallelRun(tables, results, *pool, max_queries, side_cap).run();
+    ParallelRun(tables, results, *pool, shape).run();
   } else {
-    Scratch scratch(max_queries, side_cap);
-    train_sequential(tables, results, scratch);
+    train_sequential(tables, results, shape);
   }
   return results;
 }

@@ -31,9 +31,11 @@
 // co-access graph, the order, side and access-count arrays and the initial
 // fanout, and when the table's last bucket finishes it computes the final
 // fanout and frees the graph. Workers allocate nothing that grows with a
-// table: each running bucket borrows one of pool->size() counting scratches
-// (candidate lists and the partition buffer included), built on the
-// calling thread at the largest table's size. glibc gives each thread its
+// table: each running bucket borrows one of pool->size() refinement
+// scratches (side counts, gains, gain histogram, tie and partition
+// buffer), built on the calling thread at the largest table's query count,
+// size and degree bound (the most queries one vector appears in, counted
+// from the traces before any table is admitted). glibc gives each thread its
 // own malloc arena and keeps memory freed there: a prototype that trained
 // whole tables as pool tasks, each allocating on its worker, raised
 // bench_perf's paper8-dram4 peak RSS by 7.5 MiB (55.0 -> 62.5 MiB), a rise
@@ -41,10 +43,20 @@
 // the calling thread still added 4.2 MiB. With the in-flight bound and
 // caller-side allocation, peak RSS stays flat.
 //
-// Per pass, each side's candidates are cut to the swap cap with
-// nth_element and only those are sorted, and side counts are counted once
-// per bucket and updated as each pair swaps — the same values a full sort
-// and a recount give.
+// The refinement kernel does the integer arithmetic of the definition
+// above with few loads and no sort:
+//   * Each query's bucket-local counts of both sides share one 8-byte
+//     entry, counted once per bucket and updated as each vertex flips, so a
+//     gain or a flip touches one cache line per query, and a gain adds
+//     [n_here==1] - [n_there==0] without branches.
+//   * Swaps come from a histogram of each side's integer gains, not from
+//     sorting (gain, id) pairs. The pairs a full descending sort would
+//     swap are read off the histogram: how many (the i-th pair swaps while
+//     its gains sum above zero, up to the cap) and each side's threshold
+//     gain. Every vertex above its side's threshold flips, and so do the
+//     largest ids at it (nth_element over the ties), which is the sort's
+//     tie-break. Flips of one pass commute, so the pairs need no order.
+// The plans are byte-identical to the sort-based refinement's.
 //
 // Unlike K-means, SHP depends only on vector *identities*, so retraining
 // the embedding values does not invalidate the layout (paper §4.2.2).
@@ -94,7 +106,7 @@ struct ShpResult {
   double final_avg_fanout = 0.0;    ///< Fanout after refinement (train set).
   /// Estimated peak resident bytes of the run while this table was in
   /// flight: for every table in flight at that moment its training trace,
-  /// co-access CSR and per-vector arrays, plus the counting scratch of
+  /// co-access CSR and per-vector arrays, plus the refinement scratch of
   /// every worker (one scratch when the calling thread trains alone). For
   /// a one-table call this is the table's own training peak.
   std::uint64_t peak_memory_bytes = 0;
@@ -108,10 +120,11 @@ struct ShpTable {
 };
 
 /// Trains every table and returns their results in the same order. Throws
-/// std::invalid_argument, before any training, on a degenerate config or an
+/// std::invalid_argument, before any training, on a degenerate config, an
 /// empty (or null) training trace, which would otherwise yield a silently
-/// random plan. A failure while training (std::bad_alloc) is rethrown once
-/// no bucket of any table is still running.
+/// random plan, or a trace id past its table. A failure while training
+/// (std::bad_alloc) is rethrown once no bucket of any table is still
+/// running.
 std::vector<ShpResult> run_shp(std::span<const ShpTable> tables,
                                ThreadPool* pool = nullptr);
 

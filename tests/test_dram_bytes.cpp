@@ -5,7 +5,8 @@
 // it owns (layout, admission, block maps, cache and shadow indexes) under
 // the policies without a shadow, and at most 24 B under the two shadow
 // policies. The index is one 4-byte node per vector plus a node pool
-// sized to the slab, so filling the cache must not move any category.
+// sized to the slab, so filling the cache must not move any category. A
+// cache larger than its table buys one slot per vector, not per entry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -87,6 +88,48 @@ TEST(DramBytes, MillionVectorTableIndexStaysUnderPinnedBytesPerVector) {
     }
     EXPECT_EQ(table.cache_stats().size, policy.cache_vectors);
     EXPECT_EQ(table.dram_bytes(), before);
+  }
+}
+
+TEST(DramBytes, CacheAboveTheTableBuysOneSlotPerVector) {
+  // A shard never holds more entries than it serves ids, so cache_vectors
+  // past the table's vectors buys no slab or node past them: 5,000
+  // entries over 4,096 vectors cost exactly what 4,096 do, with and
+  // without a shadow. The shard capacities, which set the segment targets
+  // and the shadow's size, stay as requested, and a cache that takes in
+  // every vector grows nothing.
+  constexpr std::uint32_t kVectors = 4096;
+  constexpr std::uint32_t kVpb = 32;
+  StoreConfig cfg;
+  cfg.cache_shards = 4;
+  const BlockLayout layout = BlockLayout::identity(kVectors, kVpb);
+  std::vector<BlockId> map(layout.num_blocks());
+  std::iota(map.begin(), map.end(), BlockId{0});
+  MemoryBlockStorage storage(layout.num_blocks(), cfg.block_bytes);
+  for (const PrefetchPolicy p :
+       {PrefetchPolicy::kAll, PrefetchPolicy::kShadowPosition}) {
+    SCOPED_TRACE(to_string(p));
+    TablePolicy policy;
+    policy.policy = p;
+    policy.insertion_position = 0.5;
+    policy.cache_vectors = kVectors;
+    const BandanaTable at_size(cfg, policy, layout, {}, map);
+    policy.cache_vectors = 5000;
+    BandanaTable above(cfg, policy, layout, {}, map);
+    ASSERT_EQ(above.num_shards(), 4u);
+    const DramBytes before = above.dram_bytes();
+    EXPECT_EQ(before.slab, std::uint64_t{kVectors} * cfg.vector_bytes);
+    EXPECT_EQ(before, at_size.dram_bytes());
+    EXPECT_EQ(above.cache_stats().capacity, 5000u);
+
+    std::vector<VectorId> ids(kVectors);
+    std::iota(ids.begin(), ids.end(), VectorId{0});
+    std::vector<std::byte> out(ids.size() * cfg.vector_bytes);
+    std::vector<BandanaTable::LookupOutcome> outcomes(ids.size());
+    above.lookup_get(ids, storage, out, above.begin_batch(), nullptr,
+                     outcomes);
+    EXPECT_EQ(above.cache_stats().size, kVectors);
+    EXPECT_EQ(above.dram_bytes(), before);
   }
 }
 

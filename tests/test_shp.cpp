@@ -309,6 +309,18 @@ TEST(Shp, TableListMatchesOneTableCalls) {
   }
 }
 
+TEST(Shp, RejectsATraceIdPastTheTable) {
+  Trace t;
+  const VectorId q0[] = {0, 1, 2};
+  const VectorId q1[] = {3, 8};  // the table has vectors 0..7
+  t.add_query(q0);
+  t.add_query(q1);
+  ShpConfig cfg;
+  cfg.vectors_per_block = 2;
+  EXPECT_THROW(run_shp(t, 8, cfg), std::invalid_argument);
+  EXPECT_NO_THROW(run_shp(t, 9, cfg));
+}
+
 TEST(Shp, TableListRejectsAnEmptyTraceBeforeTraining) {
   const Trace t = structured_trace(1000, 500, 14);
   const Trace empty;

@@ -12,13 +12,15 @@
 namespace bandana {
 namespace {
 
+// The destructor runs every queued task before it joins the workers.
 TEST(ThreadPool, SubmitAndWait) {
-  ThreadPool pool(3);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(3);
+    for (int i = 0; i < 50; ++i) {
+      pool.submit([&] { counter.fetch_add(1); });
+    }
   }
-  pool.wait_idle();
   EXPECT_EQ(counter.load(), 50);
 }
 
@@ -43,7 +45,8 @@ TEST(ThreadPool, TaskGroupWaitsOnlyForItsOwnTasks) {
   ThreadPool pool(2);
   std::atomic<bool> release{false};
   std::atomic<bool> blocker_done{false};
-  pool.submit([&] {
+  ThreadPool::TaskGroup blocker(pool);
+  blocker.submit([&] {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (!release.load() && std::chrono::steady_clock::now() < deadline) {
@@ -60,7 +63,7 @@ TEST(ThreadPool, TaskGroupWaitsOnlyForItsOwnTasks) {
   EXPECT_FALSE(blocker_done.load());
   EXPECT_EQ(sum.load(), 4950u);
   release.store(true);
-  pool.wait_idle();
+  blocker.wait();
   EXPECT_TRUE(blocker_done.load());
 }
 
